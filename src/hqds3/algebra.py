@@ -8,6 +8,7 @@ the ``Algebra`` defined here.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -42,28 +43,37 @@ NAMED_SLOTS: dict[str, tuple[int, int, int]] = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Algebra:
     """Structure constants of a commutative algebra on R^3.
 
     The tensor must satisfy c[i, j, k] == c[j, i, k] exactly; builders that
-    start from one-sided data are responsible for writing both slots.
-    Instances are treated as immutable.
+    start from one-sided data are responsible for writing both slots.  All
+    validation (shape, finiteness, symmetry) lives in this constructor.
+    Immutability is enforced: the instance holds a read-only private copy of
+    the tensor, so its scale and normalized form are computed once.
     """
 
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.shape != (3, 3, 3):
-            raise ValueError(f"structure constants must be 3x3x3, got {c.shape}")
+            raise ValueError(f"structure constants must be 3x3x3, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite")
-        if not np.array_equal(c, c.transpose(1, 0, 2)):
-            raise ValueError("structure constants must be symmetric in the first two indices")
-        self.c = c
+        asym = c != c.transpose(1, 0, 2)
+        if asym.any():
+            i, j, k = (int(v) + 1 for v in np.argwhere(asym)[0])
+            raise ValueError(
+                f"asymmetric constants: c[{i}][{j}][{k}] != c[{j}][{i}][{k}] "
+                "(commutativity requires symmetry in the first two indices; fix the input, "
+                "it is not symmetrized automatically)"
+            )
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return float(np.max(np.abs(self.c)))
 
@@ -71,8 +81,13 @@ class Algebra:
         """Rescale constants to unit max magnitude; returns (algebra, factor).
 
         Scaling constants by t is the change of basis by (1/t) * Id, so it
-        preserves every structural invariant used here.
+        preserves every structural invariant used here.  Every call returns
+        the same object.
         """
+        return self._normalized
+
+    @functools.cached_property
+    def _normalized(self) -> tuple["Algebra", float]:
         s = self.scale
         if s == 0.0 or s == 1.0:
             return self, 1.0
@@ -151,11 +166,6 @@ def change_of_basis(alg: Algebra, m: np.ndarray) -> Algebra:
     return Algebra(new)
 
 
-def conjugated(alg: Algebra, m: np.ndarray) -> Algebra:
-    """Alias of change_of_basis, used when m is a random test conjugation."""
-    return change_of_basis(alg, m)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -195,6 +205,17 @@ def square_ideal(alg: Algebra) -> Subspace:
     norm, _ = alg.normalized()
     prods = [norm.c[i, j] for i in range(3) for j in range(i, 3)]
     return span_of(np.array(prods))
+
+
+def ideal_structure(alg: Algebra) -> tuple[Subspace, Subspace, bool]:
+    """(Ann, A*A, whether A*A is a nonzero subspace of Ann).
+
+    The one place that decides the ideal structure both classification
+    routes, the fingerprint and the affine closed form dispatch on.
+    """
+    ann = annihilator(alg)
+    sq = square_ideal(alg)
+    return ann, sq, sq.dim > 0 and all(ann.contains(row) for row in sq.basis)
 
 
 @dataclass
@@ -252,7 +273,7 @@ def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
     norm, _ = alg.normalized()
     whole = Subspace(np.eye(3))
 
-    term = square_ideal(norm)
+    term = sq = square_ideal(norm)
     solvable = term.dim == 0
     for _ in range(4):
         if term.dim == 0:
@@ -260,7 +281,7 @@ def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
             break
         term = _span_products(norm, term, term)
 
-    term = square_ideal(norm)
+    term = sq
     nilpotent = term.dim == 0
     for _ in range(4):
         if term.dim == 0:
@@ -579,8 +600,11 @@ def idempotents(alg: Algebra, n_grid: int = 11, max_iter: int = 40) -> list[np.n
         if float(np.max(np.abs(f))) <= 1e-14:
             break
         jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - eye
-        # damp singular Jacobians instead of failing the whole batch
-        jtj = jac.transpose(0, 2, 1) @ jac + 1e-12 * eye
+        # damp singular Jacobians relative to J^T J, which reaches ~1e6 near
+        # the reset radius where an absolute 1e-12 would be lost to roundoff
+        jtj = jac.transpose(0, 2, 1) @ jac
+        damp = 1e-12 * np.maximum(1.0, np.trace(jtj, axis1=1, axis2=2))
+        jtj = jtj + damp[:, None, None] * eye
         rhs = (jac.transpose(0, 2, 1) @ f[:, :, None])
         step = np.linalg.solve(jtj, rhs)[:, :, 0]
         v = v - step

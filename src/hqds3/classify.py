@@ -26,12 +26,12 @@ from .algebra import (
     Algebra,
     NilconeDescriptor,
     SingularBasis,
-    annihilator,
+    Subspace,
     change_of_basis,
+    ideal_structure,
     left_mult_matrix,
     nilpotent_cone,
     product,
-    square_ideal,
     structure_flags,
 )
 from .catalog import CANONICAL_TAGS, canonical_algebra
@@ -91,23 +91,19 @@ _WITNESS_FIELDS = (
 
 
 @functools.lru_cache(maxsize=256)
-def _cone_cached(alg: Algebra) -> NilconeDescriptor:
-    return nilpotent_cone(alg)
+def _cone_cached(norm: Algebra) -> NilconeDescriptor:
+    """Nilpotent cone keyed on the instance: callers pass the normalized
+    form, which is one object per algebra, so all routes share one cone."""
+    return nilpotent_cone(norm)
 
 
-def _quotient_form(norm: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _quotient_form(norm: Algebra, sq: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, lift_basis, B): products of lifts satisfy u*v = B(u, v) * w.
 
-    Defined when Ann and A*A are both lines and A*A lies in Ann; w is the
-    sign-canonical unit generator and lift_basis spans a complement.
+    Requires Ann and A*A to be lines with A*A inside Ann; w is the
+    sign-canonical unit generator of A*A and lift_basis spans a complement.
     """
-    ann = annihilator(norm)
-    sq = square_ideal(norm)
-    if ann.dim != 1 or sq.dim != 1:
-        return None
     w = sign_canonical(sq.basis[0])
-    if not ann.contains(w):
-        return None
     lifts = orthonormal_complement(w[None, :])
     b = np.array(
         [[float(product(norm, lifts[i], lifts[j]) @ w) for j in range(2)] for i in range(2)]
@@ -119,25 +115,21 @@ def _quotient_form(norm: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
 def fingerprint(alg: Algebra) -> InvariantFingerprint:
     """All invariants at once; cached per algebra instance."""
     norm, _ = alg.normalized()
-    ann = annihilator(norm)
-    sq = square_ideal(norm)
-    sq_in_ann = sq.dim > 0 and all(ann.contains(row) for row in sq.basis)
-    cone = _cone_cached(alg)
+    ann, sq, sq_in_ann = ideal_structure(norm)
+    cone = _cone_cached(norm)
     flags = structure_flags(norm)
     der = derivation_space(norm)
 
     induced = "n/a"
     if ann.dim == 1 and sq.dim == 1 and sq_in_ann:
-        qf = _quotient_form(norm)
-        if qf is not None:
-            _, _, b = qf
-            det = float(np.linalg.det(b))
-            if det < -1e-9:
-                induced = "indefinite"
-            elif det > 1e-9:
-                induced = "definite"
-            else:
-                induced = "degenerate"
+        _, _, b = _quotient_form(norm, sq)
+        det = float(np.linalg.det(b))
+        if det < -1e-9:
+            induced = "indefinite"
+        elif det > 1e-9:
+            induced = "definite"
+        else:
+            induced = "degenerate"
 
     return InvariantFingerprint(
         dim_ann=ann.dim,
@@ -231,14 +223,12 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray, iters: int = 8) ->
 
 
 # ---------------------------------------------------------------------------
-# invariant-based recipes (each works on a scale-normalized algebra and
-# returns certificate columns, or None when its preconditions fail)
+# invariant-based recipes (each works on a scale-normalized algebra and the
+# subspaces classify dispatched on, and returns certificate columns, or None
+# when its preconditions fail)
 
 
-def _recipe_a2(norm: Algebra) -> np.ndarray | None:
-    ann = annihilator(norm)
-    if ann.dim != 2:
-        return None
+def _recipe_a2(norm: Algebra, ann: Subspace) -> np.ndarray | None:
     f3 = orthonormal_complement(ann.basis)[0]
     f2 = product(norm, f3, f3)
     if float(np.linalg.norm(f2)) <= 1e-9:
@@ -255,10 +245,7 @@ def _recipe_a2(norm: Algebra) -> np.ndarray | None:
     return np.column_stack([best, f2, f3])
 
 
-def _recipe_a3(norm: Algebra) -> np.ndarray | None:
-    qf = _quotient_form(norm)
-    if qf is None:
-        return None
+def _recipe_a3(qf: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray | None:
     w, lifts, b = qf
     vals, vecs = np.linalg.eigh(b)
     if not (vals[0] < -1e-9 and vals[1] > 1e-9):
@@ -271,10 +258,7 @@ def _recipe_a3(norm: Algebra) -> np.ndarray | None:
     return np.column_stack([f1, f2, f3])
 
 
-def _recipe_a4(norm: Algebra) -> np.ndarray | None:
-    qf = _quotient_form(norm)
-    if qf is None:
-        return None
+def _recipe_a4(qf: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray | None:
     w, lifts, b = qf
     vals, vecs = np.linalg.eigh(b)
     if vals[0] < 0.0 and vals[1] < 0.0:
@@ -301,7 +285,7 @@ def _balance_a1(m: np.ndarray) -> np.ndarray:
     return m @ np.diag([x, 1.0 / x, x * x])
 
 
-def _recipe_a1(norm: Algebra, cone: NilconeDescriptor) -> list[np.ndarray]:
+def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> list[np.ndarray]:
     """Candidate certificates from the two nilcone lines.
 
     The line lying inside A*A serves the distinguished slot; the product of
@@ -309,9 +293,6 @@ def _recipe_a1(norm: Algebra, cone: NilconeDescriptor) -> list[np.ndarray]:
     pins both nonzero constants to 1.
     """
     if len(cone.lines) != 2 or cone.planes:
-        return []
-    sq = square_ideal(norm)
-    if sq.dim != 2:
         return []
     units = [line.basis[0] for line in cone.lines]
     units.sort(key=lambda u: float(np.linalg.norm(u - sq.project(u))))
@@ -345,26 +326,25 @@ def classify(alg: Algebra) -> ClassificationResult:
             return ClassificationResult(tag, np.eye(3), 0.0, "exact-table")
 
     norm, factor = alg.normalized()
-    ann = annihilator(norm)
-    sq = square_ideal(norm)
-    sq_in_ann = sq.dim > 0 and all(ann.contains(row) for row in sq.basis)
+    ann, sq, sq_in_ann = ideal_structure(norm)
 
     # dispatch on the cheap invariants; the nilpotent cone is only computed
     # on the one branch that needs it
     candidates: list[tuple[str, np.ndarray]] = []
     if ann.dim == 2 and sq.dim == 1:
-        m = _recipe_a2(norm)
+        m = _recipe_a2(norm, ann)
         if m is not None:
             candidates.append(("A2", m))
     elif ann.dim == 1 and sq.dim == 1 and sq_in_ann:
+        qf = _quotient_form(norm, sq)
         for tag, recipe in (("A3", _recipe_a3), ("A4", _recipe_a4)):
-            m = recipe(norm)
+            m = recipe(qf)
             if m is not None:
                 candidates.append((tag, m))
     elif ann.dim == 0 and sq.dim == 2:
         cone = _cone_cached(norm)
         if cone.kind == "two-lines":
-            for m in _recipe_a1(norm, cone):
+            for m in _recipe_a1(norm, sq, cone):
                 candidates.append(("A1", m))
 
     for tag, m_norm in candidates:
@@ -374,7 +354,7 @@ def classify(alg: Algebra) -> ClassificationResult:
             return ClassificationResult(tag, m, res, "invariant-recipe")
 
     return ClassificationResult(
-        "NotInFamily", None, None, "invariant-recipe", fingerprint=fingerprint(norm)
+        "NotInFamily", None, None, "invariant-recipe", fingerprint=fingerprint(alg)
     )
 
 

@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .algebra import Algebra, idempotents, nilpotent_cone, squares_batch
+from .algebra import Algebra, idempotents, squares_batch
 from .catalog import CANONICAL_TAGS
-from .classify import classify, classify_via_derivation, fingerprint
+from .classify import _cone_cached, classify, classify_via_derivation, fingerprint
 from .derivations import (
     ALWAYS_ZERO_LETTERS,
     SingularSpectrum,
@@ -69,7 +69,10 @@ def _emit(doc: dict) -> None:
 
 
 def load_algebra(path: str) -> tuple[Algebra, str | None]:
-    """Parse and validate an input document; raises ValueError on bad input."""
+    """Parse an input document; raises ValueError on bad input.
+
+    Only the JSON layout is checked here; ``Algebra`` validates the tensor.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "structure_constants" not in doc:
@@ -79,20 +82,7 @@ def load_algebra(path: str) -> tuple[Algebra, str | None]:
         c = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"structure_constants must be numeric: {exc}") from exc
-    if c.shape != (3, 3, 3):
-        raise ValueError(f"structure_constants must be 3x3x3, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("structure_constants must be finite")
-    if not np.array_equal(c, c.transpose(1, 0, 2)):
-        bad = np.argwhere(c != c.transpose(1, 0, 2))[0]
-        i, j, k = (int(v) + 1 for v in bad)
-        raise ValueError(
-            f"asymmetric constants: c[{i}][{j}][{k}] != c[{j}][{i}][{k}] "
-            "(commutativity requires symmetry in the first two indices; fix the input, "
-            "it is not symmetrized automatically)"
-        )
-    label = doc.get("label")
-    return Algebra(c), label
+    return Algebra(c), doc.get("label")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +207,8 @@ def cmd_simulate(args) -> int:
 
 
 def _check_steady_states(alg, rng, tag, res):
-    cone = nilpotent_cone(alg)
     norm, _ = alg.normalized()
+    cone = _cone_cached(norm)
     if cone.samples.shape[0]:
         on_res = float(np.max(np.abs(squares_batch(norm, cone.samples))))
     else:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, annihilator, product, square_ideal, square_map
-from .linalg import nullspace, unit
-from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO, TAU_RES
+from .algebra import Algebra, ideal_structure, product, square_ideal, square_map
+from .linalg import orthonormal_complement, unit
+from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
 
 class DegenerateVelocity(ValueError):
@@ -52,7 +52,9 @@ def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]
     """(curvature, torsion) of the trajectory arc through x.
 
     Raises DegenerateVelocity on steady states; torsion is None when the
-    osculating plane degenerates (|x' x x''| <= TAU_GEO).
+    osculating plane degenerates: |x' x x''| <= TAU_GEO relative to its
+    roundoff scale |x'| * |c| |x| |x'|, since where x'' = 0 exactly (A*A in
+    Ann) the computed x'' is rounding error and the torsion noise.
     """
     d1, d2, d3 = analytic_derivatives(alg, x)
     speed = float(np.linalg.norm(d1))
@@ -61,7 +63,8 @@ def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]
     cr = np.cross(d1, d2)
     ncr = float(np.linalg.norm(cr))
     kappa = ncr / speed ** 3
-    if ncr <= TAU_GEO:
+    roundoff = alg.scale * float(np.linalg.norm(x)) * speed ** 2
+    if ncr <= TAU_GEO * max(1.0, roundoff):
         return kappa, None
     tau = float(np.linalg.det(np.array([d1, d2, d3]))) / ncr ** 2
     return kappa, tau
@@ -83,9 +86,8 @@ def ray_solution(v: np.ndarray, ts: np.ndarray, alpha0: float = 1.0) -> np.ndarr
 
 def affine_flow(alg: Algebra, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """x0 + t * (x0 * x0), valid exactly when A*A lies in the annihilator."""
-    ann = annihilator(alg)
-    sq = square_ideal(alg)
-    if sq.dim > 0 and not all(ann.contains(row) for row in sq.basis):
+    _, sq, sq_in_ann = ideal_structure(alg)
+    if sq.dim > 0 and not sq_in_ann:
         raise PreconditionFailed("A*A is not contained in the annihilator")
     x0 = np.asarray(x0, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -96,11 +98,10 @@ def linear_first_integrals(alg: Algebra) -> np.ndarray:
     """Orthonormal rows spanning {L : L(x * x) = 0 for all x}.
 
     Each row is a covector whose pairing with the state is constant along
-    every solution; they exist exactly when A*A is a proper subspace.
+    every solution; they exist exactly when A*A is a proper subspace, and
+    they span its orthogonal complement.
     """
-    norm, _ = alg.normalized()
-    prods = np.array([norm.c[i, j] for i in range(3) for j in range(i, 3)])
-    return nullspace(prods, rtol=TAU_RES)
+    return orthonormal_complement(square_ideal(alg).basis)
 
 
 # ---------------------------------------------------------------------------

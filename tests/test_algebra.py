@@ -67,6 +67,35 @@ def test_nonfinite_tensor_rejected():
         Algebra(c)
 
 
+def test_algebra_owns_a_read_only_copy():
+    c = np.array(canonical_algebra("A1").c)
+    alg = Algebra(c)
+    assert c.flags.writeable
+    assert not alg.c.flags.writeable
+    with pytest.raises(ValueError):
+        alg.c[0, 0, 0] = 5.0
+    c[0, 0, 0] = 5.0
+    assert alg.c[0, 0, 0] == 0.0
+    with pytest.raises(AttributeError):
+        alg.c = c
+
+
+def test_normalized_is_one_object_per_algebra():
+    alg = from_named(a=4.0, n=2.0)
+    norm, factor = alg.normalized()
+    assert factor == 4.0
+    assert alg.normalized()[0] is norm
+    assert norm.normalized()[0] is norm
+
+
+def test_asymmetric_tensor_message_is_one_based():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = 1.0
+    with pytest.raises(ValueError, match=r"c\[1\]\[2\]\[3\] != c\[2\]\[1\]\[3\]") as info:
+        Algebra(c)
+    assert "not symmetrized automatically" in str(info.value)
+
+
 def test_product_oracle_a3():
     # e1*e2 = e3, so (e1 + e2)^2 = 2 e3
     alg = canonical_algebra("A3")
@@ -219,6 +248,13 @@ def test_idempotents_scale_inversely():
     found = idempotents(alg)
     assert len(found) == 1
     np.testing.assert_allclose(found[0], [0.5, 0.0, 0.0], atol=1e-9)
+
+
+def test_idempotents_survive_large_jacobians():
+    # lattice points near the |v| > 1e3 reset make J^T J ~ 1e6, where an
+    # absolute damping of 1e-12 rounded away and the solve raised
+    alg, _ = conjugated_canonical("A1", np.random.default_rng(32))
+    assert idempotents(alg) == []
 
 
 def test_automorphism_residual_identity():

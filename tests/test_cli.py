@@ -1,12 +1,18 @@
 """End-to-end command-line behavior, run in-process through main()."""
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from hqds3 import cli
 from hqds3.algebra import from_named
-from hqds3.catalog import canonical_algebra, canonical_system, conjugated_canonical
+from hqds3.catalog import (
+    canonical_algebra,
+    canonical_system,
+    conjugated_canonical,
+    random_symmetric_algebra,
+)
 
 FINAL_TOL = 1e-9
 
@@ -219,6 +225,41 @@ def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", path])
     assert code == 4
     assert "FAIL forced: forced" in out
+
+
+def test_verify_straight_line_class_torsion_undefined(tmp_path, capsys):
+    # on A2-A4 x'' is exactly 0; its rounding error must not read as torsion
+    alg, _ = conjugated_canonical("A4", np.random.default_rng(13))
+    path = write_algebra(tmp_path, alg)
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 0
+    assert "PASS torsion" in out
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "simulate"])
+@pytest.mark.parametrize("kind", ["A1", "random"])
+def test_cli_command_computes_cone_at_most_once(tmp_path, capsys, monkeypatch, command, kind):
+    rng = np.random.default_rng(5)
+    if kind == "A1":
+        alg, _ = conjugated_canonical("A1", rng)
+    else:
+        alg = random_symmetric_algebra(rng)
+    calls = []
+    original = sys.modules["hqds3.algebra"].nilpotent_cone
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "nilpotent_cone", None) is original:
+            monkeypatch.setattr(module, "nilpotent_cone", counted)
+    argv = [command, write_algebra(tmp_path, alg)]
+    if command == "simulate":
+        argv += ["--x0", "0.1,0.2,0.3", "--t-end", "0.1"]
+    code, _, _ = run(capsys, argv)
+    assert code in (0, 2)
+    assert len(calls) <= 1
 
 
 # --- spectrum ---
