@@ -5,9 +5,12 @@ mirror algebraic ones: square-zero vectors are steady states, idempotents
 ride blow-up rays, covectors vanishing on A*A are linear first integrals,
 and when A*A lies in the annihilator every solution is an affine line.
 
-The integrator is a classic RK4 with step doubling; derivatives for
-curvature and torsion come from differentiating the field analytically
-rather than from finite differences.
+The integrator is a classic RK4 with step doubling, whose full step and
+first half step share their first stage.  Derivatives for curvature and
+torsion come from differentiating the field analytically rather than from
+finite differences, and are computed for a whole trajectory in one pass
+over its (n, 3) state array; ``curvature_torsion`` is the one-sample case
+of the same code.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, ideal_structure, product, square_ideal, square_map
+from .algebra import Algebra, ideal_structure, square_ideal, square_map
 from .linalg import orthonormal_complement, unit
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
@@ -34,6 +37,44 @@ class PreconditionFailed(RuntimeError):
 # analytic derivatives and curve geometry
 
 
+def _derivatives(alg: Algebra, xs: np.ndarray) -> np.ndarray:
+    """x', x'', x''' at every row of the (n, 3) stack xs, as shape (3, n, 3)."""
+
+    def prod(u, v):
+        return np.einsum("ni,nj,ijk->nk", u, v, alg.c)
+
+    d1 = prod(xs, xs)
+    d2 = 2.0 * prod(xs, d1)
+    d3 = 2.0 * (prod(d1, d1) + prod(xs, d2))
+    return np.stack([d1, d2, d3])
+
+
+def _geometry(alg: Algebra, xs: np.ndarray):
+    """(speed, curvature, torsion, curvature_defined, torsion_defined) at
+    every row of the (n, 3) stack xs; curvature and torsion are NaN where
+    undefined.
+
+    Curvature is undefined where |x'| <= TAU_GEO (steady states).  Torsion is
+    also undefined where the osculating plane degenerates: |x' x x''| <=
+    TAU_GEO relative to its roundoff scale |x'| * |c| |x| |x'|, since where
+    x'' = 0 exactly (A*A in Ann) the computed x'' is rounding error and the
+    torsion noise.
+    """
+    d = _derivatives(alg, xs)
+    d1, d2 = d[0], d[1]
+    speed = np.linalg.norm(d1, axis=1)
+    ncr = np.linalg.norm(np.cross(d1, d2), axis=1)
+    c_def = speed > TAU_GEO
+    roundoff = alg.scale * np.linalg.norm(xs, axis=1) * speed ** 2
+    t_def = c_def & (ncr > TAU_GEO * np.maximum(1.0, roundoff))
+    curvature = np.full(len(xs), np.nan)
+    curvature[c_def] = ncr[c_def] / speed[c_def] ** 3
+    torsion = np.full(len(xs), np.nan)
+    frames = d.transpose(1, 0, 2)[t_def]  # rows x', x'', x''' of each sample
+    torsion[t_def] = np.linalg.det(frames) / ncr[t_def] ** 2
+    return speed, curvature, torsion, c_def, t_def
+
+
 def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
     """Rows are x', x'', x''' of the solution through x, at x.
 
@@ -41,33 +82,20 @@ def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
         x''  = 2 x * x'
         x''' = 2 (x' * x' + x * x'')
     """
-    x = np.asarray(x, dtype=float)
-    d1 = square_map(alg, x)
-    d2 = 2.0 * product(alg, x, d1)
-    d3 = 2.0 * (product(alg, d1, d1) + product(alg, x, d2))
-    return np.array([d1, d2, d3])
+    return _derivatives(alg, np.asarray(x, dtype=float)[None, :])[:, 0]
 
 
 def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]:
     """(curvature, torsion) of the trajectory arc through x.
 
-    Raises DegenerateVelocity on steady states; torsion is None when the
-    osculating plane degenerates: |x' x x''| <= TAU_GEO relative to its
-    roundoff scale |x'| * |c| |x| |x'|, since where x'' = 0 exactly (A*A in
-    Ann) the computed x'' is rounding error and the torsion noise.
+    The one-sample case of the geometry ``integrate`` computes for a whole
+    trajectory.  Raises DegenerateVelocity on steady states; torsion is None
+    when the osculating plane degenerates (both guards: ``_geometry``).
     """
-    d1, d2, d3 = analytic_derivatives(alg, x)
-    speed = float(np.linalg.norm(d1))
-    if speed <= TAU_GEO:
+    _, kappa, tau, c_def, t_def = _geometry(alg, np.asarray(x, dtype=float)[None, :])
+    if not c_def[0]:
         raise DegenerateVelocity("velocity vanishes; curvature undefined")
-    cr = np.cross(d1, d2)
-    ncr = float(np.linalg.norm(cr))
-    kappa = ncr / speed ** 3
-    roundoff = alg.scale * float(np.linalg.norm(x)) * speed ** 2
-    if ncr <= TAU_GEO * max(1.0, roundoff):
-        return kappa, None
-    tau = float(np.linalg.det(np.array([d1, d2, d3]))) / ncr ** 2
-    return kappa, tau
+    return float(kappa[0]), float(tau[0]) if t_def[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +112,15 @@ def ray_solution(v: np.ndarray, ts: np.ndarray, alpha0: float = 1.0) -> np.ndarr
     return (alpha0 / (1.0 - alpha0 * ts))[:, None] * np.asarray(v, dtype=float)[None, :]
 
 
+def affine_flow_applies(alg: Algebra) -> bool:
+    """Whether A*A lies in the annihilator, so every solution is affine."""
+    _, sq, sq_in_ann = ideal_structure(alg)
+    return sq.dim == 0 or sq_in_ann
+
+
 def affine_flow(alg: Algebra, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """x0 + t * (x0 * x0), valid exactly when A*A lies in the annihilator."""
-    _, sq, sq_in_ann = ideal_structure(alg)
-    if sq.dim > 0 and not sq_in_ann:
+    if not affine_flow_applies(alg):
         raise PreconditionFailed("A*A is not contained in the annihilator")
     x0 = np.asarray(x0, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -200,11 +233,11 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(alg: Algebra, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = square_map(alg, x)
-    k2 = square_map(alg, x + 0.5 * h * k1)
-    k3 = square_map(alg, x + 0.5 * h * k2)
-    k4 = square_map(alg, x + h * k3)
+def _rk4_step(field, x: np.ndarray, k1: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of size h from x, given its first stage k1 = f(x)."""
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -219,22 +252,31 @@ def integrate(
     """RK4 with step doubling: a full step is accepted when it agrees with
     two half steps to relative tolerance, and the halved result is kept.
 
+    The full step and the first half step start from the same point, so
+    they share their first stage k1 = f(x), which is also kept across
+    rejected attempts.  The stages evaluate the field as
+    x . (x . C) with C the (3, 9) matrix form of the tensor, built once per
+    call.  Speed, curvature and torsion of all accepted samples are computed
+    in one pass over the state array once the integration stops.
+
     When ``cell_tag`` names a canonical class, every accepted sample is
     stamped with its partition cell, after mapping through the inverse of
     ``cell_certificate`` when one is supplied (states stay in the input
     frame; only the cell decision uses canonical coordinates).
     """
     config = config or IntegratorConfig()
+    c_mat = alg.c.reshape(3, 9)
+
+    def field(y):
+        return np.dot(y, np.dot(y, c_mat).reshape(3, 3))
+
     x = np.asarray(x0, dtype=float).copy()
+    k1 = field(x)
     t = 0.0
     h = min(config.h0, max(t_end, INT_H_MIN))
 
-    to_canonical = None
-    if cell_tag is not None and cell_certificate is not None:
-        to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
-
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     terminated = "t_end_reached"
     steps = 0
     while t < t_end:
@@ -242,16 +284,18 @@ def integrate(
             raise RuntimeError("integrator exceeded max_steps")
         steps += 1
         h = min(h, t_end - t)
-        full = _rk4_step(alg, x, h)
-        half = _rk4_step(alg, _rk4_step(alg, x, 0.5 * h), 0.5 * h)
-        scale = max(1.0, float(np.max(np.abs(half))))
-        err = float(np.max(np.abs(full - half))) / scale
+        full = _rk4_step(field, x, k1, h)
+        mid = _rk4_step(field, x, k1, 0.5 * h)
+        half = _rk4_step(field, mid, field(mid), 0.5 * h)
+        size = float(np.abs(half).max())
+        err = float(np.abs(full - half).max()) / max(1.0, size)
         if err <= config.rtol:
             t += h
             x = half
+            k1 = field(x)
             times.append(t)
-            states.append(x.copy())
-            if float(np.max(np.abs(x))) > config.blowup:
+            states.append(x)
+            if size > config.blowup:
                 terminated = "blowup_guard"
                 break
             if err < config.rtol / 32.0:
@@ -262,35 +306,19 @@ def integrate(
                 terminated = "step_underflow"
                 break
 
-    times_arr = np.array(times)
     states_arr = np.array(states)
-    n = len(times)
-    speed = np.zeros(n)
-    curvature = np.full(n, np.nan)
-    torsion = np.full(n, np.nan)
-    c_def = np.zeros(n, dtype=bool)
-    t_def = np.zeros(n, dtype=bool)
-    for i, xi in enumerate(states_arr):
-        speed[i] = float(np.linalg.norm(square_map(alg, xi)))
-        try:
-            kappa, tau = curvature_torsion(alg, xi)
-        except DegenerateVelocity:
-            continue
-        curvature[i] = kappa
-        c_def[i] = True
-        if tau is not None:
-            torsion[i] = tau
-            t_def[i] = True
+    speed, curvature, torsion, c_def, t_def = _geometry(alg, states_arr)
 
     cells = None
     if cell_tag is not None:
-        cells = []
-        for xi in states_arr:
-            y = to_canonical @ xi if to_canonical is not None else xi
-            cells.append(cell_of(cell_tag, y))
+        canonical = states_arr
+        if cell_certificate is not None:
+            to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
+            canonical = states_arr @ to_canonical.T
+        cells = [cell_of(cell_tag, y) for y in canonical]
 
     return Trajectory(
-        times=times_arr,
+        times=np.array(times),
         states=states_arr,
         terminated=terminated,
         speed=speed,

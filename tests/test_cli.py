@@ -262,6 +262,40 @@ def test_cli_command_computes_cone_at_most_once(tmp_path, capsys, monkeypatch, c
     assert len(calls) <= 1
 
 
+def test_verify_first_integral_drift_is_relative(tmp_path, capsys):
+    # the trajectories stop at the blow-up guard with absolute drift ~4e-4,
+    # all of it roundoff: about 4e-12 of the state's size
+    alg, _ = conjugated_canonical("A1", np.random.default_rng(26))
+    path = write_algebra(tmp_path, alg)
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 0
+    assert "PASS first-integral-drift" in out
+
+
+@pytest.mark.parametrize(
+    "kind, limit", [("A1", 10), ("A2", 20), ("A3", 20), ("A4", 20), ("random", 3)]
+)
+def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, limit):
+    rng = np.random.default_rng(0)  # the random tensor has 7 idempotents
+    if kind == "random":
+        alg = random_symmetric_algebra(rng)
+    else:
+        alg, _ = conjugated_canonical(kind, rng)
+    calls = []
+    original = sys.modules["hqds3.dynamics"].integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "integrate", None) is original:
+            monkeypatch.setattr(module, "integrate", counted)
+    code, _, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    assert code in (0, 4)
+    assert 0 < len(calls) <= limit
+
+
 # --- spectrum ---
 
 

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqds3.algebra import from_named, product, square_map
-from hqds3.catalog import canonical_algebra, canonical_system, conjugated_canonical
+from hqds3.catalog import (
+    canonical_algebra,
+    canonical_system,
+    conjugated_canonical,
+    random_symmetric_algebra,
+)
 from hqds3.dynamics import (
     CSV_HEADER,
     DegenerateVelocity,
@@ -21,11 +26,13 @@ from hqds3.dynamics import (
     steady_state_residual,
     trajectory_to_csv,
 )
+from hqds3.tolerances import TAU_GEO
 
 FD_RTOL = 2e-6
 GEOM_ATOL = 1e-12
 DRIFT_TOL = 1e-9
 RAY_RTOL = 1e-6
+BATCH_RTOL = 1e-12
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
@@ -151,6 +158,60 @@ def test_first_class_torsion_small_along_trajectories():
         defined = traj.torsion_defined
         if np.any(defined):
             assert np.max(np.abs(traj.torsion[defined])) < 1e-6
+
+
+def _row_geometry(alg, x):
+    """(speed, curvature or None, torsion or None) at x from the textbook
+    formulas, one sample at a time, with the documented guards."""
+    d1, d2, d3 = analytic_derivatives(alg, x)
+    speed = np.linalg.norm(d1)
+    if speed <= TAU_GEO:
+        return speed, None, None
+    ncr = np.linalg.norm(np.cross(d1, d2))
+    kappa = ncr / speed ** 3
+    if ncr <= TAU_GEO * max(1.0, alg.scale * np.linalg.norm(x) * speed ** 2):
+        return speed, kappa, None
+    return speed, kappa, np.linalg.det(np.array([d1, d2, d3])) / ncr ** 2
+
+
+@pytest.mark.parametrize("case", ["A1", "A3-conjugate", "steady", "random"])
+def test_trajectory_geometry_matches_per_row_formulas(case):
+    rng = np.random.default_rng(7)
+    if case == "A1":
+        alg, x0 = canonical_algebra("A1"), np.array([0.3, 0.5, -0.2])
+    elif case == "A3-conjugate":
+        alg, _ = conjugated_canonical("A3", rng)
+        x0 = rng.uniform(-1.0, 1.0, size=3)
+    elif case == "steady":
+        alg, x0 = canonical_algebra("A1"), np.array([0.0, 1.0, 0.0])
+    else:
+        alg = random_symmetric_algebra(rng)
+        x0 = rng.uniform(-0.3, 0.3, size=3)
+    traj = integrate(alg, x0, 1.0)
+    rows = [_row_geometry(alg, x) for x in traj.states]
+    kappa_def = np.array([k is not None for _, k, _ in rows])
+    tau_def = np.array([t is not None for _, _, t in rows])
+
+    np.testing.assert_allclose(traj.speed, [s for s, _, _ in rows], rtol=BATCH_RTOL, atol=0)
+    np.testing.assert_array_equal(traj.curvature_defined, kappa_def)
+    np.testing.assert_array_equal(traj.torsion_defined, tau_def)
+    np.testing.assert_allclose(
+        traj.curvature[kappa_def], [k for _, k, _ in rows if k is not None],
+        rtol=BATCH_RTOL, atol=0,
+    )
+    np.testing.assert_allclose(
+        traj.torsion[tau_def], [t for _, _, t in rows if t is not None],
+        rtol=BATCH_RTOL, atol=0,
+    )
+    assert np.all(np.isnan(traj.curvature[~kappa_def]))
+    assert np.all(np.isnan(traj.torsion[~tau_def]))
+    # each case reaches the branch it stands for
+    if case in ("A1", "random"):
+        assert tau_def.all()
+    elif case == "A3-conjugate":
+        assert kappa_def.all() and not tau_def.any()
+    else:
+        assert not kappa_def.any()
 
 
 # --- cells ---
