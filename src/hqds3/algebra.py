@@ -16,12 +16,10 @@ import numpy as np
 
 from .linalg import (
     contains_vector,
-    fibonacci_sphere,
     nullspace,
     project_onto,
     rank_and_rowspace,
     sign_canonical,
-    sign_canonical_rows,
     unit,
 )
 from .tolerances import TAU_DEDUP, TAU_RANK, TAU_RES
@@ -229,17 +227,14 @@ class SubspaceCheck:
 def subspace_check(alg: Algebra, sub: Subspace, rtol: float = TAU_RES) -> SubspaceCheck:
     """Test whether a subspace is a subalgebra (S*S in S) and an ideal (A*S in S)."""
     norm, _ = alg.normalized()
-    closure = 0.0
-    for u in sub.basis:
-        for v in sub.basis:
-            p = product(norm, u, v)
-            closure = max(closure, float(np.linalg.norm(p - sub.project(p))))
-    ideal = closure
-    eye = np.eye(3)
-    for e in eye:
-        for v in sub.basis:
-            p = product(norm, e, v)
-            ideal = max(ideal, float(np.linalg.norm(p - sub.project(p))))
+
+    def escape(prods: np.ndarray) -> float:
+        prods = prods.reshape(-1, 3)
+        off = prods - prods @ sub.basis.T @ sub.basis
+        return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
+
+    closure = escape(np.einsum("ai,bj,ijk->abk", sub.basis, sub.basis, norm.c))
+    ideal = max(closure, escape(np.einsum("bj,ijk->ibk", sub.basis, norm.c)))
     return SubspaceCheck(
         closed=closure <= rtol,
         ideal=ideal <= rtol,
@@ -261,50 +256,38 @@ class StructureFlags:
 
 
 def _span_products(alg: Algebra, left: Subspace, right: Subspace) -> Subspace:
-    prods = [product(alg, u, v) for u in left.basis for v in right.basis]
-    if not prods:
-        return Subspace(np.zeros((0, 3)))
-    return span_of(np.array(prods))
+    return span_of(np.einsum("ai,bj,ijk->abk", left.basis, right.basis, alg.c).reshape(-1, 3))
+
+
+def _series_vanishes(start: Subspace, step) -> bool:
+    """Whether one of the first four terms of the series start, step(start), ... is zero."""
+    term = start
+    for _ in range(3):
+        if term.dim == 0:
+            return True
+        term = step(term)
+    return term.dim == 0
 
 
 def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
     """Solvability, nilpotency (series cut off at depth 4), associativity and
-    the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x on sampled points."""
+    the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x, the last two
+    decided on coefficients, not on sampled points."""
     norm, _ = alg.normalized()
     whole = Subspace(np.eye(3))
+    sq = square_ideal(norm)
+    solvable = _series_vanishes(sq, lambda t: _span_products(norm, t, t))
+    nilpotent = _series_vanishes(sq, lambda t: _span_products(norm, whole, t))
 
-    term = sq = square_ideal(norm)
-    solvable = term.dim == 0
-    for _ in range(4):
-        if term.dim == 0:
-            solvable = True
-            break
-        term = _span_products(norm, term, term)
+    # (e_i e_j) e_k against e_i (e_j e_k) on all 27 triples at once
+    c = norm.c
+    assoc = float(np.max(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c))))
 
-    term = sq
-    nilpotent = term.dim == 0
-    for _ in range(4):
-        if term.dim == 0:
-            nilpotent = True
-            break
-        term = _span_products(norm, whole, term)
-
-    assoc = 0.0
-    eye = np.eye(3)
-    for i, j, k in itertools.product(range(3), repeat=3):
-        lhs = product(norm, product(norm, eye[i], eye[j]), eye[k])
-        rhs = product(norm, eye[i], product(norm, eye[j], eye[k]))
-        assoc = max(assoc, float(np.max(np.abs(lhs - rhs))))
-
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((24, 3))
-    pa = 0.0
-    for x in pts:
-        sq = square_map(norm, x)
-        lhs = product(norm, sq, sq)
-        rhs = product(norm, product(norm, sq, x), x)
-        scale = max(1.0, float(np.linalg.norm(x))) ** 4
-        pa = max(pa, float(np.max(np.abs(lhs - rhs))) / scale)
+    # (x*x)*(x*x) - ((x*x)*x)*x is a quartic map; it vanishes identically iff
+    # its coefficient tensor, symmetrized over the four slots of x, is zero
+    quartic = np.einsum("abk,cdl,klm->abcdm", c, c, c) - np.einsum("abk,kcn,ndm->abcdm", c, c, c)
+    sym = sum(quartic.transpose(*p, 4) for p in itertools.permutations(range(4))) / 24.0
+    pa = float(np.max(np.abs(sym)))
 
     return StructureFlags(
         solvable=solvable,
@@ -330,124 +313,11 @@ NILCONE_KINDS = (
 
 
 @dataclass
-class NilconeConfig:
-    n_samples: int = 3000
-    newton_iters: int = 30
-    seed: int = 0
-
-
-@dataclass
 class NilconeDescriptor:
     kind: str
     lines: list = field(default_factory=list)     # list[Subspace], dim 1
     planes: list = field(default_factory=list)    # list[Subspace], dim 2
     samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-
-
-def _newton_polish(alg: Algebra, pts: np.ndarray, iters: int) -> np.ndarray:
-    """Damped Gauss-Newton for x*x = 0, batched with an active-set mask.
-
-    Points that have already converged drop out of the einsum/solve work;
-    only the stragglers (typically ones near second-order degenerate strata)
-    keep iterating.
-    """
-    v = pts.copy()
-    lam = 1e-12
-    active = np.arange(v.shape[0])
-    for _ in range(iters):
-        f = squares_batch(alg, v[active])
-        still = np.max(np.abs(f), axis=1) > 1e-14
-        active = active[still]
-        if active.size == 0:
-            break
-        f = f[still]
-        va = v[active]
-        jac = 2.0 * np.einsum("ni,ijk->nkj", va, alg.c)
-        jjt = jac @ jac.transpose(0, 2, 1)
-        jjt += lam * np.eye(3)
-        y = np.linalg.solve(jjt, f[:, :, None])
-        v[active] = va - (jac.transpose(0, 2, 1) @ y)[:, :, 0]
-    return v
-
-
-def _cluster_lines(units: np.ndarray, tol: float = 2e-3) -> list[np.ndarray]:
-    """Greedy direction clustering.
-
-    The tolerance is loose on purpose: where the square map degenerates to
-    second order, polished points sit up to ~sqrt(residual tol) off the true
-    line, and the cluster representative is only a seed for _refine_line.
-    """
-    reps: list[np.ndarray] = []
-    members: list[list[np.ndarray]] = []
-    for u in units:
-        placed = False
-        for idx, r in enumerate(reps):
-            if np.linalg.norm(u - r) <= tol:
-                members[idx].append(u)
-                placed = True
-                break
-        if not placed:
-            reps.append(u)
-            members.append([u])
-    out = []
-    for group in members:
-        if len(group) >= 5:
-            _, rows = rank_and_rowspace(np.array(group), rtol=0.5)
-            out.append(rows[0])
-    return out
-
-
-def _refine_line(alg: Algebra, u0: np.ndarray, iters: int = 60) -> np.ndarray:
-    """Polish a single nilcone line direction by min-norm Gauss-Newton.
-
-    An extra residual row pins the representative against sliding along the
-    line; lstsq keeps convergence even where the Jacobian loses rank.
-    """
-    u0 = unit(u0)
-    u = u0.copy()
-    for _ in range(iters):
-        f = np.concatenate([square_map(alg, u), [u @ u0 - 1.0]])
-        if float(np.max(np.abs(f[:3]))) <= 1e-15 and abs(f[3]) <= 1e-12:
-            break
-        jac = np.vstack([2.0 * left_mult_matrix(alg, u), u0[None, :]])
-        step, *_ = np.linalg.lstsq(jac, f, rcond=1e-10)
-        u = u - step
-        if float(np.linalg.norm(step)) <= 1e-15:
-            break
-    return sign_canonical(unit(u))
-
-
-def _refine_plane(alg: Algebra, rows: np.ndarray, iters: int = 60) -> np.ndarray:
-    """Polish a candidate nilcone plane: drive u*u, u*v, v*v to zero jointly."""
-    u, v = rows[0].copy(), rows[1].copy()
-    for _ in range(iters):
-        f = np.concatenate(
-            [square_map(alg, u), product(alg, u, v), square_map(alg, v)]
-        )
-        if float(np.max(np.abs(f))) <= 1e-15:
-            break
-        lu = left_mult_matrix(alg, u)
-        lv = left_mult_matrix(alg, v)
-        zero = np.zeros((3, 3))
-        jac = np.block([[2.0 * lu, zero], [lv, lu], [zero, 2.0 * lv]])
-        step, *_ = np.linalg.lstsq(jac, f, rcond=1e-10)
-        u = u - step[:3]
-        v = v - step[3:]
-        if float(np.linalg.norm(step)) <= 1e-15:
-            break
-    _, out = rank_and_rowspace(np.array([u, v]), rtol=1e-6)
-    return out
-
-
-def _component_ok(
-    alg: Algebra, basis: np.ndarray, rng: np.random.Generator, tol: float = 1e-7
-) -> bool:
-    """Re-verify a candidate line/plane: random points on it must square to ~0."""
-    coeffs = rng.standard_normal((10, basis.shape[0]))
-    pts = coeffs @ basis
-    res = squares_batch(alg, pts)
-    bound = tol * np.maximum(1.0, np.sum(pts * pts, axis=1))
-    return bool(np.all(np.max(np.abs(res), axis=1) <= bound))
 
 
 def _component_samples(alg: Algebra, lines: list, planes: list, cap: int = 200) -> np.ndarray:
@@ -468,112 +338,148 @@ def _component_samples(alg: Algebra, lines: list, planes: list, cap: int = 200) 
     return np.array(pts[:cap])
 
 
-def nilpotent_cone(alg: Algebra, config: NilconeConfig | None = None) -> NilconeDescriptor:
-    """Describe {v : v*v = 0} by polished sphere samples and clustering.
+# cone kind by (number of lines, number of planes); any other mix is "other"
+_KIND_BY_PARTS = {(0, 0): "origin-only", (1, 0): "one-line", (2, 0): "two-lines",
+                  (0, 1): "plane", (0, 2): "two-planes"}
 
-    The set is a homogeneous variety; the kinds recognized here are the ones
-    a 3-dimensional commutative product can produce in the classified family,
-    with "other" as the honest fallback.
+# A common zero of multiplicity m is located only to about eps^(1/m), so two
+# candidate lines closer than this are one line (multiplicity up to 3), and
+# three roots of the pencil's determinant this close are one triple root.
+_SAME_LINE = 1e-5
+_ROOT_CLUSTER = 1e-4
+# det of unit forms at roundoff level: every member of the pencil is singular
+_SINGULAR_PENCIL = 1e-14
+
+
+def _zero_set(w: np.ndarray, v: np.ndarray) -> list[np.ndarray] | None:
+    """Zero set of the form sum_i w_i (v[:, i] . x)^2 as a union of subspaces.
+
+    Returns orthonormal row bases: the kernel of a semidefinite form, or the
+    two subspaces kernel + span(sqrt|w-| v+ +- sqrt|w+| v-) of a rank-2
+    indefinite one.  A nondegenerate indefinite form in three variables
+    vanishes on a genuine quadric cone, reported as None.  The forms are
+    built from unit forms, so an eigenvalue below an absolute TAU_RANK is
+    zero, as in rank_and_rowspace.
     """
-    config = config or NilconeConfig()
+    zero = np.abs(w) <= TAU_RANK * max(1.0, float(np.max(np.abs(w))))
+    kernel = v[:, zero].T
+    pos = np.flatnonzero((w > 0.0) & ~zero)
+    neg = np.flatnonzero((w < 0.0) & ~zero)
+    if pos.size == 0 or neg.size == 0:
+        return [kernel] if kernel.shape[0] else []
+    if pos.size + neg.size > 2:
+        return None
+    p, n = pos[0], neg[0]
+    return [
+        np.vstack([kernel, unit(np.sqrt(-w[n]) * v[:, p] + s * np.sqrt(w[p]) * v[:, n])])
+        for s in (1.0, -1.0)
+    ]
+
+
+def _quadric_cone_samples(w: np.ndarray, v: np.ndarray, n: int = 12) -> np.ndarray:
+    """Unit points at fixed angles on the cone of a nondegenerate indefinite form."""
+    scaled = v / np.sqrt(np.abs(w))  # the form is +-1 on each column
+    lone = int(np.argmin(np.sign(w) * np.sign(w).sum()))  # the eigenvalue of odd sign
+    a, b = (i for i in range(3) if i != lone)
+    th = np.arange(n) * (2.0 * np.pi / n)
+    pts = np.cos(th)[:, None] * scaled[:, a] + np.sin(th)[:, None] * scaled[:, b] + scaled[:, lone]
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _degenerate_member(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """A unit singular member of the pencil span(f1, f2), at a simple root.
+
+    The pencil is projective, so a root of det may sit at infinity in any
+    fixed chart.  The basis (a, b) is rotated first so that the leading
+    coefficient det(b) of det(a + t b) is the largest of eight evenly spaced
+    members; the roots t are then the eigenvalues of -b^-1 a.  Of the real
+    roots, the one farthest in chordal distance from the other two is taken:
+    every first-class pencil has a double root, which is only
+    sqrt(eps)-accurate, and a real cubic with a double root always has a
+    simple one.  Three clustered roots are a triple root; their mean is
+    taken.  When every member is singular, any rank-2 member will do.
+    """
+    th = np.arange(8) * (np.pi / 8)
+    members = np.cos(th)[:, None, None] * f1 + np.sin(th)[:, None, None] * f2
+    dets = np.abs(np.linalg.det(members))
+    if np.max(dets) <= _SINGULAR_PENCIL:  # take the member farthest from rank 1
+        return members[np.argmax(np.sort(np.abs(np.linalg.eigvalsh(members)))[:, 1])]
+    j = int(np.argmax(dets))
+    a, b = -np.sin(th[j]) * f1 + np.cos(th[j]) * f2, members[j]
+    roots = -np.linalg.eigvals(np.linalg.solve(b, a))  # det(a + t b) = 0
+    hyp = np.sqrt(1.0 + np.abs(roots) ** 2)
+    chord = np.abs(roots[:, None] - roots[None, :]) / np.outer(hyp, hyp)
+    np.fill_diagonal(chord, np.inf)
+    sep = np.where(roots.imag == 0.0, chord.min(axis=1), -1.0)
+    best = int(np.argmax(sep))
+    t = float(roots[best].real) if sep[best] > _ROOT_CLUSTER else float(np.mean(roots).real)
+    return (a + t * b) / np.sqrt(1.0 + t * t)
+
+
+def _restricted_zeros(forms: np.ndarray, plane: np.ndarray) -> list[np.ndarray] | None:
+    """Zero lines of the largest 2x2 restriction of the forms to a plane, a
+    superset of their common zeros; None when all restrictions vanish."""
+    res = np.einsum("ai,kij,bj->kab", plane, forms, plane)
+    sizes = np.linalg.norm(res, axis=(1, 2))
+    k = int(np.argmax(sizes))
+    if sizes[k] <= TAU_RANK:
+        return None
+    return [sub[0] @ plane for sub in _zero_set(*np.linalg.eigh(res[k]))]
+
+
+def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
+    """Describe the steady states {v : v*v = 0} exactly, as lines and planes.
+
+    The set is the common zero set of the quadratic forms Q_k(x) = (x*x)_k,
+    and only their span W matters.  With r = dim W, from one SVD:
+
+    * r = 0: the whole space;
+    * r = 1: the rank and signature of the one form give a plane, two planes,
+      a line, the origin, or a genuine quadric cone ("other");
+    * r >= 2: a singular member D of the pencil of the first two basis forms
+      (see _degenerate_member) vanishes on one plane, two planes or a line,
+      which contain the cone.  Restricted to each of them, every form is a
+      2x2 or 1x1 form with a closed-form zero set.  Duplicate lines, and
+      lines inside a kept plane, are merged.
+
+    Nothing is sampled or seeded: ``samples`` are points generated on the
+    components, for the steady-state checks.
+    """
     norm, _ = alg.normalized()
-    rng = np.random.default_rng(config.seed)
 
-    sphere = fibonacci_sphere(max(config.n_samples, 1))
-    raw_res = np.max(np.abs(squares_batch(norm, sphere)), axis=1)
-    if norm.scale == 0.0 or float(np.mean(raw_res <= TAU_RES)) >= 0.99:
-        return NilconeDescriptor(kind="whole-space", samples=sphere[:100])
+    def residual(u: np.ndarray) -> float:
+        return float(np.max(np.abs(square_map(norm, u))))
 
-    polished = _newton_polish(norm, sphere, config.newton_iters)
-    norms = np.linalg.norm(polished, axis=1)
-    keep = norms >= 0.3
-    polished, norms = polished[keep], norms[keep]
-    units = polished / norms[:, None]
-    res = np.max(np.abs(squares_batch(norm, units)), axis=1)
-    # loose cut: where the square map degenerates to second order, the batch
-    # polish stalls at ~sqrt(tau) distance; refinement tightens this later
-    units = units[res <= 1e-7]
-    if units.shape[0] == 0:
-        return NilconeDescriptor(kind="origin-only")
+    r, rows = rank_and_rowspace(norm.c.transpose(2, 0, 1).reshape(3, 9))
+    if r == 0:
+        return NilconeDescriptor(kind="whole-space", samples=np.vstack([np.eye(3), -np.eye(3)]))
+    forms = rows.reshape(r, 3, 3)
 
-    units = sign_canonical_rows(units)
-    if units.shape[0] > 1200:
-        units = units[:: units.shape[0] // 1200 + 1]
-    rank, rows = rank_and_rowspace(units, rtol=1e-3)
+    if r == 1:
+        w, v = np.linalg.eigh(forms[0])
+        parts = _zero_set(w, v)
+        if parts is None:
+            return NilconeDescriptor(kind="other", samples=_quadric_cone_samples(w, v))
+    else:
+        w, v = np.linalg.eigh(_degenerate_member(forms[0], forms[1]))
+        w[np.argmin(np.abs(w))] = 0.0  # singular by construction
+        parts = []
+        for sub in _zero_set(w, v):
+            zeros = [sub[0]] if sub.shape[0] == 1 else _restricted_zeros(forms, sub)
+            if zeros is None:
+                parts.append(sub)
+                continue
+            parts.extend(u[None, :] for u in zeros if residual(u) <= TAU_RES)
 
+    planes = [Subspace(s) for s in parts if s.shape[0] == 2]
     lines: list[Subspace] = []
-    planes: list[Subspace] = []
-
-    def add_line(seed: np.ndarray) -> None:
-        d = _refine_line(norm, seed)
-        for existing in lines:
-            if np.linalg.norm(existing.basis[0] - d) <= 1e-6:
-                return
-        if _component_ok(norm, d[None, :], rng):
-            lines.append(Subspace(d[None, :]))
-
-    def add_plane(seed_rows: np.ndarray) -> bool:
-        basis = _refine_plane(norm, seed_rows)
-        if basis.shape[0] != 2:
-            return False
-        if _component_ok(norm, basis, rng):
-            planes.append(Subspace(basis))
-            return True
-        return False
-
-    if rank == 1:
-        add_line(rows[0])
-    elif rank == 2:
-        if not add_plane(rows):
-            for d in _cluster_lines(units):
-                add_line(d)
-    else:
-        # try to peel up to two planes, then collect leftover lines
-        remaining = units
-        for _ in range(2):
-            if remaining.shape[0] < 10:
-                break
-            best_inliers = None
-            n_pairs = min(200, remaining.shape[0])
-            idx = rng.integers(0, remaining.shape[0], size=(n_pairs, 2))
-            for a, b in idx:
-                cr = np.cross(remaining[a], remaining[b])
-                ncr = np.linalg.norm(cr)
-                if ncr < 0.1:
-                    continue
-                normal = cr / ncr
-                inliers = np.abs(remaining @ normal) <= 1e-4
-                if best_inliers is None or inliers.sum() > best_inliers.sum():
-                    best_inliers = inliers
-            if best_inliers is None or best_inliers.sum() < max(10, 0.05 * units.shape[0]):
-                break
-            _, prows = rank_and_rowspace(remaining[best_inliers], rtol=1e-3)
-            if prows.shape[0] == 2 and add_plane(prows):
-                remaining = remaining[~best_inliers]
-            else:
-                break
-        if remaining.shape[0] >= 5:
-            for d in _cluster_lines(remaining):
-                add_line(d)
-
-    if not lines and not planes:
-        kind = "other" if units.shape[0] else "origin-only"
-    elif len(planes) == 0 and len(lines) == 1:
-        kind = "one-line"
-    elif len(planes) == 0 and len(lines) == 2:
-        kind = "two-lines"
-    elif len(planes) == 1 and len(lines) == 0:
-        kind = "plane"
-    elif len(planes) == 2 and len(lines) == 0:
-        kind = "two-planes"
-    else:
-        kind = "other"
-
-    samples = _component_samples(norm, lines, planes)
-    if samples.shape[0] == 0:
-        tight = np.max(np.abs(squares_batch(norm, units)), axis=1) <= TAU_RES
-        samples = units[tight][:200]
-    return NilconeDescriptor(kind=kind, lines=lines, planes=planes, samples=samples)
+    for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
+        if not any(k.contains(u, _SAME_LINE) for k in planes + lines):
+            lines.append(Subspace(sign_canonical(u)[None, :]))
+    kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
+    return NilconeDescriptor(
+        kind=kind, lines=lines, planes=planes, samples=_component_samples(norm, lines, planes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +535,6 @@ def automorphism_residual(alg: Algebra, m: np.ndarray) -> float:
     """max over basis pairs of |phi(u*v) - phi(u)*phi(v)|, relative."""
     m = np.asarray(m, dtype=float)
     scale = max(1.0, float(np.max(np.abs(m)))) ** 2 * max(1.0, alg.scale)
-    worst = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            lhs = m @ alg.c[i, j]
-            rhs = product(alg, m[:, i], m[:, j])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst / scale
+    lhs = np.einsum("ak,ijk->ija", m, alg.c)
+    rhs = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
+    return float(np.max(np.abs(lhs - rhs))) / scale

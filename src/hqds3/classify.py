@@ -93,7 +93,9 @@ _WITNESS_FIELDS = (
 @functools.lru_cache(maxsize=256)
 def _cone_cached(norm: Algebra) -> NilconeDescriptor:
     """Nilpotent cone keyed on the instance: callers pass the normalized
-    form, which is one object per algebra, so all routes share one cone."""
+    form, which is one object per algebra, so all routes share one cone.
+    The cone is exact: its lines and planes come from the steady-state
+    forms' signature or a singular member of their pencil."""
     return nilpotent_cone(norm)
 
 

@@ -72,28 +72,6 @@ def sign_canonical(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v.copy()
 
 
-def sign_canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise sign_canonical for a stack of vectors."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return rows.copy()
-    idx = np.argmax(np.abs(rows), axis=1)
-    lead = rows[np.arange(rows.shape[0]), idx]
-    return rows * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n roughly equidistributed unit vectors on S^2 (deterministic)."""
-    i = np.arange(n, dtype=float) + 0.5
-    phi = np.arccos(1.0 - 2.0 * i / n)
-    golden = np.pi * (1.0 + 5.0 ** 0.5)
-    theta = golden * i
-    return np.stack(
-        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)],
-        axis=1,
-    )
-
-
 def random_well_conditioned(rng: np.random.Generator, cond_cap: float = 100.0) -> np.ndarray:
     """Random invertible 3x3 with condition number below cond_cap."""
     while True:

@@ -1,4 +1,6 @@
 """Structure-constant plumbing: products, subspaces, flags, cone, idempotents."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from hqds3.algebra import (
     zero_algebra,
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
+from hqds3.linalg import random_well_conditioned
 
 ATOL = 1e-12
 RES_TOL = 1e-9
@@ -32,6 +35,7 @@ RES_TOL = 1e-9
 CONE_DIR_TOL = 1e-7
 
 TAGS = ("A1", "A2", "A3", "A4")
+CONE_KIND = {"A1": "two-lines", "A2": "plane", "A3": "two-planes", "A4": "one-line"}
 
 
 def test_named_slots_cover_upper_triangle():
@@ -230,6 +234,88 @@ def test_nilcone_samples_are_steady():
         assert cone.samples.shape[0] > 0
         res = np.max(np.abs(squares_batch(alg, cone.samples)))
         assert res < 1e-12
+
+
+def test_nilcone_takes_no_seed_or_sample_count():
+    assert list(inspect.signature(nilpotent_cone).parameters) == ["alg"]
+
+
+@pytest.mark.parametrize("tag, axes", [("A1", (1, 2)), ("A4", (2,))])
+def test_nilcone_lines_match_the_conjugation(tag, axes):
+    # the canonical cone lines e_k are the lines of m^-1 e_k in the
+    # coordinates of change_of_basis(table, m)
+    for seed in range(300):
+        alg, m = conjugated_canonical(tag, np.random.default_rng(seed))
+        lines = [line.basis[0] for line in nilpotent_cone(alg).lines]
+        assert len(lines) == len(axes)
+        for k in axes:
+            w = np.linalg.solve(m, np.eye(3)[k])
+            w /= np.linalg.norm(w)
+            gap = min(min(np.linalg.norm(u - w), np.linalg.norm(u + w)) for u in lines)
+            assert gap <= 1e-12, (seed, k, gap)
+
+
+def test_nilcone_a4_line_is_not_doubled():
+    # A4 conjugates 43 and 83 of criterion 9's stream once came out as
+    # "two-lines": the one true line twice, 1e-6 apart
+    rng = np.random.default_rng(109)
+    kinds = {}
+    for i in range(84):
+        alg, _ = conjugated_canonical(TAGS[i % 4], rng)
+        if i in (43, 83):
+            kinds[i] = nilpotent_cone(alg).kind
+    assert kinds == {43: "one-line", 83: "one-line"}
+
+
+@pytest.mark.parametrize("seed", [474, 1529, 2560])
+def test_nilcone_pencil_double_root_at_infinity(seed):
+    # in the affine chart det(F1 + t F2), these A1 pencils have their double
+    # root, the rank-1 member, at t = infinity
+    alg, _ = conjugated_canonical("A1", np.random.default_rng(seed))
+    assert nilpotent_cone(alg).kind == "two-lines"
+
+
+def test_nilcone_kind_sweep():
+    misses = {
+        tag: [
+            seed
+            for seed in range(2000)
+            if nilpotent_cone(conjugated_canonical(tag, np.random.default_rng(seed))[0]).kind
+            != CONE_KIND[tag]
+        ]
+        for tag in TAGS
+    }
+    assert misses == {tag: [] for tag in TAGS}
+
+
+@pytest.mark.parametrize(
+    "constants, kind",
+    [
+        ({"c": 1.0, "f": 1.0, "j": -1.0}, "other"),  # one indefinite form: a quadric cone
+        ({"c": 1.0, "f": 1.0, "j": 1.0}, "origin-only"),  # one definite form
+        ({"a": 1.0, "m": 1.0}, "plane"),  # x1^2 and x1 x2 share the plane x1 = 0
+        ({"r": 2.0, "k": -0.5, "t": -0.5}, "other"),  # the three coordinate axes
+        ({"s": 2.0, "m": -1.0, "h": -1.0, "t": 1.0}, "two-lines"),  # e1 is a triple zero
+        ({"b": -1.0, "t": 2.0, "g": -1.0}, "one-line"),  # det of the pencil has a triple root
+    ],
+)
+def test_nilcone_kinds_are_basis_free(constants, kind):
+    alg = from_named(**constants)
+    rng = np.random.default_rng(7)
+    for conj in [alg] + [change_of_basis(alg, random_well_conditioned(rng)) for _ in range(20)]:
+        cone = nilpotent_cone(conj)
+        assert cone.kind == kind
+        assert (cone.samples.shape[0] > 0) == (kind != "origin-only")
+        norm, _ = conj.normalized()
+        assert np.max(np.abs(squares_batch(norm, cone.samples)), initial=0.0) < 1e-12
+
+
+def test_structure_flags_are_basis_free():
+    rng = np.random.default_rng(3)
+    for tag in TAGS:
+        want = structure_flags(canonical_algebra(tag))
+        for _ in range(25):
+            assert structure_flags(conjugated_canonical(tag, rng)[0]) == want
 
 
 def test_idempotents_two_axis_algebra():

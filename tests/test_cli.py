@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process through main()."""
 import json
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -294,6 +295,24 @@ def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, 
     code, _, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
     assert code in (0, 4)
     assert 0 < len(calls) <= limit
+
+
+def test_verify_ray_failure_names_transverse_eigenvalue(tmp_path, capsys):
+    # the random file of group 4 in the cli-dynamics workload at seed 2: its
+    # idempotent with |v| = 16.6 has mu = 21.8, so roundoff at t = 0.9 is
+    # amplified about 1e21-fold and the ray check fails on any integrator
+    rng = np.random.default_rng([2, zlib.crc32(b"cli-dynamics")])
+    for _ in range(5):
+        for tag in ("A1", "A2", "A3", "A4"):
+            conjugated_canonical(tag, rng)
+            rng.standard_normal(3)
+        alg = random_symmetric_algebra(rng)
+        rng.standard_normal(3)
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
+    assert code == 4
+    assert line.startswith("FAIL ray-solutions: ray solution mismatch")
+    assert "mu = 21.8" in line
 
 
 # --- spectrum ---
