@@ -269,15 +269,20 @@ def _series_vanishes(start: Subspace, step) -> bool:
     return term.dim == 0
 
 
+def is_solvable(alg: Algebra) -> bool:
+    """Whether the derived series A*A, (A*A)*(A*A), ... vanishes (depth 4)."""
+    norm, _ = alg.normalized()
+    return _series_vanishes(square_ideal(norm), lambda t: _span_products(norm, t, t))
+
+
 def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
     """Solvability, nilpotency (series cut off at depth 4), associativity and
     the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x, the last two
     decided on coefficients, not on sampled points."""
     norm, _ = alg.normalized()
     whole = Subspace(np.eye(3))
-    sq = square_ideal(norm)
-    solvable = _series_vanishes(sq, lambda t: _span_products(norm, t, t))
-    nilpotent = _series_vanishes(sq, lambda t: _span_products(norm, whole, t))
+    solvable = is_solvable(norm)
+    nilpotent = _series_vanishes(square_ideal(norm), lambda t: _span_products(norm, whole, t))
 
     # (e_i e_j) e_k against e_i (e_j e_k) on all 27 triples at once
     c = norm.c
@@ -486,36 +491,55 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
 # idempotents
 
 
-def idempotents(alg: Algebra, n_grid: int = 11, max_iter: int = 40) -> list[np.ndarray]:
-    """All isolated solutions of v*v = v found by Newton from a lattice.
+# Newton starts: an 11-point lattice per axis over [-2, 2]^3, in units of the
+# normalized constants, and the step budget per start
+_LATTICE = np.array(list(itertools.product(np.linspace(-2.0, 2.0, 11), repeat=3)))
+_NEWTON_STEPS = 40
 
-    The lattice spans [-2, 2]^3 scaled to the magnitude of the constants
-    (idempotents scale inversely with the constants).  The zero solution is
-    excluded; results are deduplicated and sorted lexicographically.
+
+def idempotents(alg: Algebra) -> list[np.ndarray]:
+    """Nonzero solutions of v*v = v: none on a solvable algebra, otherwise
+    the isolated ones Newton reaches from a lattice.
+
+    An idempotent v = v*v lies in A*A, hence v = v*v lies in (A*A)*(A*A),
+    and so on down the derived series.  When that series vanishes (every
+    class A1-A4 is solvable) the answer is exactly empty and no search runs.
+    Otherwise Newton runs from the lattice, scaled to the magnitude of the
+    constants (idempotents scale inversely with the constants); it may miss
+    idempotents far from the lattice.  Results are deduplicated and sorted
+    lexicographically.
     """
     norm, factor = alg.normalized()
-    if norm.scale == 0.0:
+    if is_solvable(norm):
         return []
-    axis = np.linspace(-2.0, 2.0, n_grid)
-    pts = np.array(list(itertools.product(axis, axis, axis)))
+    found = [w / factor for w in _lattice_newton(norm)]
+    return sorted(found, key=lambda w: tuple(np.round(w, 9)))
 
-    v = pts.copy()
+
+def _lattice_newton(norm: Algebra) -> list[np.ndarray]:
+    """Distinct nonzero roots of v*v = v reached by damped Newton from the
+    lattice.  A start leaves the batch once its own residual is <= 1e-14,
+    so every start follows the iterates of the full batch until then."""
+    v = _LATTICE.copy()
+    active = np.arange(v.shape[0])
     eye = np.eye(3)
-    for _ in range(max_iter):
-        f = squares_batch(norm, v) - v
-        if float(np.max(np.abs(f))) <= 1e-14:
+    for _ in range(_NEWTON_STEPS):
+        x = v[active]
+        f = squares_batch(norm, x) - x
+        moving = np.max(np.abs(f), axis=1) > 1e-14
+        if not moving.any():
             break
-        jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - eye
+        active, x, f = active[moving], x[moving], f[moving]
+        jac = 2.0 * np.einsum("ni,ijk->nkj", x, norm.c) - eye
         # damp singular Jacobians relative to J^T J, which reaches ~1e6 near
         # the reset radius where an absolute 1e-12 would be lost to roundoff
         jtj = jac.transpose(0, 2, 1) @ jac
         damp = 1e-12 * np.maximum(1.0, np.trace(jtj, axis1=1, axis2=2))
         jtj = jtj + damp[:, None, None] * eye
         rhs = (jac.transpose(0, 2, 1) @ f[:, :, None])
-        step = np.linalg.solve(jtj, rhs)[:, :, 0]
-        v = v - step
-        big = np.linalg.norm(v, axis=1) > 1e3
-        v[big] = 0.0
+        x = x - np.linalg.solve(jtj, rhs)[:, :, 0]
+        x[np.linalg.norm(x, axis=1) > 1e3] = 0.0
+        v[active] = x
 
     res = np.max(np.abs(squares_batch(norm, v) - v), axis=1)
     ok = (res <= TAU_RES) & (np.linalg.norm(v, axis=1) > TAU_DEDUP)
@@ -523,8 +547,7 @@ def idempotents(alg: Algebra, n_grid: int = 11, max_iter: int = 40) -> list[np.n
     for cand in v[ok]:
         if all(np.linalg.norm(cand - w) > TAU_DEDUP for w in found):
             found.append(cand)
-    found = [w / factor for w in found]
-    return sorted(found, key=lambda w: tuple(np.round(w, 9)))
+    return found
 
 
 # ---------------------------------------------------------------------------

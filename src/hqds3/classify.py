@@ -45,6 +45,7 @@ from .derivations import (
     derivation_residual,
     derivation_space,
     find_real_ssnd,
+    leibniz_operator,
     mask_residual,
     normalize_spectrum,
     real_eigenbasis,
@@ -191,6 +192,11 @@ def certificate_residual(alg: Algebra, tag: str, m: np.ndarray) -> float:
     return float(np.max(np.abs(got.c - table.c)))
 
 
+def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(18, 9) Jacobian of m -> m t[i, j] - m_i * m_j in the entries of m."""
+    return leibniz_operator(t, np.array([left_mult_matrix(alg, col) for col in m.T]))
+
+
 def polish_certificate(alg: Algebra, tag: str, m: np.ndarray, iters: int = 8) -> np.ndarray:
     """Gauss-Newton refinement of a near-certificate.
 
@@ -205,19 +211,7 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray, iters: int = 8) ->
         g = np.concatenate([m @ t[i, j] - product(alg, m[:, i], m[:, j]) for i, j in pairs])
         if float(np.max(np.abs(g))) <= 1e-15 * max(1.0, alg.scale):
             break
-        jac = np.zeros((18, 9))
-        row = 0
-        for i, j in pairs:
-            li = left_mult_matrix(alg, m[:, i])
-            lj = left_mult_matrix(alg, m[:, j])
-            for k in range(3):
-                for b in range(3):
-                    jac[row, k * 3 + b] += t[i, j, b]
-                for a in range(3):
-                    jac[row, a * 3 + i] -= lj[k, a]
-                    jac[row, a * 3 + j] -= li[k, a]
-                row += 1
-        step, *_ = np.linalg.lstsq(jac, g, rcond=1e-12)
+        step, *_ = np.linalg.lstsq(_certificate_jacobian(alg, t, m), g, rcond=1e-12)
         if not np.all(np.isfinite(step)):
             break
         m = m - step.reshape(3, 3)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Algebra, idempotents, left_mult_matrix, squares_batch
+from .algebra import Algebra, idempotents, is_solvable, left_mult_matrix, squares_batch
 from .catalog import CANONICAL_TAGS
 from .classify import _cone_cached, classify, classify_via_derivation, fingerprint
 from .derivations import (
@@ -343,7 +343,14 @@ def _transverse_eigenvalue(alg, v):
 def _check_ray_solutions(alg, rng, tag, flows):
     ids = idempotents(alg)
     if not ids:
-        return "SKIP", "no idempotents found"
+        if is_solvable(alg):
+            return "SKIP", "solvable: no nonzero idempotent exists"
+        if _cone_cached(alg.normalized()[0]).kind == "origin-only":
+            return "SKIP", (
+                "lattice found no idempotent; the cone is origin-only, so by "
+                "Kaplan-Yorke a nonzero idempotent exists and the lattice missed it"
+            )
+        return "SKIP", "lattice found no idempotent"
     worst, worst_v = 0.0, ids[0]
     for v in ids[:3]:
         traj = flows(v, 0.9)

@@ -50,18 +50,30 @@ class DerivationSpace:
     basis: list  # list[np.ndarray (3,3)], orthonormal as 9-vectors
 
 
+_PAIRS = np.array([(i, j) for i in range(3) for j in range(i, 3)])
+
+
+def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """(18, 9) matrix of X -> X t[i, j] - L_j X e_i - L_i X e_j in the entries of X.
+
+    Rows run over pairs i <= j and then the output index k; ls[a] is a 3x3
+    matrix L_a.  With t = c and L_a = left multiplication by e_a this is the
+    Leibniz rule, whose kernel is the derivation space; with L_a = L_{m e_a}
+    it is the Jacobian of the conjugation residual m t[i, j] - m_i * m_j.
+    Each entry is accumulated as ((0 + t) - L_j) - L_i.
+    """
+    i, j = _PAIRS.T
+    ar = np.arange(3)
+    rows = np.zeros((6, 3, 3, 3))  # (pair, k, a, b): coefficient of X[a, b]
+    rows[:, ar, ar, :] += t[i, j][:, None, :]
+    rows[np.arange(6), :, :, i] -= ls[j]
+    rows[np.arange(6), :, :, j] -= ls[i]
+    return rows.reshape(18, 9)
+
+
 def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
     """(18, 9) coefficient matrix of the Leibniz conditions in the entries of D."""
-    rows = []
-    for i in range(3):
-        for j in range(i, 3):
-            for k in range(3):
-                row = np.zeros((3, 3))
-                row[k, :] += c[i, j, :]
-                row[:, i] -= c[:, j, k]
-                row[:, j] -= c[i, :, k]
-                rows.append(row.reshape(9))
-    return np.array(rows)
+    return leibniz_operator(c, c.transpose(0, 2, 1))
 
 
 def derivation_space(alg: Algebra) -> DerivationSpace:

@@ -1,11 +1,13 @@
 """Structure-constant plumbing: products, subspaces, flags, cone, idempotents."""
 import inspect
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqds3 import algebra
 from hqds3.algebra import (
     NAMED_SLOTS,
     Algebra,
@@ -15,6 +17,7 @@ from hqds3.algebra import (
     change_of_basis,
     from_named,
     from_products,
+    _lattice_newton,
     idempotents,
     left_mult_matrix,
     nilpotent_cone,
@@ -28,6 +31,7 @@ from hqds3.algebra import (
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
 from hqds3.linalg import random_well_conditioned
+from hqds3.tolerances import TAU_DEDUP, TAU_RES
 
 ATOL = 1e-12
 RES_TOL = 1e-9
@@ -341,6 +345,70 @@ def test_idempotents_survive_large_jacobians():
     # absolute damping of 1e-12 rounded away and the solve raised
     alg, _ = conjugated_canonical("A1", np.random.default_rng(32))
     assert idempotents(alg) == []
+
+
+def _full_batch_idempotents(alg):
+    # the search before the solvable shortcut and the active set: every
+    # lattice point steps until all residuals are below 1e-14 at once
+    norm, factor = alg.normalized()
+    if norm.scale == 0.0:
+        return []
+    axis = np.linspace(-2.0, 2.0, 11)
+    v = np.array(list(itertools.product(axis, axis, axis)))
+    eye = np.eye(3)
+    for _ in range(40):
+        f = squares_batch(norm, v) - v
+        if float(np.max(np.abs(f))) <= 1e-14:
+            break
+        jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - eye
+        jtj = jac.transpose(0, 2, 1) @ jac
+        damp = 1e-12 * np.maximum(1.0, np.trace(jtj, axis1=1, axis2=2))
+        jtj = jtj + damp[:, None, None] * eye
+        rhs = jac.transpose(0, 2, 1) @ f[:, :, None]
+        v = v - np.linalg.solve(jtj, rhs)[:, :, 0]
+        v[np.linalg.norm(v, axis=1) > 1e3] = 0.0
+    res = np.max(np.abs(squares_batch(norm, v) - v), axis=1)
+    ok = (res <= TAU_RES) & (np.linalg.norm(v, axis=1) > TAU_DEDUP)
+    found = []
+    for cand in v[ok]:
+        if all(np.linalg.norm(cand - w) > TAU_DEDUP for w in found):
+            found.append(cand)
+    return sorted([w / factor for w in found], key=lambda w: tuple(np.round(w, 9)))
+
+
+def test_idempotents_match_the_full_batch_search():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        alg = random_symmetric_algebra(rng)
+        got, want = idempotents(alg), _full_batch_idempotents(alg)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_idempotents_of_solvable_classes_need_no_search(monkeypatch):
+    # v = v*v puts v in every term of the derived series, which vanishes on A1-A4
+    calls = []
+    original = algebra.squares_batch
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "squares_batch", counted)
+    rng = np.random.default_rng(9)
+    for tag in TAGS:
+        for _ in range(50):
+            assert idempotents(conjugated_canonical(tag, rng)[0]) == []
+    assert calls == []
+
+
+def test_lattice_newton_survives_large_jacobians():
+    # the shortcut answers A1 before any Newton step, so drive the lattice
+    # search itself on the tensor whose J^T J once broke the undamped solve
+    alg, _ = conjugated_canonical("A1", np.random.default_rng(32))
+    norm, _ = alg.normalized()
+    assert _lattice_newton(norm) == []
 
 
 def test_automorphism_residual_identity():

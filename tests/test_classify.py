@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3.algebra import change_of_basis, from_named, zero_algebra
+from hqds3.algebra import change_of_basis, from_named, left_mult_matrix, zero_algebra
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
     random_symmetric_algebra,
 )
 from hqds3.classify import (
+    _certificate_jacobian,
     certificate_residual,
     classify,
     classify_via_derivation,
@@ -130,6 +131,36 @@ def test_polish_recovers_perturbed_certificate():
     noisy = cert * (1.0 + 1e-6) + 1e-7
     polished = polish_certificate(alg, "A3", noisy)
     assert certificate_residual(alg, "A3", polished) < 1e-11
+
+
+def _certificate_jacobian_loop(alg, t, m):
+    # the index-loop build the broadcast one replaced; same order per entry
+    jac = np.zeros((18, 9))
+    row = 0
+    for i, j in [(i, j) for i in range(3) for j in range(i, 3)]:
+        li = left_mult_matrix(alg, m[:, i])
+        lj = left_mult_matrix(alg, m[:, j])
+        for k in range(3):
+            for b in range(3):
+                jac[row, k * 3 + b] += t[i, j, b]
+            for a in range(3):
+                jac[row, a * 3 + i] -= lj[k, a]
+                jac[row, a * 3 + j] -= li[k, a]
+            row += 1
+    return jac
+
+
+def test_certificate_jacobian_matches_the_loop_build():
+    rng = np.random.default_rng(6)
+    for tag in TAGS:
+        t = canonical_algebra(tag).c
+        cases = [(canonical_algebra(tag), np.eye(3))]
+        for _ in range(10):
+            alg, m = conjugated_canonical(tag, rng)
+            cases.append((alg, np.linalg.inv(m)))
+            cases.append((random_symmetric_algebra(rng), rng.standard_normal((3, 3))))
+        for alg, m in cases:
+            assert np.array_equal(_certificate_jacobian(alg, t, m), _certificate_jacobian_loop(alg, t, m))
 
 
 # --- explicit reductions on the two implemented spectrum representatives ---

@@ -315,6 +315,34 @@ def test_verify_ray_failure_names_transverse_eigenvalue(tmp_path, capsys):
     assert "mu = 21.8" in line
 
 
+@pytest.mark.parametrize(
+    "kind, reason",
+    [
+        ("A1", "solvable: no nonzero idempotent exists"),
+        # e1 e1 = 0.01 e1, e2 e2 = e3: the idempotent 100 e1 lies far outside
+        # the lattice, and the cone is the e3 axis
+        ("far", "lattice found no idempotent"),
+        # random tensor 17 of default_rng(11): an origin-only cone and no
+        # idempotent reached from the lattice
+        ("random", "lattice found no idempotent; the cone is origin-only, so by Kaplan-Yorke"),
+    ],
+)
+def test_verify_ray_skip_names_its_reason(tmp_path, capsys, kind, reason):
+    if kind == "A1":
+        alg, _ = conjugated_canonical("A1", np.random.default_rng(3))
+    elif kind == "far":
+        alg = from_named(a=0.01, f=1.0)
+    else:
+        rng = np.random.default_rng(11)
+        for _ in range(18):
+            alg = random_symmetric_algebra(rng)
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
+    assert code == 0
+    assert line.startswith(f"SKIP ray-solutions: {reason}")
+    assert (kind == "random") == ("Kaplan-Yorke" in line)
+
+
 # --- spectrum ---
 
 

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from hqds3.algebra import from_named
 from hqds3.catalog import (
     canonical_algebra,
+    conjugated_canonical,
     derivation_family,
     random_derivation_params,
     random_mask_algebra,
     random_mask_spectrum,
+    random_symmetric_algebra,
 )
 from hqds3.derivations import (
     IllConditioned,
     SingularSpectrum,
+    _leibniz_matrix,
     admissible_mask,
     analyze_spectrum,
     arrangement_lines,
@@ -33,6 +36,29 @@ SPLIT_TOL = 1e-8
 EIG_TOL = 1e-10
 
 TAGS = ("A1", "A2", "A3", "A4")
+
+
+def _leibniz_matrix_loop(c):
+    # the index-loop build the broadcast one replaced; same order per entry
+    rows = []
+    for i in range(3):
+        for j in range(i, 3):
+            for k in range(3):
+                row = np.zeros((3, 3))
+                row[k, :] += c[i, j, :]
+                row[:, i] -= c[:, j, k]
+                row[:, j] -= c[i, :, k]
+                rows.append(row.reshape(9))
+    return np.array(rows)
+
+
+def test_leibniz_matrix_matches_the_loop_build():
+    rng = np.random.default_rng(4)
+    algs = [canonical_algebra(tag) for tag in TAGS]
+    algs += [conjugated_canonical(tag, rng)[0] for tag in TAGS for _ in range(10)]
+    algs += [random_symmetric_algebra(rng) for _ in range(40)]
+    for alg in algs:
+        assert np.array_equal(_leibniz_matrix(alg.c), _leibniz_matrix_loop(alg.c))
 
 
 def test_derivation_dims_canonical():
