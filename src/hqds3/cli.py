@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .dynamics import (
     affine_flow,
     affine_flow_applies,
     integrate,
+    integrate_batch,
     linear_first_integrals,
     ray_solution,
     save_csv,
@@ -164,15 +167,23 @@ def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    x = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"expected three finite numbers, got {text!r}")
+    return x
+
+
+def _require_finite_positive(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def cmd_simulate(args) -> int:
     try:
         alg, _ = load_algebra(args.input)
         x0 = _parse_vec3(args.x0)
-        if args.t_end <= 0.0:
-            raise ValueError("--t-end must be positive")
+        _require_finite_positive("--t-end", args.t_end)
+        _require_finite_positive("--h0", args.h0)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -192,6 +203,7 @@ def cmd_simulate(args) -> int:
     summary = (
         f"terminated: {traj.terminated} at t={traj.times[-1]:.9g} "
         f"({len(traj.times)} samples); "
+        f"steps: {traj.accepted_steps} accepted, {traj.rejected_steps} rejected; "
         f"first integrals: {ints.shape[0]}, max drift {drift:.3e}"
     )
     if args.out:
@@ -207,33 +219,19 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-class _Flows:
-    """The trajectories one ``verify`` command reads.
+# Each check takes (alg, rng, tag, ids), with rng freshly seeded per check and
+# ids the idempotents.  It returns its (status, detail) at once when it needs
+# no trajectory, and an _Integrate request otherwise; ``cmd_verify`` runs
+# every distinct start of every request in one ``integrate_batch`` call.
 
-    Every check re-seeds the same generator, so several draw the same
-    starts.  Each distinct (x0, t_end) is integrated once per command, with
-    cells stamped in the certificate's canonical frame when the tag is
-    canonical, and the checks read the shared trajectory.
-    """
 
-    def __init__(self, alg, res):
-        self.alg = alg
-        self.cell_tag = res.tag if res.tag in CANONICAL_TAGS else None
-        self.certificate = res.certificate if self.cell_tag else None
-        self._trajectories = {}
+@dataclass(frozen=True)
+class _Integrate:
+    """Integrate each (x0, t_end) in ``starts``; ``judge`` maps their
+    trajectories, in the same order, to (status, detail)."""
 
-    def __call__(self, x0, t_end):
-        x0 = np.asarray(x0, dtype=float)
-        key = (x0.tobytes(), t_end)
-        if key not in self._trajectories:
-            self._trajectories[key] = integrate(
-                self.alg,
-                x0,
-                t_end,
-                cell_tag=self.cell_tag,
-                cell_certificate=self.certificate,
-            )
-        return self._trajectories[key]
+    starts: list
+    judge: Callable
 
 
 def _unit_ball_start(rng):
@@ -241,7 +239,7 @@ def _unit_ball_start(rng):
     return x0 / max(1.0, float(np.linalg.norm(x0)))
 
 
-def _check_steady_states(alg, rng, tag, flows):
+def _check_steady_states(alg, rng, tag, ids):
     norm, _ = alg.normalized()
     cone = _cone_cached(norm)
     if cone.samples.shape[0]:
@@ -261,76 +259,91 @@ def _check_steady_states(alg, rng, tag, flows):
     return "PASS", f"cone residual {on_res:.2e}; off-cone points clearly non-steady"
 
 
-def _check_first_integrals(alg, rng, tag, flows):
-    # RK methods conserve linear invariants exactly, so the only drift is
-    # roundoff, which grows with the state: judge it relative to the
-    # trajectory's largest entry (trajectories may run to the blow-up guard)
+def _check_first_integrals(alg, rng, tag, ids):
     ints = linear_first_integrals(alg)
     if ints.shape[0] == 0:
         return "SKIP", "no linear first integrals (A*A spans everything)"
-    worst = 0.0
-    for _ in range(10):
-        traj = flows(_unit_ball_start(rng), 1.0)
-        vals = traj.states @ ints.T
-        size = max(1.0, float(np.abs(traj.states).max()))
-        worst = max(worst, float(np.abs(vals - vals[0]).max()) / size)
-    if worst < 1e-8:
-        return "PASS", f"{ints.shape[0]} integrals, max relative drift {worst:.2e}"
-    return "FAIL", f"first-integral relative drift {worst:.2e} exceeds 1e-8"
+
+    def judge(trajs):
+        # RK methods conserve linear invariants exactly, so the only drift is
+        # roundoff, which grows with the state: judge it relative to the
+        # trajectory's largest entry (trajectories may run to the blow-up guard)
+        worst = 0.0
+        for traj in trajs:
+            vals = traj.states @ ints.T
+            size = max(1.0, float(np.abs(traj.states).max()))
+            worst = max(worst, float(np.abs(vals - vals[0]).max()) / size)
+        if worst < 1e-8:
+            return "PASS", f"{ints.shape[0]} integrals, max relative drift {worst:.2e}"
+        return "FAIL", f"first-integral relative drift {worst:.2e} exceeds 1e-8"
+
+    return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(10)], judge)
 
 
-def _check_cell_invariance(alg, rng, tag, flows):
+def _check_cell_invariance(alg, rng, tag, ids):
     if tag not in CANONICAL_TAGS:
         return "SKIP", "no cell partition without a canonical class"
-    for _ in range(5):
-        cells = flows(_unit_ball_start(rng), 1.0).cells
-        if not all(c.same_cell(cells[0]) for c in cells):
-            return "FAIL", "trajectory changed cell"
-    return "PASS", "cell id constant on all sampled trajectories"
+
+    def judge(trajs):
+        for traj in trajs:
+            if not all(c.same_cell(traj.cells[0]) for c in traj.cells):
+                return "FAIL", "trajectory changed cell"
+        return "PASS", "cell id constant on all sampled trajectories"
+
+    return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_curvature(alg, rng, tag, flows):
+def _check_curvature(alg, rng, tag, ids):
     if tag not in ("A2", "A3", "A4"):
         return "SKIP", "straight-line claim applies to classes A2-A4"
-    worst = 0.0
-    for _ in range(5):
-        traj = flows(rng.standard_normal(3), 1.0)
-        defined = traj.curvature[traj.curvature_defined]
-        if defined.shape[0]:
-            worst = max(worst, float(np.max(defined)))
-    if worst < 1e-9:
-        return "PASS", f"max curvature {worst:.2e}"
-    return "FAIL", f"curvature {worst:.2e} exceeds 1e-9"
+
+    def judge(trajs):
+        worst = 0.0
+        for traj in trajs:
+            defined = traj.curvature[traj.curvature_defined]
+            if defined.shape[0]:
+                worst = max(worst, float(np.max(defined)))
+        if worst < 1e-9:
+            return "PASS", f"max curvature {worst:.2e}"
+        return "FAIL", f"curvature {worst:.2e} exceeds 1e-9"
+
+    return _Integrate([(rng.standard_normal(3), 1.0) for _ in range(5)], judge)
 
 
-def _check_torsion(alg, rng, tag, flows):
+def _check_torsion(alg, rng, tag, ids):
     if tag not in CANONICAL_TAGS:
         return "SKIP", "torsion-free claim needs a classified algebra"
-    worst = 0.0
-    n_defined = 0
-    for _ in range(5):
-        traj = flows(_unit_ball_start(rng), 1.0)
-        defined = traj.torsion[traj.torsion_defined]
-        n_defined += defined.shape[0]
-        if defined.shape[0]:
-            worst = max(worst, float(np.max(np.abs(defined))))
-    if worst < 1e-6:
-        return "PASS", f"|torsion| <= {worst:.2e} on {n_defined} defined samples"
-    return "FAIL", f"torsion {worst:.2e} exceeds 1e-6"
+
+    def judge(trajs):
+        worst = 0.0
+        n_defined = 0
+        for traj in trajs:
+            defined = traj.torsion[traj.torsion_defined]
+            n_defined += defined.shape[0]
+            if defined.shape[0]:
+                worst = max(worst, float(np.max(np.abs(defined))))
+        if worst < 1e-6:
+            return "PASS", f"|torsion| <= {worst:.2e} on {n_defined} defined samples"
+        return "FAIL", f"torsion {worst:.2e} exceeds 1e-6"
+
+    return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_affine_form(alg, rng, tag, flows):
+def _check_affine_form(alg, rng, tag, ids):
     if not affine_flow_applies(alg):
         return "SKIP", "A*A not inside the annihilator; solutions are not affine"
-    worst = 0.0
-    for _ in range(5):
-        x0 = rng.standard_normal(3)
-        traj = flows(x0, 2.0)
-        expect = affine_flow(alg, x0, traj.times)
-        worst = max(worst, float(np.max(np.abs(traj.states - expect))))
-    if worst < 1e-9 * max(1.0, alg.scale):
-        return "PASS", f"affine closed form matched, max deviation {worst:.2e}"
-    return "FAIL", f"deviation from affine form {worst:.2e}"
+    starts = [(rng.standard_normal(3), 2.0) for _ in range(5)]
+
+    def judge(trajs):
+        worst = 0.0
+        for (x0, _), traj in zip(starts, trajs):
+            expect = affine_flow(alg, x0, traj.times)
+            worst = max(worst, float(np.max(np.abs(traj.states - expect))))
+        if worst < 1e-9 * max(1.0, alg.scale):
+            return "PASS", f"affine closed form matched, max deviation {worst:.2e}"
+        return "FAIL", f"deviation from affine form {worst:.2e}"
+
+    return _Integrate(starts, judge)
 
 
 def _transverse_eigenvalue(alg, v):
@@ -340,8 +353,7 @@ def _transverse_eigenvalue(alg, v):
     return float(np.max(np.linalg.eigvals(q @ (2.0 * left_mult_matrix(alg, v)) @ q.T).real))
 
 
-def _check_ray_solutions(alg, rng, tag, flows):
-    ids = idempotents(alg)
+def _check_ray_solutions(alg, rng, tag, ids):
     if not ids:
         if is_solvable(alg):
             return "SKIP", "solvable: no nonzero idempotent exists"
@@ -351,21 +363,24 @@ def _check_ray_solutions(alg, rng, tag, flows):
                 "Kaplan-Yorke a nonzero idempotent exists and the lattice missed it"
             )
         return "SKIP", "lattice found no idempotent"
-    worst, worst_v = 0.0, ids[0]
-    for v in ids[:3]:
-        traj = flows(v, 0.9)
-        expect = ray_solution(v, traj.times)
-        denom = np.maximum(1.0, np.abs(expect))
-        err = float(np.max(np.abs(traj.states - expect) / denom))
-        if err > worst:
-            worst, worst_v = err, v
-    if worst < 1e-6:
-        return "PASS", f"{len(ids)} idempotent rays matched, rel err {worst:.2e}"
-    mu = _transverse_eigenvalue(alg, worst_v)
-    return "FAIL", (
-        f"ray solution mismatch {worst:.2e}; largest transverse eigenvalue of 2L_v "
-        f"mu = {mu:.1f}, so roundoff is amplified by (1-t)^(-mu) = 10^{mu:.1f} at t = 0.9"
-    )
+
+    def judge(trajs):
+        worst, worst_v = 0.0, ids[0]
+        for v, traj in zip(ids, trajs):
+            expect = ray_solution(v, traj.times)
+            denom = np.maximum(1.0, np.abs(expect))
+            err = float(np.max(np.abs(traj.states - expect) / denom))
+            if err > worst:
+                worst, worst_v = err, v
+        if worst < 1e-6:
+            return "PASS", f"{len(ids)} idempotent rays matched, rel err {worst:.2e}"
+        mu = _transverse_eigenvalue(alg, worst_v)
+        return "FAIL", (
+            f"ray solution mismatch {worst:.2e}; largest transverse eigenvalue of 2L_v "
+            f"mu = {mu:.1f}, so roundoff is amplified by (1-t)^(-mu) = 10^{mu:.1f} at t = 0.9"
+        )
+
+    return _Integrate([(v, 0.9) for v in ids[:3]], judge)
 
 
 _VERIFY_CHECKS = {
@@ -388,11 +403,30 @@ def cmd_verify(args) -> int:
     res = classify(alg)
     tag = res.tag
     print(f"class: {tag}" + (f"  label: {label}" if label else ""))
-    flows = _Flows(alg, res)
+    ids = idempotents(alg)
+    plans = {
+        name: check(alg, np.random.default_rng(args.seed), tag, ids)
+        for name, check in sorted(_VERIFY_CHECKS.items())
+    }
+    # every check re-seeds the same generator, so several draw the same starts
+    distinct = {}
+    for plan in plans.values():
+        for x0, t_end in plan.starts if isinstance(plan, _Integrate) else ():
+            distinct.setdefault((x0.tobytes(), t_end), (x0, t_end))
+    cell_tag = tag if tag in CANONICAL_TAGS else None
+    trajs = integrate_batch(
+        alg,
+        np.array([x0 for x0, _ in distinct.values()]).reshape(-1, 3),
+        [t_end for _, t_end in distinct.values()],
+        cell_tag=cell_tag,
+        cell_certificate=res.certificate if cell_tag else None,
+    )
+    by_start = dict(zip(distinct, trajs))
     failed = False
-    for name in sorted(_VERIFY_CHECKS):
-        rng = np.random.default_rng(args.seed)
-        status, detail = _VERIFY_CHECKS[name](alg, rng, tag, flows)
+    for name, plan in plans.items():
+        if isinstance(plan, _Integrate):
+            plan = plan.judge([by_start[x0.tobytes(), t_end] for x0, t_end in plan.starts])
+        status, detail = plan
         failed = failed or status == "FAIL"
         print(f"{status:4s} {name}: {detail}")
     return 4 if failed else 0

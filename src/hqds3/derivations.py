@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, product
+from .algebra import Algebra
 from .linalg import nullspace
 from .tolerances import ILL_CONDITIONED_LIMIT, TAU_RANK, TAU_RES
 
@@ -35,13 +35,10 @@ def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
     """max over basis pairs of |D(e_i e_j) - (De_i)e_j - e_i(De_j)|, relative."""
     m = np.asarray(m, dtype=float)
     scale = max(1.0, float(np.max(np.abs(m)))) * max(1.0, alg.scale)
-    worst = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            lhs = m @ alg.c[i, j]
-            rhs = product(alg, m[:, i], np.eye(3)[j]) + product(alg, np.eye(3)[i], m[:, j])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst / scale
+    lhs = np.einsum("kl,ijl->ijk", m, alg.c)  # D(e_i e_j)
+    # (De_i) e_j; with c symmetric, e_i (De_j) is the same array with i, j swapped
+    left = np.einsum("ai,ajk->ijk", m, alg.c)
+    return float(np.max(np.abs(lhs - (left + left.transpose(1, 0, 2))))) / scale
 
 
 @dataclass

@@ -6,11 +6,14 @@ ride blow-up rays, covectors vanishing on A*A are linear first integrals,
 and when A*A lies in the annihilator every solution is an affine line.
 
 The integrator is a classic RK4 with step doubling, whose full step and
-first half step share their first stage.  Derivatives for curvature and
-torsion come from differentiating the field analytically rather than from
-finite differences, and are computed for a whole trajectory in one pass
-over its (n, 3) state array; ``curvature_torsion`` is the one-sample case
-of the same code.
+first half step share their first stage.  It runs an ensemble: every row
+of an (n, 3) array of starts keeps its own time, step size and stop, and
+``verify`` integrates all of its starts in one ``integrate_batch`` call;
+``integrate`` is the one-row case.  Derivatives for curvature and torsion
+come from differentiating the field analytically rather than from finite
+differences, and are computed for all samples of all rows in one pass over
+their state array; ``curvature_torsion`` is the one-sample case of the
+same code.
 """
 from __future__ import annotations
 
@@ -88,8 +91,8 @@ def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
 def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]:
     """(curvature, torsion) of the trajectory arc through x.
 
-    The one-sample case of the geometry ``integrate`` computes for a whole
-    trajectory.  Raises DegenerateVelocity on steady states; torsion is None
+    The one-sample case of the geometry ``integrate_batch`` computes for
+    every sample.  Raises DegenerateVelocity on steady states; torsion is None
     when the osculating plane degenerates (both guards: ``_geometry``).
     """
     _, kappa, tau, c_def, t_def = _geometry(alg, np.asarray(x, dtype=float)[None, :])
@@ -226,6 +229,8 @@ class Trajectory:
     torsion: np.ndarray            # (n,), NaN where undefined
     curvature_defined: np.ndarray  # (n,) bool
     torsion_defined: np.ndarray    # (n,) bool
+    accepted_steps: int            # n - 1: every accepted step adds a sample
+    rejected_steps: int            # attempts halved for failing the tolerance
     cells: list | None = None      # list[CellId] when a cell frame was given
 
     @property
@@ -233,12 +238,130 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(field, x: np.ndarray, k1: np.ndarray, h: float) -> np.ndarray:
-    """One classic RK4 step of size h from x, given its first stage k1 = f(x)."""
-    k2 = field(x + 0.5 * h * k1)
-    k3 = field(x + 0.5 * h * k2)
-    k4 = field(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def integrate_batch(
+    alg: Algebra,
+    x0s,
+    t_ends,
+    config: IntegratorConfig | None = None,
+    cell_tag: str | None = None,
+    cell_certificate: np.ndarray | None = None,
+) -> list[Trajectory]:
+    """One trajectory per row of the (n, 3) starts ``x0s``, row i run from
+    t = 0 to ``t_ends[i]`` (a scalar applies to every row).
+
+    RK4 with step doubling: a full step is accepted when it agrees with two
+    half steps to relative tolerance, and the halved result is kept.  The
+    full step and the first half step start from the same point, so they
+    share their first stage k1 = f(x), which is also kept across rejected
+    attempts.  The stages evaluate the field as x . (x . C) with C the
+    (3, 9) matrix form of the tensor.
+
+    All rows step together, but each keeps its own time, step size,
+    acceptance and stop (t_end reached, blow-up guard, step underflow);
+    a row that stops leaves the active arrays.  No row's arithmetic reads
+    another row, so a row agrees with its one-row run; the tests ask for
+    agreement to roundoff, since how a stacked matrix product rounds is up
+    to the numpy build.  Speed, curvature and torsion of every accepted
+    sample of every row are computed in one pass once the last row stops.
+
+    When ``cell_tag`` names a canonical class, every accepted sample is
+    stamped with its partition cell, after mapping through the inverse of
+    ``cell_certificate`` when one is supplied (states stay in the input
+    frame; only the cell decision uses canonical coordinates).
+    """
+    config = config or IntegratorConfig()
+    c_mat = alg.c.reshape(3, 9)
+
+    # rows are kept as (m, 1, 3) stacks of row vectors and per-row scalars as
+    # (m, 1, 1), so the field is two stacked products of one row each
+    def field(y):
+        return y @ (y @ c_mat).reshape(-1, 3, 3)
+
+    def rk4(x, k1, h):
+        half_h = 0.5 * h
+        k2 = field(x + half_h * k1)
+        k3 = field(x + half_h * k2)
+        k4 = field(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+    x = np.array(x0s, dtype=float).reshape(-1, 1, 3)
+    n = len(x)
+    t_end = np.broadcast_to(np.asarray(t_ends, dtype=float), (n,)).reshape(n, 1, 1)
+    terminated = np.full(n, "t_end_reached", dtype=object)
+    attempts = np.zeros(n, dtype=int)
+    # samples as (rows, times, states, accepted mask) per attempt; the
+    # arrays are never written in place, so they are kept by reference
+    log = [(np.arange(n), np.zeros((n, 1, 1)), x, np.ones((n, 1, 1), dtype=bool))]
+
+    live = (0.0 < t_end).ravel()  # rows with nothing to integrate stop at their start
+    rows, x, t_end = np.flatnonzero(live), x[live], t_end[live]
+    t = np.zeros_like(t_end)
+    h = np.minimum(config.h0, np.maximum(t_end, INT_H_MIN))
+    k1 = field(x)
+    steps = 0
+    while len(rows):
+        if steps >= config.max_steps:
+            raise RuntimeError("integrator exceeded max_steps")
+        steps += 1
+        m = len(rows)
+        h = np.minimum(h, t_end - t)
+        # the full step and the first half step, stacked as one RK4 step
+        hs = np.concatenate([h, 0.5 * h])
+        both = rk4(np.concatenate([x, x]), np.concatenate([k1, k1]), hs)
+        full, mid = both[:m], both[m:]
+        half = rk4(mid, field(mid), hs[m:])
+        size = np.abs(half).max(axis=2, keepdims=True)
+        err = np.abs(full - half).max(axis=2, keepdims=True) / np.maximum(1.0, size)
+        ok = err <= config.rtol
+        t = np.where(ok, t + h, t)
+        x = np.where(ok, half, x)
+        k1 = np.where(ok, field(x), k1)
+        log.append((rows, t, x, ok))
+        h = h * np.where(ok, np.where(err < config.rtol / 32.0, 2.0, 1.0), 0.5)
+        stop = np.where(ok, (size > config.blowup) | (t >= t_end), h < config.h_min)[:, 0, 0]
+        if stop.any():
+            ok, size = ok[:, 0, 0], size[:, 0, 0]
+            terminated[rows[stop & ~ok]] = "step_underflow"
+            terminated[rows[stop & ok & (size > config.blowup)]] = "blowup_guard"
+            attempts[rows[stop]] = steps
+            keep = ~stop
+            rows, x, t, t_end, h, k1 = rows[keep], x[keep], t[keep], t_end[keep], h[keep], k1[keep]
+
+    owner, times, states, accepted = (np.concatenate(part) for part in zip(*log))
+    accepted = accepted.ravel()
+    # a stable sort keeps each row's samples in the order they were taken
+    order = np.argsort(owner[accepted], kind="stable")
+    times = times.ravel()[accepted][order]
+    states = states.reshape(-1, 3)[accepted][order]
+    counts = np.bincount(owner[accepted], minlength=n)
+    geometry = _geometry(alg, states)
+
+    cells = None
+    if cell_tag is not None:
+        canonical = states
+        if cell_certificate is not None:
+            to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
+            canonical = states @ to_canonical.T
+        cells = [cell_of(cell_tag, y) for y in canonical]
+
+    trajectories = []
+    ends = np.cumsum(counts)
+    for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        speed, curvature, torsion, c_def, t_def = (g[lo:hi] for g in geometry)
+        trajectories.append(Trajectory(
+            times=times[lo:hi],
+            states=states[lo:hi],
+            terminated=terminated[i],
+            speed=speed,
+            curvature=curvature,
+            torsion=torsion,
+            curvature_defined=c_def,
+            torsion_defined=t_def,
+            accepted_steps=int(hi - lo - 1),
+            rejected_steps=int(attempts[i] - (hi - lo - 1)),
+            cells=None if cells is None else cells[lo:hi],
+        ))
+    return trajectories
 
 
 def integrate(
@@ -249,85 +372,9 @@ def integrate(
     cell_tag: str | None = None,
     cell_certificate: np.ndarray | None = None,
 ) -> Trajectory:
-    """RK4 with step doubling: a full step is accepted when it agrees with
-    two half steps to relative tolerance, and the halved result is kept.
-
-    The full step and the first half step start from the same point, so
-    they share their first stage k1 = f(x), which is also kept across
-    rejected attempts.  The stages evaluate the field as
-    x . (x . C) with C the (3, 9) matrix form of the tensor, built once per
-    call.  Speed, curvature and torsion of all accepted samples are computed
-    in one pass over the state array once the integration stops.
-
-    When ``cell_tag`` names a canonical class, every accepted sample is
-    stamped with its partition cell, after mapping through the inverse of
-    ``cell_certificate`` when one is supplied (states stay in the input
-    frame; only the cell decision uses canonical coordinates).
-    """
-    config = config or IntegratorConfig()
-    c_mat = alg.c.reshape(3, 9)
-
-    def field(y):
-        return np.dot(y, np.dot(y, c_mat).reshape(3, 3))
-
-    x = np.asarray(x0, dtype=float).copy()
-    k1 = field(x)
-    t = 0.0
-    h = min(config.h0, max(t_end, INT_H_MIN))
-
-    times = [0.0]
-    states = [x]
-    terminated = "t_end_reached"
-    steps = 0
-    while t < t_end:
-        if steps >= config.max_steps:
-            raise RuntimeError("integrator exceeded max_steps")
-        steps += 1
-        h = min(h, t_end - t)
-        full = _rk4_step(field, x, k1, h)
-        mid = _rk4_step(field, x, k1, 0.5 * h)
-        half = _rk4_step(field, mid, field(mid), 0.5 * h)
-        size = float(np.abs(half).max())
-        err = float(np.abs(full - half).max()) / max(1.0, size)
-        if err <= config.rtol:
-            t += h
-            x = half
-            k1 = field(x)
-            times.append(t)
-            states.append(x)
-            if size > config.blowup:
-                terminated = "blowup_guard"
-                break
-            if err < config.rtol / 32.0:
-                h *= 2.0
-        else:
-            h *= 0.5
-            if h < config.h_min:
-                terminated = "step_underflow"
-                break
-
-    states_arr = np.array(states)
-    speed, curvature, torsion, c_def, t_def = _geometry(alg, states_arr)
-
-    cells = None
-    if cell_tag is not None:
-        canonical = states_arr
-        if cell_certificate is not None:
-            to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
-            canonical = states_arr @ to_canonical.T
-        cells = [cell_of(cell_tag, y) for y in canonical]
-
-    return Trajectory(
-        times=np.array(times),
-        states=states_arr,
-        terminated=terminated,
-        speed=speed,
-        curvature=curvature,
-        torsion=torsion,
-        curvature_defined=c_def,
-        torsion_defined=t_def,
-        cells=cells,
-    )
+    """The trajectory from one start: the one-row case of ``integrate_batch``."""
+    x0s = np.asarray(x0, dtype=float)[None, :]
+    return integrate_batch(alg, x0s, t_end, config, cell_tag, cell_certificate)[0]
 
 
 # ---------------------------------------------------------------------------

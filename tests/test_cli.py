@@ -167,6 +167,42 @@ def test_simulate_rejects_nonpositive_t_end(tmp_path, capsys):
     assert "--t-end must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "0"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "nan"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "-0.1"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "nan"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "inf"],
+        ["--x0", "nan,0.2,0.3", "--t-end", "1"],
+        ["--x0", "0.1,-inf,0.3", "--t-end", "1"],
+    ],
+)
+def test_simulate_rejects_non_finite_or_non_positive_numbers(tmp_path, capsys, flags):
+    # each of these used to spin to max_steps, run backwards or exit 0
+    path = write_algebra(tmp_path, canonical_algebra("A2"))
+    code, out, err = run(capsys, ["simulate", path, *flags])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_simulate_reports_step_counts_before_the_drift(tmp_path, capsys):
+    # on the A4 table RK4 is exact, so every step is accepted and doubles:
+    # from h0 = 0.25 the steps are 0.25, 0.5 and then the 0.25 left to t = 1
+    path = write_algebra(tmp_path, canonical_algebra("A4"))
+    code, out, err = run(
+        capsys, ["simulate", path, "--x0", "1,2,0", "--t-end", "1", "--h0", "0.25"]
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 4
+    assert "(4 samples); steps: 3 accepted, 0 rejected; first integrals: 2" in err
+    assert err.strip().endswith("max drift 0.000e+00")
+
+
 def test_simulate_rejects_non_numeric_t_end(tmp_path, capsys):
     path = write_algebra(tmp_path, canonical_algebra("A1"))
     with pytest.raises(SystemExit) as exc:
@@ -277,24 +313,53 @@ def test_verify_first_integral_drift_is_relative(tmp_path, capsys):
     "kind, limit", [("A1", 10), ("A2", 20), ("A3", 20), ("A4", 20), ("random", 3)]
 )
 def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, limit):
+    # one batched integration per verify, no one-row integration, and the
+    # batch holds exactly the distinct starts the checks asked for
     rng = np.random.default_rng(0)  # the random tensor has 7 idempotents
     if kind == "random":
         alg = random_symmetric_algebra(rng)
     else:
         alg, _ = conjugated_canonical(kind, rng)
-    calls = []
-    original = sys.modules["hqds3.dynamics"].integrate
+    dynamics = sys.modules["hqds3.dynamics"]
+    requested, batches, singles = [], [], []
+    original_batch, original_single = dynamics.integrate_batch, dynamics.integrate
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted_batch(alg, x0s, t_ends, *args, **kwargs):
+        x0s = np.asarray(x0s, dtype=float)
+        t_ends = np.broadcast_to(t_ends, len(x0s))
+        batches.append([(x0.tobytes(), float(t)) for x0, t in zip(x0s, t_ends)])
+        return original_batch(alg, x0s, t_ends, *args, **kwargs)
 
+    def counted_single(*args, **kwargs):
+        singles.append(1)
+        return original_single(*args, **kwargs)
+
+    def recorded(check):
+        def run_check(*args):
+            plan = check(*args)
+            if isinstance(plan, cli._Integrate):
+                requested.extend((x0.tobytes(), float(t)) for x0, t in plan.starts)
+            return plan
+        return run_check
+
+    for name, check in list(cli._VERIFY_CHECKS.items()):
+        monkeypatch.setitem(cli._VERIFY_CHECKS, name, recorded(check))
     for name, module in list(sys.modules.items()):
-        if name.startswith("hqds3") and getattr(module, "integrate", None) is original:
-            monkeypatch.setattr(module, "integrate", counted)
+        if not name.startswith("hqds3"):
+            continue
+        if getattr(module, "integrate_batch", None) is original_batch:
+            monkeypatch.setattr(module, "integrate_batch", counted_batch)
+        if getattr(module, "integrate", None) is original_single:
+            monkeypatch.setattr(module, "integrate", counted_single)
     code, _, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
     assert code in (0, 4)
-    assert 0 < len(calls) <= limit
+    assert len(batches) == 1
+    assert singles == []
+    assert sorted(batches[0]) == sorted(set(requested))
+    assert 0 < len(batches[0]) <= limit
+    # at seed 0 two of the five Gaussian starts of the curvature check have
+    # norm below 1, so they equal unit-ball starts: A2-A4 integrate 18 rows
+    assert len(batches[0]) == {"A1": 10, "random": 3}.get(kind, 18)
 
 
 def test_verify_ray_failure_names_transverse_eigenvalue(tmp_path, capsys):

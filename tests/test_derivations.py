@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3.algebra import from_named
+from hqds3.algebra import from_named, product
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -59,6 +59,37 @@ def test_leibniz_matrix_matches_the_loop_build():
     algs += [random_symmetric_algebra(rng) for _ in range(40)]
     for alg in algs:
         assert np.array_equal(_leibniz_matrix(alg.c), _leibniz_matrix_loop(alg.c))
+
+
+def _derivation_residual_loop(alg, m):
+    # the pair loop the einsum build replaced
+    m = np.asarray(m, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(m)))) * max(1.0, alg.scale)
+    worst = 0.0
+    for i in range(3):
+        for j in range(i, 3):
+            lhs = m @ alg.c[i, j]
+            rhs = product(alg, m[:, i], np.eye(3)[j]) + product(alg, np.eye(3)[i], m[:, j])
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst / scale
+
+
+def test_derivation_residual_matches_the_loop_build():
+    # both sum in another order, so they agree to roundoff of the scaled
+    # residual: 1e-15 absolute near 0 (true derivations), relative above 1
+    rng = np.random.default_rng(6)
+    algs = [canonical_algebra(tag) for tag in TAGS]
+    algs += [conjugated_canonical(tag, rng)[0] for tag in TAGS for _ in range(5)]
+    algs += [random_symmetric_algebra(rng) for _ in range(20)]
+    n_basis = n_small = 0
+    for alg in algs:
+        basis = derivation_space(alg).basis
+        n_basis += len(basis)
+        for m in [*basis, np.eye(3), *(rng.standard_normal((3, 3)) for _ in range(3))]:
+            loop = _derivation_residual_loop(alg, m)
+            n_small += loop < LEIBNIZ_TOL
+            assert abs(derivation_residual(alg, m) - loop) <= 1e-15 * max(1.0, loop)
+    assert n_small >= n_basis > 0  # true derivations were among the cases
 
 
 def test_derivation_dims_canonical():

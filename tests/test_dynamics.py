@@ -21,6 +21,7 @@ from hqds3.dynamics import (
     cell_of,
     curvature_torsion,
     integrate,
+    integrate_batch,
     linear_first_integrals,
     ray_solution,
     steady_state_residual,
@@ -33,6 +34,8 @@ GEOM_ATOL = 1e-12
 DRIFT_TOL = 1e-9
 RAY_RTOL = 1e-6
 BATCH_RTOL = 1e-12
+ENSEMBLE_STATE_RTOL = 1e-9  # relative to max(1, |x|)
+ENSEMBLE_TIME_RTOL = 1e-12  # final time of rows stopped before t_end
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
@@ -315,6 +318,114 @@ def test_csv_empty_fields_when_undefined():
     # d2 = 0 at the start: torsion has no value there, field stays empty
     assert row[6] == ""
     assert row[7] == ""  # no cell frame requested
+
+
+# --- ensemble ---
+
+
+def _ensemble_case():
+    """(algebra, starts, t_ends) per batch; the rows of a batch share its
+    algebra.
+
+    Rows come from tables, conjugates and random tensors at t_end 0.9, 1
+    and 2, plus the start 1.5 e1 of e1 e1 = e1, whose solution has a pole
+    at t = 2/3: it stops at the blow-up guard under the default config and
+    at the step floor when the guard is out of reach.
+    """
+    rng = np.random.default_rng(17)
+    algs = [canonical_algebra(tag) for tag in ("A1", "A2", "A3", "A4")]
+    algs += [conjugated_canonical(tag, rng)[0] for tag in ("A1", "A2", "A3", "A4")]
+    algs += [random_symmetric_algebra(rng) for _ in range(2)]
+    cases = []
+    for alg in algs:
+        starts = rng.uniform(-0.6, 0.6, size=(6, 3))
+        cases.append((alg, starts, np.array([0.9, 1.0, 2.0, 1.0, 0.9, 2.0])))
+    pole = from_named(a=1.0)
+    starts = np.vstack([[1.5, 0.0, 0.0], rng.uniform(-0.3, 0.3, size=(3, 3))])
+    cases.append((pole, starts, np.array([2.0, 1.0, 0.9, 2.0])))
+    return cases
+
+
+def _assert_rows_agree(a, b):
+    assert a.terminated == b.terminated
+    if a.terminated == "t_end_reached":
+        assert a.times.size == b.times.size
+        np.testing.assert_allclose(a.times, b.times, rtol=ENSEMBLE_TIME_RTOL, atol=0)
+        scale = np.maximum(1.0, np.abs(a.states))
+        assert np.max(np.abs(a.states - b.states) / scale) <= ENSEMBLE_STATE_RTOL
+    else:
+        # near a pole roundoff may move a step or two: compare where it stopped
+        assert abs(a.times[-1] - b.times[-1]) <= ENSEMBLE_TIME_RTOL * abs(b.times[-1])
+
+
+@pytest.mark.parametrize(
+    "config, pole_stop",
+    [(None, "blowup_guard"), (IntegratorConfig(blowup=1e300), "step_underflow")],
+)
+def test_ensemble_rows_match_one_row_runs(config, pole_stop):
+    stops = set()
+    for alg, starts, t_ends in _ensemble_case():
+        rows = integrate_batch(alg, starts, t_ends, config)
+        assert len(rows) == len(starts)
+        for x0, t_end, row in zip(starts, t_ends, rows):
+            _assert_rows_agree(row, integrate(alg, x0, t_end, config))
+            stops.add(row.terminated)
+            if row.terminated == "t_end_reached":
+                assert row.times[-1] == t_end
+    assert stops == {"t_end_reached", pole_stop}
+
+
+def test_ensemble_is_independent_of_row_order():
+    rng = np.random.default_rng(5)
+    for alg, starts, t_ends in _ensemble_case():
+        rows = integrate_batch(alg, starts, t_ends)
+        perm = rng.permutation(len(starts))
+        permuted = integrate_batch(alg, starts[perm], t_ends[perm])
+        for i, j in enumerate(perm):
+            _assert_rows_agree(permuted[i], rows[j])
+
+
+@pytest.mark.parametrize("case, cell_tag", [(0, "A1"), (-1, None)])
+def test_ensemble_repeats_bit_for_bit(case, cell_tag):
+    # the A1 table with cells stamped, and the batch with the pole row
+    alg, starts, t_ends = _ensemble_case()[case]
+    first = integrate_batch(alg, starts, t_ends, cell_tag=cell_tag)
+    second = integrate_batch(alg, starts, t_ends, cell_tag=cell_tag)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.torsion, b.torsion)
+        assert (a.terminated, a.accepted_steps, a.rejected_steps) == (
+            b.terminated, b.accepted_steps, b.rejected_steps)
+        assert a.cells == b.cells
+
+
+def test_ensemble_of_no_rows_and_rows_that_never_start():
+    alg = canonical_algebra("A2")
+    assert integrate_batch(alg, np.zeros((0, 3)), 1.0) == []
+    idle, moving = integrate_batch(alg, [[1.0, 0.0, 1.0], [0.1, 0.2, 0.3]], [0.0, 1.0])
+    assert idle.times.tolist() == [0.0] and idle.terminated == "t_end_reached"
+    assert (idle.accepted_steps, idle.rejected_steps) == (0, 0)
+    assert moving.times[-1] == 1.0
+
+
+def test_step_counts_follow_the_acceptance_pattern():
+    # RK4 is exact on the A4 table (A*A lies in the annihilator), so every
+    # step is accepted and doubles: 1e-3 * (2^9 - 1) = 0.511 after nine
+    # steps, and the tenth is cut to the 0.489 left to t = 1
+    alg = canonical_algebra("A4")
+    traj = integrate(alg, np.array([1.0, 2.0, 0.0]), 1.0)
+    assert (traj.accepted_steps, traj.rejected_steps) == (10, 0)
+    np.testing.assert_allclose(np.diff(traj.times)[:9], 1e-3 * 2.0 ** np.arange(9))
+    # a start whose error estimate is never finite is rejected until the
+    # step falls below INT_H_MIN = 1e-14: 1e-3 / 2^37 is the first such step
+    stuck = integrate(alg, np.array([np.nan, 0.0, 0.0]), 1.0)
+    assert stuck.terminated == "step_underflow"
+    assert (stuck.accepted_steps, stuck.rejected_steps) == (0, 37)
+    # the pole row: every accepted step adds a sample, and some are rejected
+    pole = integrate(from_named(a=1.0), np.array([1.5, 0.0, 0.0]), 2.0)
+    assert pole.accepted_steps == pole.times.size - 1
+    assert pole.rejected_steps > 0
 
 
 @settings(deadline=None, max_examples=20)
