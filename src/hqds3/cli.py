@@ -34,6 +34,7 @@ from .derivations import (
 )
 from .dynamics import (
     IntegratorConfig,
+    _cells,
     affine_flow,
     affine_flow_applies,
     integrate,
@@ -219,10 +220,11 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-# Each check takes (alg, rng, tag, ids), with rng freshly seeded per check and
-# ids the idempotents.  It returns its (status, detail) at once when it needs
-# no trajectory, and an _Integrate request otherwise; ``cmd_verify`` runs
-# every distinct start of every request in one ``integrate_batch`` call.
+# Each check takes (alg, rng, res, ids), with rng freshly seeded per check, res
+# the ClassificationResult and ids the idempotents.  It returns its (status,
+# detail) at once when it needs no trajectory, and an _Integrate request
+# otherwise; ``cmd_verify`` runs every distinct start of every request in one
+# ``integrate_batch`` call.
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,7 @@ def _unit_ball_start(rng):
     return x0 / max(1.0, float(np.linalg.norm(x0)))
 
 
-def _check_steady_states(alg, rng, tag, ids):
+def _check_steady_states(alg, rng, res, ids):
     norm, _ = alg.normalized()
     cone = _cone_cached(norm)
     if cone.samples.shape[0]:
@@ -259,7 +261,7 @@ def _check_steady_states(alg, rng, tag, ids):
     return "PASS", f"cone residual {on_res:.2e}; off-cone points clearly non-steady"
 
 
-def _check_first_integrals(alg, rng, tag, ids):
+def _check_first_integrals(alg, rng, res, ids):
     ints = linear_first_integrals(alg)
     if ints.shape[0] == 0:
         return "SKIP", "no linear first integrals (A*A spans everything)"
@@ -280,21 +282,24 @@ def _check_first_integrals(alg, rng, tag, ids):
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(10)], judge)
 
 
-def _check_cell_invariance(alg, rng, tag, ids):
-    if tag not in CANONICAL_TAGS:
+def _check_cell_invariance(alg, rng, res, ids):
+    if res.tag not in CANONICAL_TAGS:
         return "SKIP", "no cell partition without a canonical class"
 
     def judge(trajs):
+        # states stay in the input frame; cells are decided in canonical ones
+        to_canonical = np.linalg.inv(res.certificate).T
         for traj in trajs:
-            if not all(c.same_cell(traj.cells[0]) for c in traj.cells):
+            cells = _cells(res.tag, traj.states @ to_canonical)
+            if not all(c.same_cell(cells[0]) for c in cells):
                 return "FAIL", "trajectory changed cell"
         return "PASS", "cell id constant on all sampled trajectories"
 
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_curvature(alg, rng, tag, ids):
-    if tag not in ("A2", "A3", "A4"):
+def _check_curvature(alg, rng, res, ids):
+    if res.tag not in ("A2", "A3", "A4"):
         return "SKIP", "straight-line claim applies to classes A2-A4"
 
     def judge(trajs):
@@ -310,8 +315,8 @@ def _check_curvature(alg, rng, tag, ids):
     return _Integrate([(rng.standard_normal(3), 1.0) for _ in range(5)], judge)
 
 
-def _check_torsion(alg, rng, tag, ids):
-    if tag not in CANONICAL_TAGS:
+def _check_torsion(alg, rng, res, ids):
+    if res.tag not in CANONICAL_TAGS:
         return "SKIP", "torsion-free claim needs a classified algebra"
 
     def judge(trajs):
@@ -329,7 +334,7 @@ def _check_torsion(alg, rng, tag, ids):
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_affine_form(alg, rng, tag, ids):
+def _check_affine_form(alg, rng, res, ids):
     if not affine_flow_applies(alg):
         return "SKIP", "A*A not inside the annihilator; solutions are not affine"
     starts = [(rng.standard_normal(3), 2.0) for _ in range(5)]
@@ -353,7 +358,15 @@ def _transverse_eigenvalue(alg, v):
     return float(np.max(np.linalg.eigvals(q @ (2.0 * left_mult_matrix(alg, v)) @ q.T).real))
 
 
-def _check_ray_solutions(alg, rng, tag, ids):
+def _ray_horizon(mu):
+    """The end time t* <= 0.9 of a ray check: the largest t at which the
+    integrator's 1e-10 roundoff, amplified by (1-t)^(-mu), stays at most
+    1e-7, so that a 1e-6 mismatch is the check's and not roundoff's.  For
+    mu <= 3 this is 0.9."""
+    return 0.9 if mu <= 3.0 else 1.0 - 1000.0 ** (-1.0 / mu)
+
+
+def _check_ray_solutions(alg, rng, res, ids):
     if not ids:
         if is_solvable(alg):
             return "SKIP", "solvable: no nonzero idempotent exists"
@@ -363,24 +376,25 @@ def _check_ray_solutions(alg, rng, tag, ids):
                 "Kaplan-Yorke a nonzero idempotent exists and the lattice missed it"
             )
         return "SKIP", "lattice found no idempotent"
+    rays = ids[:3]
+    mus = [_transverse_eigenvalue(alg, v) for v in rays]
+    starts = [(v, _ray_horizon(mu)) for v, mu in zip(rays, mus)]
 
     def judge(trajs):
-        worst, worst_v = 0.0, ids[0]
-        for v, traj in zip(ids, trajs):
+        worst = 0.0
+        for v, traj in zip(rays, trajs):
             expect = ray_solution(v, traj.times)
             denom = np.maximum(1.0, np.abs(expect))
-            err = float(np.max(np.abs(traj.states - expect) / denom))
-            if err > worst:
-                worst, worst_v = err, v
-        if worst < 1e-6:
-            return "PASS", f"{len(ids)} idempotent rays matched, rel err {worst:.2e}"
-        mu = _transverse_eigenvalue(alg, worst_v)
-        return "FAIL", (
-            f"ray solution mismatch {worst:.2e}; largest transverse eigenvalue of 2L_v "
-            f"mu = {mu:.1f}, so roundoff is amplified by (1-t)^(-mu) = 10^{mu:.1f} at t = 0.9"
+            worst = max(worst, float(np.max(np.abs(traj.states - expect) / denom)))
+        horizon = (
+            f"largest transverse eigenvalue of 2L_v mu = {max(mus):.1f}, "
+            f"shortest horizon t* = {min(t for _, t in starts):.2f}"
         )
+        if worst < 1e-6:
+            return "PASS", f"{len(rays)} idempotent rays matched, rel err {worst:.2e}; {horizon}"
+        return "FAIL", f"ray solution mismatch {worst:.2e}; {horizon}"
 
-    return _Integrate([(v, 0.9) for v in ids[:3]], judge)
+    return _Integrate(starts, judge)
 
 
 _VERIFY_CHECKS = {
@@ -401,11 +415,10 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     res = classify(alg)
-    tag = res.tag
-    print(f"class: {tag}" + (f"  label: {label}" if label else ""))
+    print(f"class: {res.tag}" + (f"  label: {label}" if label else ""))
     ids = idempotents(alg)
     plans = {
-        name: check(alg, np.random.default_rng(args.seed), tag, ids)
+        name: check(alg, np.random.default_rng(args.seed), res, ids)
         for name, check in sorted(_VERIFY_CHECKS.items())
     }
     # every check re-seeds the same generator, so several draw the same starts
@@ -413,13 +426,10 @@ def cmd_verify(args) -> int:
     for plan in plans.values():
         for x0, t_end in plan.starts if isinstance(plan, _Integrate) else ():
             distinct.setdefault((x0.tobytes(), t_end), (x0, t_end))
-    cell_tag = tag if tag in CANONICAL_TAGS else None
     trajs = integrate_batch(
         alg,
         np.array([x0 for x0, _ in distinct.values()]).reshape(-1, 3),
         [t_end for _, t_end in distinct.values()],
-        cell_tag=cell_tag,
-        cell_certificate=res.certificate if cell_tag else None,
     )
     by_start = dict(zip(distinct, trajs))
     failed = False

@@ -5,15 +5,18 @@ mirror algebraic ones: square-zero vectors are steady states, idempotents
 ride blow-up rays, covectors vanishing on A*A are linear first integrals,
 and when A*A lies in the annihilator every solution is an affine line.
 
-The integrator is a classic RK4 with step doubling, whose full step and
-first half step share their first stage.  It runs an ensemble: every row
-of an (n, 3) array of starts keeps its own time, step size and stop, and
-``verify`` integrates all of its starts in one ``integrate_batch`` call;
-``integrate`` is the one-row case.  Derivatives for curvature and torsion
-come from differentiating the field analytically rather than from finite
-differences, and are computed for all samples of all rows in one pass over
-their state array; ``curvature_torsion`` is the one-sample case of the
-same code.
+The integrator is the embedded Dormand-Prince 5(4) pair with FSAL ("first
+same as last"): the last stage of an accepted step is the first stage of
+the next, so each attempt makes six field evaluations.  It runs an
+ensemble: every row of an (n, 3) array of starts keeps its own time, step
+size and stop, and ``verify`` integrates all of its starts in one
+``integrate_batch`` call; ``integrate`` is the one-row case.  Derivatives
+for curvature and torsion come from differentiating the field analytically
+rather than from finite differences, and are computed for all samples of
+all rows in one pass over their state array; ``curvature_torsion`` is the
+one-sample case of the same code.  Partition cells are likewise decided in
+one pass over a state array (``_cells``), of which ``cell_of`` is the
+one-sample case.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, ideal_structure, square_ideal, square_map
-from .linalg import orthonormal_complement, unit
+from .linalg import orthonormal_complement
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
 
@@ -62,19 +65,23 @@ def _geometry(alg: Algebra, xs: np.ndarray):
     TAU_GEO relative to its roundoff scale |x'| * |c| |x| |x'|, since where
     x'' = 0 exactly (A*A in Ann) the computed x'' is rounding error and the
     torsion noise.
+
+    A trajectory may run up to a blow-up guard far beyond 1e100, where the
+    derivatives overflow; such samples get infinite or NaN values, quietly.
     """
-    d = _derivatives(alg, xs)
-    d1, d2 = d[0], d[1]
-    speed = np.linalg.norm(d1, axis=1)
-    ncr = np.linalg.norm(np.cross(d1, d2), axis=1)
-    c_def = speed > TAU_GEO
-    roundoff = alg.scale * np.linalg.norm(xs, axis=1) * speed ** 2
-    t_def = c_def & (ncr > TAU_GEO * np.maximum(1.0, roundoff))
-    curvature = np.full(len(xs), np.nan)
-    curvature[c_def] = ncr[c_def] / speed[c_def] ** 3
-    torsion = np.full(len(xs), np.nan)
-    frames = d.transpose(1, 0, 2)[t_def]  # rows x', x'', x''' of each sample
-    torsion[t_def] = np.linalg.det(frames) / ncr[t_def] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _derivatives(alg, xs)
+        d1, d2 = d[0], d[1]
+        speed = np.linalg.norm(d1, axis=1)
+        ncr = np.linalg.norm(np.cross(d1, d2), axis=1)
+        c_def = speed > TAU_GEO
+        roundoff = alg.scale * np.linalg.norm(xs, axis=1) * speed ** 2
+        t_def = c_def & (ncr > TAU_GEO * np.maximum(1.0, roundoff))
+        curvature = np.full(len(xs), np.nan)
+        curvature[c_def] = ncr[c_def] / speed[c_def] ** 3
+        torsion = np.full(len(xs), np.nan)
+        frames = d.transpose(1, 0, 2)[t_def]  # rows x', x'', x''' of each sample
+        torsion[t_def] = np.linalg.det(frames) / ncr[t_def] ** 2
     return speed, curvature, torsion, c_def, t_def
 
 
@@ -168,46 +175,93 @@ class CellId:
         return f"{self.label}:{bits}" if bits else self.label
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v scaled to unit length; zero rows stay zero."""
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.where(norm > 0.0, norm, 1.0)
+
+
+def _cells(tag: str, ys: np.ndarray, tol: float = TAU_GEO) -> list[CellId]:
+    """The partition cell of every row of the (n, 3) stack ys for a canonical
+    class, decided in one pass over the array.
+
+    Each class lists its cells from the lowest-dimensional one up; a row
+    belongs to the first cell whose test it meets, so lower-dimensional
+    cells win ties, and the last cell takes every remaining row.  Rows a
+    half-plane cell takes never have a zero direction, so the zero rows
+    ``_unit_rows`` passes through are never read.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, 3)
+    x1, x2, x3 = ys.T
+    z1, z2, z3 = (np.abs(ys) <= tol).T
+    rest = np.ones(len(ys), dtype=bool)
+    # (label, rows it may take, its params as an (n, p) array)
+    if tag == "A1":
+        rules = [
+            ("axis-x2", z1 & z3, x2[:, None]),
+            ("axis-x3", z1 & z2, x3[:, None]),
+            ("halfplane-x1ox3", z2, np.sign(x1)[:, None]),
+            ("halfspace", rest, np.sign(x2)[:, None]),
+        ]
+    elif tag == "A2":
+        rules = [
+            ("plane-x1ox2", z3, ys[:, :2]),
+            ("halfplane", rest, _unit_rows(ys[:, ::2])),
+        ]
+    elif tag == "A3":
+        rules = [
+            ("plane-x1ox3", z2, ys[:, ::2]),
+            ("plane-x2ox3", z1, ys[:, 1:]),
+            ("halfplane", rest, _unit_rows(ys[:, :2])),
+        ]
+    elif tag == "A4":
+        rules = [
+            ("axis-x3", z1 & z2, x3[:, None]),
+            ("halfplane", rest, _unit_rows(ys[:, :2])),
+        ]
+    else:
+        raise ValueError(f"cells are defined for canonical classes only, got {tag!r}")
+    labels, takes, params = zip(*rules)
+    first = np.argmax(np.stack(takes), axis=0).tolist()
+    params = [p.tolist() for p in params]
+    return [CellId(tag, labels[r], tuple(params[r][i])) for i, r in enumerate(first)]
+
+
 def cell_of(tag: str, x: np.ndarray, tol: float = TAU_GEO) -> CellId:
     """Assign a point to its partition cell for a canonical class.
 
     Lower-dimensional cells win ties: points within ``tol`` of an axis or
     coordinate plane belong to it.  Signs and directions parameterize the
-    open half-plane / half-space cells.
+    open half-plane / half-space cells.  The one-sample case of ``_cells``.
     """
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = (float(v) for v in x)
-
-    if tag == "A1":
-        if abs(x1) <= tol and abs(x3) <= tol:
-            return CellId(tag, "axis-x2", (x2,))
-        if abs(x1) <= tol and abs(x2) <= tol:
-            return CellId(tag, "axis-x3", (x3,))
-        if abs(x2) <= tol:
-            return CellId(tag, "halfplane-x1ox3", (float(np.sign(x1)),))
-        return CellId(tag, "halfspace", (float(np.sign(x2)),))
-    if tag == "A2":
-        if abs(x3) <= tol:
-            return CellId(tag, "plane-x1ox2", (x1, x2))
-        d = unit(np.array([x1, x3]))
-        return CellId(tag, "halfplane", (float(d[0]), float(d[1])))
-    if tag == "A3":
-        if abs(x2) <= tol:
-            return CellId(tag, "plane-x1ox3", (x1, x3))
-        if abs(x1) <= tol:
-            return CellId(tag, "plane-x2ox3", (x2, x3))
-        d = unit(np.array([x1, x2]))
-        return CellId(tag, "halfplane", (float(d[0]), float(d[1])))
-    if tag == "A4":
-        if abs(x1) <= tol and abs(x2) <= tol:
-            return CellId(tag, "axis-x3", (x3,))
-        d = unit(np.array([x1, x2]))
-        return CellId(tag, "halfplane", (float(d[0]), float(d[1])))
-    raise ValueError(f"cells are defined for canonical classes only, got {tag!r}")
+    return _cells(tag, np.asarray(x, dtype=float)[None, :], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # integration
+
+
+# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 1980; Hairer, Norsett & Wanner, Solving ODEs I, 1993, Table II.5.2).
+# Stage i evaluates the field at x + h * sum_j A[i, j] k_j; the field is
+# autonomous, so the nodes are not needed.  The last row of A is the 5th-
+# order weights B, so the last stage is the field at the new state (FSAL).
+# E = B - B_HAT weighs the stages into the difference of the 5th- and
+# 4th-order solutions.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B = _DP_A[-1]
+_DP_B_HAT = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+_DP_E = _DP_B - _DP_B_HAT
 
 
 @dataclass
@@ -230,7 +284,7 @@ class Trajectory:
     curvature_defined: np.ndarray  # (n,) bool
     torsion_defined: np.ndarray    # (n,) bool
     accepted_steps: int            # n - 1: every accepted step adds a sample
-    rejected_steps: int            # attempts halved for failing the tolerance
+    rejected_steps: int            # attempts that failed the tolerance
     cells: list | None = None      # list[CellId] when a cell frame was given
 
     @property
@@ -249,25 +303,30 @@ def integrate_batch(
     """One trajectory per row of the (n, 3) starts ``x0s``, row i run from
     t = 0 to ``t_ends[i]`` (a scalar applies to every row).
 
-    RK4 with step doubling: a full step is accepted when it agrees with two
-    half steps to relative tolerance, and the halved result is kept.  The
-    full step and the first half step start from the same point, so they
-    share their first stage k1 = f(x), which is also kept across rejected
-    attempts.  The stages evaluate the field as x . (x . C) with C the
-    (3, 9) matrix form of the tensor.
+    Dormand-Prince 5(4) with FSAL.  An attempt evaluates stages 2 to 7, the
+    field as x . (x . C) with C the (3, 9) matrix form of the tensor.  It
+    advances with the 5th-order weights, and is accepted when the error
+    estimate h * sum_i E_i k_i, in the max norm relative to max(1, |x_new|),
+    is at most ``rtol``.  Stage 7 is the field at the new state, so on
+    acceptance it becomes the next step's first stage; a rejected attempt
+    keeps its first stage.  The step size then scales by
+    0.9 (rtol / err)^(1/5), clipped to [0.2, 5], which is below 0.9 after a
+    rejection (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a NaN error
+    halves it.
 
     All rows step together, but each keeps its own time, step size,
     acceptance and stop (t_end reached, blow-up guard, step underflow);
     a row that stops leaves the active arrays.  No row's arithmetic reads
     another row, so a row agrees with its one-row run; the tests ask for
     agreement to roundoff, since how a stacked matrix product rounds is up
-    to the numpy build.  Speed, curvature and torsion of every accepted
-    sample of every row are computed in one pass once the last row stops.
+    to the numpy build.  Each step logs only its accepted samples, and
+    speed, curvature and torsion of every sample of every row are computed
+    in one pass once the last row stops.
 
-    When ``cell_tag`` names a canonical class, every accepted sample is
-    stamped with its partition cell, after mapping through the inverse of
-    ``cell_certificate`` when one is supplied (states stay in the input
-    frame; only the cell decision uses canonical coordinates).
+    When ``cell_tag`` names a canonical class, every sample is stamped with
+    its partition cell in one ``_cells`` pass, after mapping through the
+    inverse of ``cell_certificate`` when one is supplied (states stay in
+    the input frame; only the cell decision uses canonical coordinates).
     """
     config = config or IntegratorConfig()
     c_mat = alg.c.reshape(3, 9)
@@ -277,63 +336,60 @@ def integrate_batch(
     def field(y):
         return y @ (y @ c_mat).reshape(-1, 3, 3)
 
-    def rk4(x, k1, h):
-        half_h = 0.5 * h
-        k2 = field(x + half_h * k1)
-        k3 = field(x + half_h * k2)
-        k4 = field(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
     x = np.array(x0s, dtype=float).reshape(-1, 1, 3)
     n = len(x)
     t_end = np.broadcast_to(np.asarray(t_ends, dtype=float), (n,)).reshape(n, 1, 1)
     terminated = np.full(n, "t_end_reached", dtype=object)
     attempts = np.zeros(n, dtype=int)
-    # samples as (rows, times, states, accepted mask) per attempt; the
-    # arrays are never written in place, so they are kept by reference
-    log = [(np.arange(n), np.zeros((n, 1, 1)), x, np.ones((n, 1, 1), dtype=bool))]
+    # accepted samples as (rows, times, states), one entry per step
+    log = [(np.arange(n), np.zeros(n), x[:, 0])]
 
     live = (0.0 < t_end).ravel()  # rows with nothing to integrate stop at their start
     rows, x, t_end = np.flatnonzero(live), x[live], t_end[live]
     t = np.zeros_like(t_end)
     h = np.minimum(config.h0, np.maximum(t_end, INT_H_MIN))
-    k1 = field(x)
+    # the seven stages of each row's current attempt; k[:, 0] = f(x)
+    k = np.empty((len(rows), 7, 3))
+    k[:, :1] = field(x)
     steps = 0
-    while len(rows):
-        if steps >= config.max_steps:
-            raise RuntimeError("integrator exceeded max_steps")
-        steps += 1
-        m = len(rows)
-        h = np.minimum(h, t_end - t)
-        # the full step and the first half step, stacked as one RK4 step
-        hs = np.concatenate([h, 0.5 * h])
-        both = rk4(np.concatenate([x, x]), np.concatenate([k1, k1]), hs)
-        full, mid = both[:m], both[m:]
-        half = rk4(mid, field(mid), hs[m:])
-        size = np.abs(half).max(axis=2, keepdims=True)
-        err = np.abs(full - half).max(axis=2, keepdims=True) / np.maximum(1.0, size)
-        ok = err <= config.rtol
-        t = np.where(ok, t + h, t)
-        x = np.where(ok, half, x)
-        k1 = np.where(ok, field(x), k1)
-        log.append((rows, t, x, ok))
-        h = h * np.where(ok, np.where(err < config.rtol / 32.0, 2.0, 1.0), 0.5)
-        stop = np.where(ok, (size > config.blowup) | (t >= t_end), h < config.h_min)[:, 0, 0]
-        if stop.any():
-            ok, size = ok[:, 0, 0], size[:, 0, 0]
-            terminated[rows[stop & ~ok]] = "step_underflow"
-            terminated[rows[stop & ok & (size > config.blowup)]] = "blowup_guard"
-            attempts[rows[stop]] = steps
-            keep = ~stop
-            rows, x, t, t_end, h, k1 = rows[keep], x[keep], t[keep], t_end[keep], h[keep], k1[keep]
+    # rows heading for a far blow-up guard may overflow: the error test
+    # rejects non-finite attempts and the stop logic ends such rows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while len(rows):
+            if steps >= config.max_steps:
+                raise RuntimeError("integrator exceeded max_steps")
+            steps += 1
+            h = np.minimum(h, t_end - t)
+            for i in range(1, 7):
+                y = x + h * (_DP_A[i:i + 1, :i] @ k[:, :i])
+                k[:, i:i + 1] = field(y)
+            # y is now the 5th-order solution, and k[:, 6] the field there
+            size = np.abs(y).max(axis=2, keepdims=True)
+            err = np.abs(h * (_DP_E @ k)[:, None]).max(axis=2, keepdims=True)
+            err = err / np.maximum(1.0, size)
+            ok = err <= config.rtol
+            t = np.where(ok, t + h, t)
+            x = np.where(ok, y, x)
+            k[:, :1] = np.where(ok, k[:, 6:], k[:, :1])
+            accepted = ok.ravel()
+            log.append((rows[accepted], t.ravel()[accepted], x[accepted, 0]))
+            # a rejection has err > rtol, so its factor is below 0.9 unclipped
+            factor = np.clip(0.9 * (config.rtol / err) ** 0.2, 0.2, 5.0)
+            h = h * np.where(np.isnan(err), 0.5, factor)
+            stop = np.where(ok, (size > config.blowup) | (t >= t_end), h < config.h_min)[:, 0, 0]
+            if stop.any():
+                ok, size = ok[:, 0, 0], size[:, 0, 0]
+                terminated[rows[stop & ~ok]] = "step_underflow"
+                terminated[rows[stop & ok & (size > config.blowup)]] = "blowup_guard"
+                attempts[rows[stop]] = steps
+                keep = ~stop
+                rows, x, t, t_end, h, k = (a[keep] for a in (rows, x, t, t_end, h, k))
 
-    owner, times, states, accepted = (np.concatenate(part) for part in zip(*log))
-    accepted = accepted.ravel()
+    owner, times, states = (np.concatenate(part) for part in zip(*log))
     # a stable sort keeps each row's samples in the order they were taken
-    order = np.argsort(owner[accepted], kind="stable")
-    times = times.ravel()[accepted][order]
-    states = states.reshape(-1, 3)[accepted][order]
-    counts = np.bincount(owner[accepted], minlength=n)
+    order = np.argsort(owner, kind="stable")
+    times, states = times[order], states[order]
+    counts = np.bincount(owner, minlength=n)
     geometry = _geometry(alg, states)
 
     cells = None
@@ -342,7 +398,7 @@ def integrate_batch(
         if cell_certificate is not None:
             to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
             canonical = states @ to_canonical.T
-        cells = [cell_of(cell_tag, y) for y in canonical]
+        cells = _cells(cell_tag, canonical)
 
     trajectories = []
     ends = np.cumsum(counts)

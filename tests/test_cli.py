@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from hqds3 import cli
-from hqds3.algebra import from_named
+from hqds3.algebra import from_named, idempotents
 from hqds3.catalog import (
     canonical_algebra,
     canonical_system,
     conjugated_canonical,
     random_symmetric_algebra,
 )
+from hqds3.dynamics import ray_solution
+from hqds3.linalg import orthonormal_complement
 
 FINAL_TOL = 1e-9
 
@@ -191,15 +193,16 @@ def test_simulate_rejects_non_finite_or_non_positive_numbers(tmp_path, capsys, f
 
 
 def test_simulate_reports_step_counts_before_the_drift(tmp_path, capsys):
-    # on the A4 table RK4 is exact, so every step is accepted and doubles:
-    # from h0 = 0.25 the steps are 0.25, 0.5 and then the 0.25 left to t = 1
+    # on the A4 table the error estimate vanishes, so every step is accepted
+    # and may grow fivefold: from h0 = 0.25 the steps are 0.25 and then the
+    # 0.75 left to t = 1
     path = write_algebra(tmp_path, canonical_algebra("A4"))
     code, out, err = run(
         capsys, ["simulate", path, "--x0", "1,2,0", "--t-end", "1", "--h0", "0.25"]
     )
     assert code == 0
-    assert len(out.strip().split("\n")) == 1 + 4
-    assert "(4 samples); steps: 3 accepted, 0 rejected; first integrals: 2" in err
+    assert len(out.strip().split("\n")) == 1 + 3
+    assert "(3 samples); steps: 2 accepted, 0 rejected; first integrals: 2" in err
     assert err.strip().endswith("max drift 0.000e+00")
 
 
@@ -256,7 +259,7 @@ def test_verify_missing_file(tmp_path, capsys):
 
 def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._VERIFY_CHECKS, "forced", lambda alg, rng, tag, res: ("FAIL", "forced")
+        cli._VERIFY_CHECKS, "forced", lambda alg, rng, res, ids: ("FAIL", "forced")
     )
     path = write_algebra(tmp_path, canonical_algebra("A2"))
     code, out, _ = run(capsys, ["verify", path])
@@ -362,22 +365,61 @@ def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, 
     assert len(batches[0]) == {"A1": 10, "random": 3}.get(kind, 18)
 
 
-def test_verify_ray_failure_names_transverse_eigenvalue(tmp_path, capsys):
-    # the random file of group 4 in the cli-dynamics workload at seed 2: its
-    # idempotent with |v| = 16.6 has mu = 21.8, so roundoff at t = 0.9 is
-    # amplified about 1e21-fold and the ray check fails on any integrator
-    rng = np.random.default_rng([2, zlib.crc32(b"cli-dynamics")])
-    for _ in range(5):
+def _cli_dynamics_random_file(seed, group):
+    """The random tensor of one group of the cli-dynamics workload's files."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"cli-dynamics")])
+    for _ in range(group + 1):
         for tag in ("A1", "A2", "A3", "A4"):
             conjugated_canonical(tag, rng)
             rng.standard_normal(3)
         alg = random_symmetric_algebra(rng)
         rng.standard_normal(3)
+    return alg
+
+
+@pytest.mark.parametrize("fault", [None, "speed", "start"])
+@pytest.mark.parametrize(
+    "kind, mu, t_star",
+    [
+        # the random file of group 4 of the cli-dynamics workload at seed 2:
+        # its idempotent with |v| = 16.6 has mu = 21.8, so at t = 0.9 roundoff
+        # was amplified about 1e21-fold and the check failed on any integrator
+        ("seed2-random", "21.8", "0.27"),
+        # e1 e1 = e1: the idempotent e1 has mu = 0, so t* is the old 0.9
+        ("e1", "0.0", "0.90"),
+    ],
+)
+def test_verify_ray_check_ends_at_its_mu_aware_horizon(
+    tmp_path, capsys, monkeypatch, kind, mu, t_star, fault
+):
+    alg = _cli_dynamics_random_file(2, 4) if kind == "seed2-random" else from_named(a=1.0)
+    if fault == "speed":
+        # the closed form claims a ray 1% faster than the true one
+        monkeypatch.setattr(cli, "ray_solution", lambda v, ts: ray_solution(v, 1.01 * ts))
+    elif fault == "start":
+        # each ray is integrated from 1e-3 |v| off its idempotent, at right angles
+        rays = {v.tobytes() for v in idempotents(alg)}
+        original = cli.integrate_batch
+
+        def off_start(alg, x0s, t_ends, *args, **kwargs):
+            x0s = np.array(x0s, dtype=float)
+            for x0 in x0s:
+                if x0.tobytes() in rays:
+                    x0 += 1e-3 * np.linalg.norm(x0) * orthonormal_complement(x0[None, :])[0]
+            return original(alg, x0s, t_ends, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_batch", off_start)
     code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
     line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
-    assert code == 4
-    assert line.startswith("FAIL ray-solutions: ray solution mismatch")
-    assert "mu = 21.8" in line
+    assert f"mu = {mu}, shortest horizon t* = {t_star}" in line
+    if fault is None:
+        assert code == 0
+        assert line.startswith("PASS ray-solutions:")
+    else:
+        assert code == 4
+        assert line.startswith("FAIL ray-solutions: ray solution mismatch")
+        # a clear miss, not a near one: 100 times the 1e-6 bound or more
+        assert float(line.split("mismatch ")[1].split(";")[0]) > 1e-4
 
 
 @pytest.mark.parametrize(

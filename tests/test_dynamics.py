@@ -1,4 +1,6 @@
 """Trajectory geometry, closed forms, cell invariants, and the adaptive integrator."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,15 @@ from hqds3.catalog import (
 )
 from hqds3.dynamics import (
     CSV_HEADER,
+    CellId,
     DegenerateVelocity,
     IntegratorConfig,
     PreconditionFailed,
+    _DP_A,
+    _DP_B,
+    _DP_B_HAT,
+    _DP_E,
+    _cells,
     affine_flow,
     analytic_derivatives,
     cell_of,
@@ -36,6 +44,8 @@ RAY_RTOL = 1e-6
 BATCH_RTOL = 1e-12
 ENSEMBLE_STATE_RTOL = 1e-9  # relative to max(1, |x|)
 ENSEMBLE_TIME_RTOL = 1e-12  # final time of rows stopped before t_end
+CELL_RTOL = 4 * np.finfo(float).eps  # cell directions, batch against one point
+TABLEAU_ATOL = 1e-15  # order conditions, in double-precision coefficients
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
@@ -241,6 +251,67 @@ def test_cell_ties_and_bad_tag():
         cell_of("B9", np.ones(3))
 
 
+def _reference_cell(tag, x, tol=TAU_GEO):
+    """The partition cell of one point, decided one branch at a time."""
+    x1, x2, x3 = (float(v) for v in x)
+
+    def unit(u, v):
+        n = float(np.linalg.norm(np.array([u, v])))
+        return (u / n, v / n)
+
+    if tag == "A1":
+        if abs(x1) <= tol and abs(x3) <= tol:
+            return CellId(tag, "axis-x2", (x2,))
+        if abs(x1) <= tol and abs(x2) <= tol:
+            return CellId(tag, "axis-x3", (x3,))
+        if abs(x2) <= tol:
+            return CellId(tag, "halfplane-x1ox3", (float(np.sign(x1)),))
+        return CellId(tag, "halfspace", (float(np.sign(x2)),))
+    if tag == "A2":
+        if abs(x3) <= tol:
+            return CellId(tag, "plane-x1ox2", (x1, x2))
+        return CellId(tag, "halfplane", unit(x1, x3))
+    if tag == "A3":
+        if abs(x2) <= tol:
+            return CellId(tag, "plane-x1ox3", (x1, x3))
+        if abs(x1) <= tol:
+            return CellId(tag, "plane-x2ox3", (x2, x3))
+        return CellId(tag, "halfplane", unit(x1, x2))
+    if abs(x1) <= tol and abs(x2) <= tol:
+        return CellId(tag, "axis-x3", (x3,))
+    return CellId(tag, "halfplane", unit(x1, x2))
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
+def test_cells_match_the_per_sample_reference(tag):
+    # every coordinate at 0, at 0.5, 1 and 2 TAU_GEO either side of it, or
+    # well away: the origin and points just inside, on and just outside the
+    # tie band of every axis and coordinate plane, plus random points
+    near = TAU_GEO * np.array([0.5, 1.0, 2.0])
+    values = np.concatenate([[0.0], near, -near, [0.7, -1.3]])
+    grid = np.stack(np.meshgrid(values, values, values), axis=-1).reshape(-1, 3)
+    points = np.vstack([grid, np.random.default_rng(4).standard_normal((50, 3))])
+    cells = _cells(tag, points)
+    reference = [_reference_cell(tag, x) for x in points]
+    assert [(c.tag, c.label) for c in cells] == [(c.tag, c.label) for c in reference]
+    # the batch takes each direction's norm along an axis of the array, the
+    # reference of one vector: the rounding may differ in the last bits
+    np.testing.assert_allclose(
+        np.concatenate([c.params for c in cells]),
+        np.concatenate([c.params for c in reference]),
+        rtol=CELL_RTOL, atol=0,
+    )
+    assert cells == [cell_of(tag, x) for x in points]
+    # every cell of the class is reached
+    assert len({c.label for c in cells}) == {"A1": 4, "A2": 2, "A3": 3, "A4": 2}[tag]
+
+
+def test_cells_of_no_points_and_bad_tag():
+    assert _cells("A2", np.zeros((0, 3))) == []
+    with pytest.raises(ValueError):
+        _cells("NotInFamily", np.zeros((0, 3)))
+
+
 def test_cell_id_equality_and_compact():
     a = cell_of("A3", np.array([1.0, 1.0, 0.0]))
     b = cell_of("A3", np.array([2.0, 2.0, 5.0]))  # same direction parameters
@@ -410,22 +481,64 @@ def test_ensemble_of_no_rows_and_rows_that_never_start():
 
 
 def test_step_counts_follow_the_acceptance_pattern():
-    # RK4 is exact on the A4 table (A*A lies in the annihilator), so every
-    # step is accepted and doubles: 1e-3 * (2^9 - 1) = 0.511 after nine
-    # steps, and the tenth is cut to the 0.489 left to t = 1
+    # the A4 flow is affine (A*A lies in the annihilator), so every stage
+    # equals the first and the error estimate vanishes: every step is
+    # accepted and grows by the largest factor, 5, until the last is cut to
+    # the 0.219 left to t = 1
     alg = canonical_algebra("A4")
     traj = integrate(alg, np.array([1.0, 2.0, 0.0]), 1.0)
-    assert (traj.accepted_steps, traj.rejected_steps) == (10, 0)
-    np.testing.assert_allclose(np.diff(traj.times)[:9], 1e-3 * 2.0 ** np.arange(9))
-    # a start whose error estimate is never finite is rejected until the
-    # step falls below INT_H_MIN = 1e-14: 1e-3 / 2^37 is the first such step
+    assert (traj.accepted_steps, traj.rejected_steps) == (6, 0)
+    np.testing.assert_allclose(
+        np.diff(traj.times), [1e-3, 5e-3, 0.025, 0.125, 0.625, 0.219], rtol=1e-12
+    )
+    # a start whose error estimate is never finite is halved until the step
+    # falls below INT_H_MIN = 1e-14: 1e-3 / 2^37 is the first such step
     stuck = integrate(alg, np.array([np.nan, 0.0, 0.0]), 1.0)
     assert stuck.terminated == "step_underflow"
     assert (stuck.accepted_steps, stuck.rejected_steps) == (0, 37)
-    # the pole row: every accepted step adds a sample, and some are rejected
+    # a first step of 0.5 is far too long on the A1 table: it is rejected and
+    # shrunk by the smallest factor, 0.2, twice, so the first sample is at 0.02
+    a1 = integrate(
+        canonical_algebra("A1"), np.array([1.0, 1.0, 1.0]), 1.0, IntegratorConfig(h0=0.5)
+    )
+    assert a1.terminated == "t_end_reached"
+    assert a1.accepted_steps == a1.times.size - 1
+    assert (a1.accepted_steps, a1.rejected_steps) == (83, 2)
+    assert a1.times[1] == pytest.approx(0.5 * 0.2 ** 2, rel=1e-12)
+    # the pole row: every accepted step adds a sample
     pole = integrate(from_named(a=1.0), np.array([1.5, 0.0, 0.0]), 2.0)
     assert pole.accepted_steps == pole.times.size - 1
-    assert pole.rejected_steps > 0
+
+
+def test_dormand_prince_tableau():
+    f = Fraction
+    c = np.array([0, f(1, 5), f(3, 10), f(4, 5), f(8, 9), 1, 1], dtype=float)
+    a = _DP_A
+    np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=TABLEAU_ATOL)
+    assert np.all(np.triu(a) == 0.0)  # explicit
+    np.testing.assert_array_equal(a[-1], _DP_B)  # FSAL: the last stage is f(x_new)
+    assert _DP_B[-1] == 0.0
+    assert abs(_DP_E.sum()) < TABLEAU_ATOL
+    np.testing.assert_array_equal(_DP_E, _DP_B - _DP_B_HAT)
+
+    # order conditions sum_i w_i Phi_i(tree) = 1 / tree!, one per rooted tree
+    ac = a @ c
+    conditions = [
+        (1, np.ones(7), 1),
+        (2, c, 2),
+        (3, c ** 2, 3), (3, ac, 6),
+        (4, c ** 3, 4), (4, c * ac, 8), (4, a @ c ** 2, 12), (4, a @ ac, 24),
+        (5, c ** 4, 5), (5, c ** 2 * ac, 10), (5, c * (a @ c ** 2), 15),
+        (5, c * (a @ ac), 30), (5, ac ** 2, 20), (5, a @ c ** 3, 20),
+        (5, a @ (c * ac), 40), (5, a @ (a @ c ** 2), 60), (5, a @ (a @ ac), 120),
+    ]
+    assert len(conditions) == 17  # 1 + 1 + 2 + 4 + 9 trees through order 5
+    for order, phi, density in conditions:
+        assert abs(_DP_B @ phi - 1.0 / density) < TABLEAU_ATOL, (order, density)
+        if order <= 4:
+            assert abs(_DP_B_HAT @ phi - 1.0 / density) < TABLEAU_ATOL, (order, density)
+    # the embedded pair is of order exactly 4: b_hat misses an order-5 tree
+    assert max(abs(_DP_B_HAT @ phi - 1.0 / d) for o, phi, d in conditions if o == 5) > 1e-6
 
 
 @settings(deadline=None, max_examples=20)
