@@ -185,8 +185,8 @@ class Subspace:
         return project_onto(self.basis, v)
 
 
-def span_of(vectors: np.ndarray, rtol: float = TAU_RANK) -> Subspace:
-    _, rows = rank_and_rowspace(np.atleast_2d(vectors), rtol)
+def span_of(vectors: np.ndarray) -> Subspace:
+    _, rows = rank_and_rowspace(np.atleast_2d(vectors))
     return Subspace(rows)
 
 
@@ -224,8 +224,9 @@ class SubspaceCheck:
     max_ideal_residual: float
 
 
-def subspace_check(alg: Algebra, sub: Subspace, rtol: float = TAU_RES) -> SubspaceCheck:
-    """Test whether a subspace is a subalgebra (S*S in S) and an ideal (A*S in S)."""
+def subspace_check(alg: Algebra, sub: Subspace) -> SubspaceCheck:
+    """Test whether a subspace is a subalgebra (S*S in S) and an ideal (A*S in S),
+    each up to a residual of TAU_RES."""
     norm, _ = alg.normalized()
 
     def escape(prods: np.ndarray) -> float:
@@ -236,8 +237,8 @@ def subspace_check(alg: Algebra, sub: Subspace, rtol: float = TAU_RES) -> Subspa
     closure = escape(np.einsum("ai,bj,ijk->abk", sub.basis, sub.basis, norm.c))
     ideal = max(closure, escape(np.einsum("bj,ijk->ibk", sub.basis, norm.c)))
     return SubspaceCheck(
-        closed=closure <= rtol,
-        ideal=ideal <= rtol,
+        closed=closure <= TAU_RES,
+        ideal=ideal <= TAU_RES,
         max_closure_residual=closure,
         max_ideal_residual=ideal,
     )
@@ -275,10 +276,10 @@ def is_solvable(alg: Algebra) -> bool:
     return _series_vanishes(square_ideal(norm), lambda t: _span_products(norm, t, t))
 
 
-def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
+def structure_flags(alg: Algebra) -> StructureFlags:
     """Solvability, nilpotency (series cut off at depth 4), associativity and
     the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x, the last two
-    decided on coefficients, not on sampled points."""
+    decided on coefficients up to TAU_RES, not on sampled points."""
     norm, _ = alg.normalized()
     whole = Subspace(np.eye(3))
     solvable = is_solvable(norm)
@@ -297,8 +298,8 @@ def structure_flags(alg: Algebra, rtol: float = TAU_RES) -> StructureFlags:
     return StructureFlags(
         solvable=solvable,
         nilpotent=nilpotent,
-        associative=assoc <= rtol,
-        power_associative=pa <= rtol,
+        associative=assoc <= TAU_RES,
+        power_associative=pa <= TAU_RES,
     )
 
 
@@ -325,7 +326,7 @@ class NilconeDescriptor:
     samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
-def _component_samples(alg: Algebra, lines: list, planes: list, cap: int = 200) -> np.ndarray:
+def _component_samples(lines: list, planes: list) -> np.ndarray:
     """Steady-state samples generated from verified cone components."""
     pts: list[np.ndarray] = []
     ts = np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
@@ -340,7 +341,7 @@ def _component_samples(alg: Algebra, lines: list, planes: list, cap: int = 200) 
                 pts.append(a * plane.basis[0] + b * plane.basis[1])
     if not pts:
         return np.zeros((0, 3))
-    return np.array(pts[:cap])
+    return np.array(pts)
 
 
 # cone kind by (number of lines, number of planes); any other mix is "other"
@@ -381,12 +382,13 @@ def _zero_set(w: np.ndarray, v: np.ndarray) -> list[np.ndarray] | None:
     ]
 
 
-def _quadric_cone_samples(w: np.ndarray, v: np.ndarray, n: int = 12) -> np.ndarray:
-    """Unit points at fixed angles on the cone of a nondegenerate indefinite form."""
+def _quadric_cone_samples(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twelve unit points at fixed angles on the cone of a nondegenerate
+    indefinite form."""
     scaled = v / np.sqrt(np.abs(w))  # the form is +-1 on each column
     lone = int(np.argmin(np.sign(w) * np.sign(w).sum()))  # the eigenvalue of odd sign
     a, b = (i for i in range(3) if i != lone)
-    th = np.arange(n) * (2.0 * np.pi / n)
+    th = np.arange(12) * (2.0 * np.pi / 12)
     pts = np.cos(th)[:, None] * scaled[:, a] + np.sin(th)[:, None] * scaled[:, b] + scaled[:, lone]
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
@@ -483,7 +485,7 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
             lines.append(Subspace(sign_canonical(u)[None, :]))
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
     return NilconeDescriptor(
-        kind=kind, lines=lines, planes=planes, samples=_component_samples(norm, lines, planes)
+        kind=kind, lines=lines, planes=planes, samples=_component_samples(lines, planes)
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, from_products
+from .algebra import Algebra, change_of_basis, from_products
 from .linalg import random_well_conditioned
 
 CANONICAL_TAGS = ("A1", "A2", "A3", "A4")
@@ -163,13 +163,10 @@ def random_automorphism_params(tag: str, rng: np.random.Generator) -> np.ndarray
 # corpus generators
 
 
-def conjugated_canonical(
-    tag: str, rng: np.random.Generator, cond_cap: float = 100.0
-) -> tuple[Algebra, np.ndarray]:
-    """A random well-conditioned change of basis applied to a canonical table."""
-    from .algebra import change_of_basis
-
-    m = random_well_conditioned(rng, cond_cap=cond_cap)
+def conjugated_canonical(tag: str, rng: np.random.Generator) -> tuple[Algebra, np.ndarray]:
+    """A random well-conditioned change of basis (``random_well_conditioned``)
+    applied to a canonical table."""
+    m = random_well_conditioned(rng)
     return change_of_basis(canonical_algebra(tag), m), m
 
 

@@ -39,7 +39,6 @@ from .derivations import (
     IllConditioned,
     SingularSpectrum,
     SpectrumCase,
-    SsndSearchConfig,
     admissible_mask,
     analyze_spectrum,
     derivation_residual,
@@ -197,8 +196,8 @@ def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndar
     return leibniz_operator(t, np.array([left_mult_matrix(alg, col) for col in m.T]))
 
 
-def polish_certificate(alg: Algebra, tag: str, m: np.ndarray, iters: int = 8) -> np.ndarray:
-    """Gauss-Newton refinement of a near-certificate.
+def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
+    """Gauss-Newton refinement of a near-certificate, at most eight steps.
 
     Solves m @ T[i, j] = m_i * m_j (the inverse-free form of the conjugation
     condition) by min-norm least squares; rank deficiency from the continuous
@@ -207,7 +206,7 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray, iters: int = 8) ->
     t = canonical_algebra(tag).c
     m = np.asarray(m, dtype=float).copy()
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    for _ in range(iters):
+    for _ in range(8):
         g = np.concatenate([m @ t[i, j] - product(alg, m[:, i], m[:, j]) for i, j in pairs])
         if float(np.max(np.abs(g))) <= 1e-15 * max(1.0, alg.scale):
             break
@@ -500,7 +499,7 @@ def classify_via_derivation(alg: Algebra, seed: int = 0) -> ClassificationResult
     """
     if alg.scale <= TAU_NULL:
         return ClassificationResult("NullAlgebra", np.eye(3), alg.scale, "null")
-    found = find_real_ssnd(alg, SsndSearchConfig(seed=seed))
+    found = find_real_ssnd(alg, seed)
     if found is None:
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")
     d, _rep = found

@@ -25,7 +25,6 @@ from .classify import _cone_cached, classify, classify_via_derivation, fingerpri
 from .derivations import (
     ALWAYS_ZERO_LETTERS,
     SingularSpectrum,
-    SsndSearchConfig,
     admissible_mask,
     arrangement_lines,
     derivation_space,
@@ -33,7 +32,7 @@ from .derivations import (
     normalize_spectrum,
 )
 from .dynamics import (
-    IntegratorConfig,
+    CellId,
     _cells,
     affine_flow,
     affine_flow_applies,
@@ -96,7 +95,7 @@ def load_algebra(path: str) -> tuple[Algebra, str | None]:
 
 def _derivation_report(alg: Algebra, seed: int) -> dict:
     space = derivation_space(alg)
-    found = find_real_ssnd(alg, SsndSearchConfig(seed=seed))
+    found = find_real_ssnd(alg, seed)
     ssnd: dict = {"present": found is not None}
     if found is not None:
         d, rep = found
@@ -164,6 +163,15 @@ def cmd_derivations(args) -> int:
 # simulate
 
 
+def canonical_cells(tag: str, certificate: np.ndarray, states: np.ndarray) -> list[CellId]:
+    """The partition cell of each row of ``states`` for an algebra of canonical
+    class ``tag``.  States stay in the input frame; cells are decided in the
+    canonical one, reached through the inverse of the classification
+    certificate.  ``simulate`` and verify's cell check both decide cells here.
+    """
+    return _cells(tag, states @ np.linalg.inv(certificate).T)
+
+
 def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -190,10 +198,10 @@ def cmd_simulate(args) -> int:
         return 1
 
     res = classify(alg)
-    cell_tag = res.tag if res.tag in CANONICAL_TAGS else None
-    cert = res.certificate if cell_tag else None
-    config = IntegratorConfig(h0=args.h0)
-    traj = integrate(alg, x0, args.t_end, config, cell_tag=cell_tag, cell_certificate=cert)
+    traj = integrate(alg, x0, args.t_end, args.h0)
+    cells = None
+    if res.tag in CANONICAL_TAGS:
+        cells = canonical_cells(res.tag, res.certificate, traj.states)
 
     ints = linear_first_integrals(alg)
     drift = 0.0
@@ -208,10 +216,10 @@ def cmd_simulate(args) -> int:
         f"first integrals: {ints.shape[0]}, max drift {drift:.3e}"
     )
     if args.out:
-        save_csv(traj, args.out)
+        save_csv(traj, cells, args.out)
         print(summary)
     else:
-        sys.stdout.write(trajectory_to_csv(traj))
+        sys.stdout.write(trajectory_to_csv(traj, cells))
         print(summary, file=sys.stderr)
     return 0
 
@@ -287,10 +295,8 @@ def _check_cell_invariance(alg, rng, res, ids):
         return "SKIP", "no cell partition without a canonical class"
 
     def judge(trajs):
-        # states stay in the input frame; cells are decided in canonical ones
-        to_canonical = np.linalg.inv(res.certificate).T
         for traj in trajs:
-            cells = _cells(res.tag, traj.states @ to_canonical)
+            cells = canonical_cells(res.tag, res.certificate, traj.states)
             if not all(c.same_cell(cells[0]) for c in cells):
                 return "FAIL", "trajectory changed cell"
         return "PASS", "cell id constant on all sampled trajectories"
@@ -497,7 +503,6 @@ def main(argv=None) -> int:
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--h0", type=float, default=1e-3, help="initial step size")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the qualitative-dictionary battery")
@@ -508,7 +513,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("spectrum", help="constant mask for diag(1, lambda, mu)")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
     p.add_argument("--mu", type=float, required=True)
-    common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("derivations", help="derivation space and SSND search")

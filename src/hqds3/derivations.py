@@ -133,11 +133,12 @@ def _cubic_roots(a2: float, a1: float, a0: float) -> tuple[np.ndarray, str]:
     return np.array([u, u, -2.0 * u], dtype=complex) - shift, "double"
 
 
-def _rank3(m: np.ndarray, rtol: float = 1e-7) -> int:
+def _rank3(m: np.ndarray) -> int:
+    """Numerical rank of a 3x3 matrix, singular values above 1e-7 * max(1, s_max)."""
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * max(1.0, s[0])))
+    return int(np.sum(s > 1e-7 * max(1.0, s[0])))
 
 
 def analyze_spectrum(m: np.ndarray) -> SpectralReport:
@@ -269,26 +270,21 @@ def real_eigenbasis(m: np.ndarray, rep: SpectralReport | None = None) -> tuple[n
 # search for a real-diagonalizable invertible derivation
 
 
-@dataclass
-class SsndSearchConfig:
-    n_random: int = 200
-    seed: int = 0
+# random candidates drawn before the sign patterns
+SSND_RANDOM_CANDIDATES = 200
 
 
-def find_real_ssnd(
-    alg: Algebra, config: SsndSearchConfig | None = None
-) -> tuple[np.ndarray, SpectralReport] | None:
+def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralReport] | None:
     """Look for a derivation that is semisimple with real nonzero eigenvalues.
 
     Candidates: the generator (and its negative) when the space is a line;
-    otherwise seeded random coefficient vectors followed by all +-1/0 sign
-    patterns of the basis.  Each candidate is also replaced by its semisimple
+    otherwise SSND_RANDOM_CANDIDATES random coefficient vectors drawn from
+    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each candidate is also replaced by its semisimple
     part and, when that still has a complex pair, by the commuting
     real-spectrum component, both of which are again derivations.  The first
     candidate passing all three spectral tests wins; the search is not
     exhaustive and may miss.
     """
-    config = config or SsndSearchConfig()
     space = derivation_space(alg)
     if space.dim == 0:
         return None
@@ -297,8 +293,8 @@ def find_real_ssnd(
     def vectors() -> "itertools.chain":
         if space.dim == 1:
             return itertools.chain([np.array([1.0]), np.array([-1.0])])
-        rng = np.random.default_rng(config.seed)
-        randoms = (rng.standard_normal(space.dim) for _ in range(config.n_random))
+        rng = np.random.default_rng(seed)
+        randoms = (rng.standard_normal(space.dim) for _ in range(SSND_RANDOM_CANDIDATES))
         patterns = (
             np.array(p, dtype=float)
             for p in itertools.product((0.0, 1.0, -1.0), repeat=space.dim)

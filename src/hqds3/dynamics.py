@@ -16,7 +16,10 @@ rather than from finite differences, and are computed for all samples of
 all rows in one pass over their state array; ``curvature_torsion`` is the
 one-sample case of the same code.  Partition cells are likewise decided in
 one pass over a state array (``_cells``), of which ``cell_of`` is the
-one-sample case.
+one-sample case; the integrator decides none, and ``cli.canonical_cells``
+decides them for ``simulate`` and ``verify`` alike.  The step control reads
+the module constants INT_RTOL, INT_H_MIN, BLOWUP_GUARD and MAX_STEPS; only
+the first step ``h0`` is an argument.
 """
 from __future__ import annotations
 
@@ -151,6 +154,10 @@ def linear_first_integrals(alg: Algebra) -> np.ndarray:
 # partition cells
 
 
+# two cells with the same label are one cell when their params agree this well
+SAME_CELL = 1e-6
+
+
 @dataclass(frozen=True)
 class CellId:
     """One cell of the canonical-class partition of the ground space.
@@ -163,12 +170,13 @@ class CellId:
     label: str
     params: tuple
 
-    def same_cell(self, other: "CellId", tol: float = 1e-6) -> bool:
+    def same_cell(self, other: "CellId") -> bool:
+        """Same tag and label, and params equal within SAME_CELL."""
         if self.tag != other.tag or self.label != other.label:
             return False
         if len(self.params) != len(other.params):
             return False
-        return all(abs(a - b) <= tol for a, b in zip(self.params, other.params))
+        return all(abs(a - b) <= SAME_CELL for a, b in zip(self.params, other.params))
 
     def compact(self) -> str:
         bits = ":".join(f"{p:.6g}" for p in self.params)
@@ -181,7 +189,7 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.where(norm > 0.0, norm, 1.0)
 
 
-def _cells(tag: str, ys: np.ndarray, tol: float = TAU_GEO) -> list[CellId]:
+def _cells(tag: str, ys: np.ndarray) -> list[CellId]:
     """The partition cell of every row of the (n, 3) stack ys for a canonical
     class, decided in one pass over the array.
 
@@ -193,7 +201,7 @@ def _cells(tag: str, ys: np.ndarray, tol: float = TAU_GEO) -> list[CellId]:
     """
     ys = np.asarray(ys, dtype=float).reshape(-1, 3)
     x1, x2, x3 = ys.T
-    z1, z2, z3 = (np.abs(ys) <= tol).T
+    z1, z2, z3 = (np.abs(ys) <= TAU_GEO).T
     rest = np.ones(len(ys), dtype=bool)
     # (label, rows it may take, its params as an (n, p) array)
     if tag == "A1":
@@ -227,14 +235,14 @@ def _cells(tag: str, ys: np.ndarray, tol: float = TAU_GEO) -> list[CellId]:
     return [CellId(tag, labels[r], tuple(params[r][i])) for i, r in enumerate(first)]
 
 
-def cell_of(tag: str, x: np.ndarray, tol: float = TAU_GEO) -> CellId:
+def cell_of(tag: str, x: np.ndarray) -> CellId:
     """Assign a point to its partition cell for a canonical class.
 
-    Lower-dimensional cells win ties: points within ``tol`` of an axis or
+    Lower-dimensional cells win ties: points within TAU_GEO of an axis or
     coordinate plane belong to it.  Signs and directions parameterize the
     open half-plane / half-space cells.  The one-sample case of ``_cells``.
     """
-    return _cells(tag, np.asarray(x, dtype=float)[None, :], tol)[0]
+    return _cells(tag, np.asarray(x, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +272,8 @@ _DP_B_HAT = np.array(
 _DP_E = _DP_B - _DP_B_HAT
 
 
-@dataclass
-class IntegratorConfig:
-    h0: float = 1e-3
-    rtol: float = INT_RTOL
-    h_min: float = INT_H_MIN
-    blowup: float = BLOWUP_GUARD
-    max_steps: int = 200000
+# a batch that takes more steps than this raises instead of looping on
+MAX_STEPS = 200000
 
 
 @dataclass
@@ -285,50 +288,38 @@ class Trajectory:
     torsion_defined: np.ndarray    # (n,) bool
     accepted_steps: int            # n - 1: every accepted step adds a sample
     rejected_steps: int            # attempts that failed the tolerance
-    cells: list | None = None      # list[CellId] when a cell frame was given
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
 
-def integrate_batch(
-    alg: Algebra,
-    x0s,
-    t_ends,
-    config: IntegratorConfig | None = None,
-    cell_tag: str | None = None,
-    cell_certificate: np.ndarray | None = None,
-) -> list[Trajectory]:
+def integrate_batch(alg: Algebra, x0s, t_ends, h0: float = 1e-3) -> list[Trajectory]:
     """One trajectory per row of the (n, 3) starts ``x0s``, row i run from
-    t = 0 to ``t_ends[i]`` (a scalar applies to every row).
+    t = 0 to ``t_ends[i]`` (a scalar applies to every row), with first step
+    ``h0``.
 
     Dormand-Prince 5(4) with FSAL.  An attempt evaluates stages 2 to 7, the
     field as x . (x . C) with C the (3, 9) matrix form of the tensor.  It
     advances with the 5th-order weights, and is accepted when the error
     estimate h * sum_i E_i k_i, in the max norm relative to max(1, |x_new|),
-    is at most ``rtol``.  Stage 7 is the field at the new state, so on
+    is at most INT_RTOL.  Stage 7 is the field at the new state, so on
     acceptance it becomes the next step's first stage; a rejected attempt
     keeps its first stage.  The step size then scales by
-    0.9 (rtol / err)^(1/5), clipped to [0.2, 5], which is below 0.9 after a
+    0.9 (INT_RTOL / err)^(1/5), clipped to [0.2, 5], which is below 0.9 after a
     rejection (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a NaN error
     halves it.
 
     All rows step together, but each keeps its own time, step size,
-    acceptance and stop (t_end reached, blow-up guard, step underflow);
-    a row that stops leaves the active arrays.  No row's arithmetic reads
+    acceptance and stop (t_end reached, |x| above BLOWUP_GUARD, step below
+    INT_H_MIN); a row that stops leaves the active arrays.  No row's arithmetic reads
     another row, so a row agrees with its one-row run; the tests ask for
     agreement to roundoff, since how a stacked matrix product rounds is up
     to the numpy build.  Each step logs only its accepted samples, and
     speed, curvature and torsion of every sample of every row are computed
-    in one pass once the last row stops.
-
-    When ``cell_tag`` names a canonical class, every sample is stamped with
-    its partition cell in one ``_cells`` pass, after mapping through the
-    inverse of ``cell_certificate`` when one is supplied (states stay in
-    the input frame; only the cell decision uses canonical coordinates).
+    in one pass once the last row stops.  States stay in the input frame;
+    partition cells are the caller's to decide (``_cells``).
     """
-    config = config or IntegratorConfig()
     c_mat = alg.c.reshape(3, 9)
 
     # rows are kept as (m, 1, 3) stacks of row vectors and per-row scalars as
@@ -347,7 +338,7 @@ def integrate_batch(
     live = (0.0 < t_end).ravel()  # rows with nothing to integrate stop at their start
     rows, x, t_end = np.flatnonzero(live), x[live], t_end[live]
     t = np.zeros_like(t_end)
-    h = np.minimum(config.h0, np.maximum(t_end, INT_H_MIN))
+    h = np.minimum(h0, np.maximum(t_end, INT_H_MIN))
     # the seven stages of each row's current attempt; k[:, 0] = f(x)
     k = np.empty((len(rows), 7, 3))
     k[:, :1] = field(x)
@@ -356,8 +347,8 @@ def integrate_batch(
     # rejects non-finite attempts and the stop logic ends such rows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while len(rows):
-            if steps >= config.max_steps:
-                raise RuntimeError("integrator exceeded max_steps")
+            if steps >= MAX_STEPS:
+                raise RuntimeError("integrator exceeded MAX_STEPS")
             steps += 1
             h = np.minimum(h, t_end - t)
             for i in range(1, 7):
@@ -367,20 +358,20 @@ def integrate_batch(
             size = np.abs(y).max(axis=2, keepdims=True)
             err = np.abs(h * (_DP_E @ k)[:, None]).max(axis=2, keepdims=True)
             err = err / np.maximum(1.0, size)
-            ok = err <= config.rtol
+            ok = err <= INT_RTOL
             t = np.where(ok, t + h, t)
             x = np.where(ok, y, x)
             k[:, :1] = np.where(ok, k[:, 6:], k[:, :1])
             accepted = ok.ravel()
             log.append((rows[accepted], t.ravel()[accepted], x[accepted, 0]))
-            # a rejection has err > rtol, so its factor is below 0.9 unclipped
-            factor = np.clip(0.9 * (config.rtol / err) ** 0.2, 0.2, 5.0)
+            # a rejection has err > INT_RTOL, so its factor is below 0.9 unclipped
+            factor = np.clip(0.9 * (INT_RTOL / err) ** 0.2, 0.2, 5.0)
             h = h * np.where(np.isnan(err), 0.5, factor)
-            stop = np.where(ok, (size > config.blowup) | (t >= t_end), h < config.h_min)[:, 0, 0]
+            stop = np.where(ok, (size > BLOWUP_GUARD) | (t >= t_end), h < INT_H_MIN)[:, 0, 0]
             if stop.any():
                 ok, size = ok[:, 0, 0], size[:, 0, 0]
                 terminated[rows[stop & ~ok]] = "step_underflow"
-                terminated[rows[stop & ok & (size > config.blowup)]] = "blowup_guard"
+                terminated[rows[stop & ok & (size > BLOWUP_GUARD)]] = "blowup_guard"
                 attempts[rows[stop]] = steps
                 keep = ~stop
                 rows, x, t, t_end, h, k = (a[keep] for a in (rows, x, t, t_end, h, k))
@@ -391,14 +382,6 @@ def integrate_batch(
     times, states = times[order], states[order]
     counts = np.bincount(owner, minlength=n)
     geometry = _geometry(alg, states)
-
-    cells = None
-    if cell_tag is not None:
-        canonical = states
-        if cell_certificate is not None:
-            to_canonical = np.linalg.inv(np.asarray(cell_certificate, dtype=float))
-            canonical = states @ to_canonical.T
-        cells = _cells(cell_tag, canonical)
 
     trajectories = []
     ends = np.cumsum(counts)
@@ -415,22 +398,13 @@ def integrate_batch(
             torsion_defined=t_def,
             accepted_steps=int(hi - lo - 1),
             rejected_steps=int(attempts[i] - (hi - lo - 1)),
-            cells=None if cells is None else cells[lo:hi],
         ))
     return trajectories
 
 
-def integrate(
-    alg: Algebra,
-    x0: np.ndarray,
-    t_end: float,
-    config: IntegratorConfig | None = None,
-    cell_tag: str | None = None,
-    cell_certificate: np.ndarray | None = None,
-) -> Trajectory:
+def integrate(alg: Algebra, x0: np.ndarray, t_end: float, h0: float = 1e-3) -> Trajectory:
     """The trajectory from one start: the one-row case of ``integrate_batch``."""
-    x0s = np.asarray(x0, dtype=float)[None, :]
-    return integrate_batch(alg, x0s, t_end, config, cell_tag, cell_certificate)[0]
+    return integrate_batch(alg, np.asarray(x0, dtype=float)[None, :], t_end, h0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +414,9 @@ def integrate(
 CSV_HEADER = ["t", "x1", "x2", "x3", "speed", "curvature", "torsion", "cell"]
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
+def trajectory_to_csv(traj: Trajectory, cells: list[CellId] | None) -> str:
+    """The CSV rows of a trajectory; ``cells`` holds each sample's partition
+    cell, or is None when the algebra has no canonical class."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -453,12 +429,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
             f"{traj.speed[i]:.12g}",
             f"{traj.curvature[i]:.12g}" if traj.curvature_defined[i] else "",
             f"{traj.torsion[i]:.12g}" if traj.torsion_defined[i] else "",
-            traj.cells[i].compact() if traj.cells is not None else "",
+            cells[i].compact() if cells is not None else "",
         ]
         writer.writerow(row)
     return buf.getvalue()
 
 
-def save_csv(traj: Trajectory, path: str) -> None:
+def save_csv(traj: Trajectory, cells: list[CellId] | None, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_to_csv(traj))
+        fh.write(trajectory_to_csv(traj, cells))

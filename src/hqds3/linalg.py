@@ -10,16 +10,16 @@ import numpy as np
 from .tolerances import TAU_RANK
 
 
-def rank_and_rowspace(rows: np.ndarray, rtol: float = TAU_RANK) -> tuple[int, np.ndarray]:
-    """Numerical rank and an orthonormal basis (rows) of the row space."""
+def rank_and_rowspace(rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank and an orthonormal basis (rows) of the row space; the
+    rank counts singular values above TAU_RANK * max(1, s_max)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0:
         return 0, np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, np.zeros((0, rows.shape[1]))
-    cut = rtol * max(1.0, s[0])
-    r = int(np.sum(s > cut))
+    r = int(np.sum(s > TAU_RANK * max(1.0, s[0])))
     return r, vh[:r]
 
 
@@ -35,11 +35,11 @@ def nullspace(mat: np.ndarray, rtol: float = TAU_RANK) -> np.ndarray:
     return vh[nz:]
 
 
-def orthonormal_complement(basis_rows: np.ndarray, dim: int = 3) -> np.ndarray:
-    """Orthonormal basis (rows) of the orthogonal complement in R^dim."""
+def orthonormal_complement(basis_rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the orthogonal complement in R^3."""
     basis_rows = np.atleast_2d(np.asarray(basis_rows, dtype=float))
     if basis_rows.size == 0:
-        return np.eye(dim)
+        return np.eye(3)
     return nullspace(basis_rows)
 
 
@@ -72,12 +72,16 @@ def sign_canonical(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v.copy()
 
 
-def random_well_conditioned(rng: np.random.Generator, cond_cap: float = 100.0) -> np.ndarray:
-    """Random invertible 3x3 with condition number below cond_cap."""
+# condition-number ceiling of random_well_conditioned
+WELL_CONDITIONED_CAP = 100.0
+
+
+def random_well_conditioned(rng: np.random.Generator) -> np.ndarray:
+    """Random invertible 3x3 with condition number below WELL_CONDITIONED_CAP."""
     while True:
         q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         sv = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=3))
         m = q1 @ np.diag(sv) @ q2
-        if np.linalg.cond(m) < cond_cap:
+        if np.linalg.cond(m) < WELL_CONDITIONED_CAP:
             return m

@@ -39,6 +39,7 @@ from hqds3.derivations import (
     derivation_space,
     jordan_chevalley,
 )
+from hqds3.cli import canonical_cells
 from hqds3.dynamics import affine_flow, integrate, ray_solution
 
 TAGS = ("A1", "A2", "A3", "A4")
@@ -62,8 +63,10 @@ def _report(num, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _cells_constant(traj) -> bool:
-    return all(traj.cells[0].same_cell(c) for c in traj.cells)
+def _cells_constant(tag, traj) -> bool:
+    """Whether a trajectory of a canonical table keeps one partition cell."""
+    cells = canonical_cells(tag, np.eye(3), traj.states)
+    return all(cells[0].same_cell(c) for c in cells)
 
 
 def test_criterion_1_derivation_dimensions():
@@ -220,7 +223,6 @@ def test_criterion_7_jordan_chevalley():
 
 
 def test_criterion_8_dynamics_dictionary():
-    eye = np.eye(3)
     cells_ok = True
 
     # (a) nilcone samples are steady states
@@ -229,11 +231,11 @@ def test_criterion_8_dynamics_dictionary():
     for tag in TAGS:
         alg = canonical_algebra(tag)
         for x0 in nilpotent_cone(alg).samples:
-            traj = integrate(alg, x0, 1.0, cell_tag=tag, cell_certificate=eye)
+            traj = integrate(alg, x0, 1.0)
             worst_drift = max(
                 worst_drift, float(np.max(np.abs(traj.states - traj.states[0])))
             )
-            cells_ok = cells_ok and _cells_constant(traj)
+            cells_ok = cells_ok and _cells_constant(tag, traj)
             n_samples += 1
     a_ok = worst_drift < STEADY_TOL
 
@@ -245,7 +247,7 @@ def test_criterion_8_dynamics_dictionary():
         alg = canonical_algebra(tag)
         for _ in range(5):
             x0 = rng.uniform(-1.0, 1.0, size=3)
-            traj = integrate(alg, x0, 10.0, cell_tag=tag, cell_certificate=eye)
+            traj = integrate(alg, x0, 10.0)
             if np.any(traj.curvature_defined):
                 worst_curv = max(
                     worst_curv,
@@ -255,7 +257,7 @@ def test_criterion_8_dynamics_dictionary():
                 worst_aff,
                 float(np.max(np.abs(traj.states - affine_flow(alg, x0, traj.times)))),
             )
-            cells_ok = cells_ok and _cells_constant(traj)
+            cells_ok = cells_ok and _cells_constant(tag, traj)
     b_ok = worst_curv < AFFINE_TOL and worst_aff < AFFINE_TOL
 
     # (c) first class: conserved second coordinate, negligible torsion
@@ -266,7 +268,7 @@ def test_criterion_8_dynamics_dictionary():
     for _ in range(50):
         v = rng.standard_normal(3)
         x0 = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
-        traj = integrate(a1, x0, 1.0, cell_tag="A1", cell_certificate=eye)
+        traj = integrate(a1, x0, 1.0)
         reached = reached and traj.terminated == "t_end_reached"
         worst_x2 = max(
             worst_x2, float(np.max(np.abs(traj.states[:, 1] - traj.states[0, 1])))
@@ -275,7 +277,7 @@ def test_criterion_8_dynamics_dictionary():
             worst_tor = max(
                 worst_tor, float(np.max(np.abs(traj.torsion[traj.torsion_defined])))
             )
-        cells_ok = cells_ok and _cells_constant(traj)
+        cells_ok = cells_ok and _cells_constant("A1", traj)
     c_ok = reached and worst_x2 < CONSERVED_TOL and worst_tor < TORSION_TOL
 
     # (d) collected along the way

@@ -514,3 +514,17 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "alg.json", "--x0", "1,0,0", "--t-end", "1", "--seed", "1"],
+        ["spectrum", "--lambda", "-1", "--mu", "2", "--seed", "1"],
+    ],
+)
+def test_seed_is_refused_where_nothing_is_random(argv):
+    # simulate and spectrum draw no random numbers, so they take no --seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqds3 import dynamics
 from hqds3.algebra import from_named, product, square_map
 from hqds3.catalog import (
     canonical_algebra,
@@ -17,7 +18,6 @@ from hqds3.dynamics import (
     CSV_HEADER,
     CellId,
     DegenerateVelocity,
-    IntegratorConfig,
     PreconditionFailed,
     _DP_A,
     _DP_B,
@@ -35,6 +35,7 @@ from hqds3.dynamics import (
     steady_state_residual,
     trajectory_to_csv,
 )
+from hqds3.cli import canonical_cells
 from hqds3.tolerances import TAU_GEO
 
 FD_RTOL = 2e-6
@@ -327,13 +328,10 @@ def test_cells_constant_along_trajectories():
     for tag in ("A1", "A2", "A3", "A4"):
         alg, m = conjugated_canonical(tag, rng)
         x0 = rng.uniform(-0.3, 0.3, size=3)
-        traj = integrate(
-            alg, x0, 0.2, cell_tag=tag, cell_certificate=np.linalg.inv(m)
-        )
-        assert traj.cells is not None
-        assert len(traj.cells) == traj.times.size
-        first = traj.cells[0]
-        assert all(first.same_cell(c) for c in traj.cells)
+        traj = integrate(alg, x0, 0.2)
+        cells = canonical_cells(tag, np.linalg.inv(m), traj.states)
+        assert len(cells) == traj.times.size
+        assert all(cells[0].same_cell(c) for c in cells)
 
 
 # --- integrator mechanics ---
@@ -357,19 +355,18 @@ def test_times_monotone_and_end_reached():
     assert traj.speed.shape == traj.times.shape
 
 
-def test_integrator_step_floor_terminates():
+def test_integrator_step_floor_terminates(monkeypatch):
     alg = from_named(a=1.0)
-    cfg = IntegratorConfig(h_min=1e-2, blowup=1e12)
-    traj = integrate(alg, np.array([1.5, 0.0, 0.0]), 2.0, config=cfg)
+    monkeypatch.setattr(dynamics, "INT_H_MIN", 1e-2)
+    monkeypatch.setattr(dynamics, "BLOWUP_GUARD", 1e12)
+    traj = integrate(alg, np.array([1.5, 0.0, 0.0]), 2.0)
     assert traj.terminated in ("step_underflow", "blowup_guard")
 
 
 def test_csv_header_and_values():
     alg = canonical_algebra("A2")
-    traj = integrate(
-        alg, np.array([1.0, 0.0, 1.0]), 1.0, cell_tag="A2", cell_certificate=np.eye(3)
-    )
-    text = trajectory_to_csv(traj)
+    traj = integrate(alg, np.array([1.0, 0.0, 1.0]), 1.0)
+    text = trajectory_to_csv(traj, canonical_cells("A2", np.eye(3), traj.states))
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[0] == "t,x1,x2,x3,speed,curvature,torsion,cell"
@@ -384,11 +381,11 @@ def test_csv_header_and_values():
 def test_csv_empty_fields_when_undefined():
     alg = canonical_algebra("A1")
     traj = integrate(alg, np.array([0.0, 1.0, 1.0]), 0.01)
-    text = trajectory_to_csv(traj)
+    text = trajectory_to_csv(traj, None)
     row = text.strip().split("\n")[1].split(",")
     # d2 = 0 at the start: torsion has no value there, field stays empty
     assert row[6] == ""
-    assert row[7] == ""  # no cell frame requested
+    assert row[7] == ""  # no cells given
 
 
 # --- ensemble ---
@@ -400,8 +397,8 @@ def _ensemble_case():
 
     Rows come from tables, conjugates and random tensors at t_end 0.9, 1
     and 2, plus the start 1.5 e1 of e1 e1 = e1, whose solution has a pole
-    at t = 2/3: it stops at the blow-up guard under the default config and
-    at the step floor when the guard is out of reach.
+    at t = 2/3: it stops at the blow-up guard at the default BLOWUP_GUARD
+    and at the step floor when the guard is out of reach.
     """
     rng = np.random.default_rng(17)
     algs = [canonical_algebra(tag) for tag in ("A1", "A2", "A3", "A4")]
@@ -431,15 +428,18 @@ def _assert_rows_agree(a, b):
 
 @pytest.mark.parametrize(
     "config, pole_stop",
-    [(None, "blowup_guard"), (IntegratorConfig(blowup=1e300), "step_underflow")],
+    # config: values of dynamics' module constants that the case overrides
+    [(None, "blowup_guard"), ({"BLOWUP_GUARD": 1e300}, "step_underflow")],
 )
-def test_ensemble_rows_match_one_row_runs(config, pole_stop):
+def test_ensemble_rows_match_one_row_runs(monkeypatch, config, pole_stop):
+    for name, value in (config or {}).items():
+        monkeypatch.setattr(dynamics, name, value)
     stops = set()
     for alg, starts, t_ends in _ensemble_case():
-        rows = integrate_batch(alg, starts, t_ends, config)
+        rows = integrate_batch(alg, starts, t_ends)
         assert len(rows) == len(starts)
         for x0, t_end, row in zip(starts, t_ends, rows):
-            _assert_rows_agree(row, integrate(alg, x0, t_end, config))
+            _assert_rows_agree(row, integrate(alg, x0, t_end))
             stops.add(row.terminated)
             if row.terminated == "t_end_reached":
                 assert row.times[-1] == t_end
@@ -458,17 +458,19 @@ def test_ensemble_is_independent_of_row_order():
 
 @pytest.mark.parametrize("case, cell_tag", [(0, "A1"), (-1, None)])
 def test_ensemble_repeats_bit_for_bit(case, cell_tag):
-    # the A1 table with cells stamped, and the batch with the pole row
+    # the A1 table with its cells, and the batch with the pole row
     alg, starts, t_ends = _ensemble_case()[case]
-    first = integrate_batch(alg, starts, t_ends, cell_tag=cell_tag)
-    second = integrate_batch(alg, starts, t_ends, cell_tag=cell_tag)
+    first = integrate_batch(alg, starts, t_ends)
+    second = integrate_batch(alg, starts, t_ends)
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.torsion, b.torsion)
         assert (a.terminated, a.accepted_steps, a.rejected_steps) == (
             b.terminated, b.accepted_steps, b.rejected_steps)
-        assert a.cells == b.cells
+        if cell_tag is not None:
+            cells = [canonical_cells(cell_tag, np.eye(3), t.states) for t in (a, b)]
+            assert cells[0] == cells[1]
 
 
 def test_ensemble_of_no_rows_and_rows_that_never_start():
@@ -498,9 +500,7 @@ def test_step_counts_follow_the_acceptance_pattern():
     assert (stuck.accepted_steps, stuck.rejected_steps) == (0, 37)
     # a first step of 0.5 is far too long on the A1 table: it is rejected and
     # shrunk by the smallest factor, 0.2, twice, so the first sample is at 0.02
-    a1 = integrate(
-        canonical_algebra("A1"), np.array([1.0, 1.0, 1.0]), 1.0, IntegratorConfig(h0=0.5)
-    )
+    a1 = integrate(canonical_algebra("A1"), np.array([1.0, 1.0, 1.0]), 1.0, h0=0.5)
     assert a1.terminated == "t_end_reached"
     assert a1.accepted_steps == a1.times.size - 1
     assert (a1.accepted_steps, a1.rejected_steps) == (83, 2)
