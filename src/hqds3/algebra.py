@@ -146,22 +146,38 @@ def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", np.asarray(v, dtype=float), alg.c)
 
 
-def change_of_basis(alg: Algebra, m: np.ndarray) -> Algebra:
-    """Structure constants in the basis whose vectors are the columns of m.
+# a basis change is singular when its smallest singular value is at most
+# this multiple of its largest: roundoff level in double precision
+_SINGULAR_SV = 8.0 * np.finfo(float).eps
 
-    Composes functorially: change_of_basis(alg, m @ n) equals
-    change_of_basis(change_of_basis(alg, m), n) up to roundoff.
+
+def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
+    """Structure constants in the basis whose vectors are the columns of m,
+    as computed: slots (i, j) and (j, i) may differ in their last bits.
+
+    Raises SingularBasis when the smallest singular value of m is at most
+    8 eps times its largest, a test no rescaling of m changes, so s * m is
+    singular exactly when m is (the certificate of s * table is m / s).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("basis change must be a 3x3 matrix")
-    if abs(np.linalg.det(m)) <= TAU_RANK:
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not sv[-1] > _SINGULAR_SV * sv[0]:
         raise SingularBasis("basis change matrix is singular")
     t = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
-    new = np.linalg.solve(m, t.reshape(9, 3).T).T.reshape(3, 3, 3)
+    return np.linalg.solve(m, t.reshape(9, 3).T).T.reshape(3, 3, 3)
+
+
+def change_of_basis(alg: Algebra, m: np.ndarray) -> Algebra:
+    """The algebra in the basis whose vectors are the columns of m.
+
+    Composes functorially: change_of_basis(alg, m @ n) equals
+    change_of_basis(change_of_basis(alg, m), n) up to roundoff.
+    """
+    new = rewritten_constants(alg, m)
     # kill last-ulp asymmetry introduced by summation order
-    new = 0.5 * (new + new.transpose(1, 0, 2))
-    return Algebra(new)
+    return Algebra(0.5 * (new + new.transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .algebra import (
     left_mult_matrix,
     nilpotent_cone,
     product,
+    rewritten_constants,
     structure_flags,
 )
 from .catalog import CANONICAL_TAGS, canonical_algebra
@@ -182,13 +183,15 @@ class ClassificationResult:
 
 
 def certificate_residual(alg: Algebra, tag: str, m: np.ndarray) -> float:
-    """Entrywise distance of change_of_basis(alg, m) from the canonical table."""
+    """Entrywise distance of the constants rewritten in basis m from the
+    canonical table, before symmetrizing: averaging slots (i, j) and (j, i)
+    would hide up to half of an asymmetric error."""
     table = canonical_algebra(tag)
     try:
-        got = change_of_basis(alg, m)
+        got = rewritten_constants(alg, m)
     except SingularBasis:
         return float("inf")
-    return float(np.max(np.abs(got.c - table.c)))
+    return float(np.max(np.abs(got - table.c)))
 
 
 def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -294,11 +297,13 @@ def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> list[np.
     out = []
     for u3, u2 in ((units[0], units[1]), (units[1], units[0])):
         f1 = product(norm, u2, u3)
-        if float(np.linalg.norm(f1)) <= 1e-9:
+        f1_norm = float(np.linalg.norm(f1))
+        if f1_norm <= 1e-9:
             continue
         f1sq = product(norm, f1, f1)
         cval = float(f1sq @ u3)
-        if abs(cval) <= 1e-9:
+        # f1 * f1 is quadratic in f1, so cval is judged against |f1|^2
+        if abs(cval) <= 1e-12 * f1_norm ** 2:
             continue
         if float(np.linalg.norm(f1sq - cval * u3)) > 1e-4 * max(1.0, abs(cval)):
             continue

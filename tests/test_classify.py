@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3.algebra import change_of_basis, from_named, left_mult_matrix, zero_algebra
+from hqds3.algebra import Algebra, change_of_basis, from_named, left_mult_matrix, zero_algebra
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -20,6 +20,7 @@ from hqds3.classify import (
     polish_certificate,
     reduce_with_derivation,
 )
+from hqds3.derivations import find_real_ssnd, normalize_spectrum
 
 CERT_TOL = 1e-8
 REDUCTION_TOL = 1e-12
@@ -86,6 +87,78 @@ def test_scaled_table_still_classifies():
         assert res.tag == tag
         assert res.residual < CERT_TOL
         assert certificate_residual(scaled, tag, res.certificate) < CERT_TOL
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_scale_sweep_classifies_on_both_routes(tag):
+    # s * table is the table in the basis (1/s) * Id, so every scale that
+    # floating point represents well has the same tag, on both routes; a
+    # fixed orthogonal conjugation keeps the exact-table shortcut out of it
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    base = change_of_basis(canonical_algebra(tag), q)
+    for e in range(-8, 9):
+        alg = Algebra(10.0 ** e * base.c)
+        for res in (classify(alg), classify_via_derivation(alg)):
+            assert res.tag == tag, (e, res.method)
+            assert certificate_residual(alg, tag, res.certificate) <= CERT_TOL, e
+
+
+def test_off_orbit_perturbations_stay_not_in_family():
+    # a random symmetric direction of size 1e-6 leaves the orbit of each
+    # table, whose codimension is 9 + dim Der, so no route may classify it
+    rng = np.random.default_rng(23)
+    for tag in TAGS:
+        for _ in range(20):
+            r = rng.standard_normal((3, 3, 3))
+            r = r + r.transpose(1, 0, 2)
+            alg = Algebra(canonical_algebra(tag).c + 1e-6 * r / np.linalg.norm(r))
+            assert classify(alg).tag == "NotInFamily", tag
+            assert classify_via_derivation(alg).tag == "NotInFamily", tag
+
+
+@pytest.mark.parametrize("seed", [81, 276])
+def test_accepted_certificates_meet_the_bound_before_symmetrizing(seed):
+    # A1 conjugates of condition 10^2.5-10^3.5 whose polished certificates
+    # sit at the roundoff floor, near TAU_CERT: symmetrizing the rewritten
+    # constants hid an error above the bound on both.  The check here is
+    # the plain rewrite m^-1 (m e_i * m e_j), without symmetrizing.
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cond = 10.0 ** rng.uniform(2.5, 3.5)
+    sv = cond ** (np.array([0.0, rng.uniform(), 1.0]) - 0.5)
+    alg = change_of_basis(canonical_algebra("A1"), q1 @ np.diag(sv) @ q2)
+    for res in (classify(alg), classify_via_derivation(alg)):
+        assert res.tag in ("A1", "NotInFamily")
+        if res.tag == "A1":
+            m = res.certificate
+            t = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
+            got = np.linalg.solve(m, t.reshape(9, 3).T).T.reshape(3, 3, 3)
+            assert np.max(np.abs(got - canonical_algebra("A1").c)) <= CERT_TOL
+
+
+@pytest.mark.parametrize(
+    "constants, spectrum, family",
+    [
+        # e1 e1 = e2, e2 e2 = e3: spectrum (1, 2, 4), family 2
+        ({"b": 1.0, "f": 1.0}, [1.0, 2.0, 4.0], 2),
+        # e1 e1 = e2, e1 e2 = e3, the null-filiform t R[t] / t^4: family 5
+        ({"b": 1.0, "n": 1.0}, [1.0, 2.0, 3.0], 5),
+    ],
+)
+def test_ssnd_algebras_outside_the_four_tables(constants, spectrum, family):
+    # both admit an invertible real-diagonalizable derivation, yet neither
+    # is one of A1-A4: both routes say NotInFamily
+    alg = from_named(**constants)
+    found = find_real_ssnd(alg)
+    assert found is not None
+    d, rep = found
+    assert rep.all_real and rep.semisimple and rep.nonsingular
+    case = normalize_spectrum(rep.spectrum)
+    assert case.family == family
+    np.testing.assert_allclose(case.representative, spectrum, atol=1e-12)
+    assert classify(alg).tag == "NotInFamily"
+    assert classify_via_derivation(alg).tag == "NotInFamily"
 
 
 def test_conjugated_round_trip_small():
