@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, change_of_basis, from_products
+from .derivations import MASK_SLOTS, admissible_mask, slot_defects
 from .linalg import random_well_conditioned
 
 CANONICAL_TAGS = ("A1", "A2", "A3", "A4")
@@ -179,23 +180,18 @@ def random_symmetric_algebra(rng: np.random.Generator) -> Algebra:
 def random_mask_spectrum(rng: np.random.Generator) -> tuple[float, float]:
     """Draw (lam, mu), |.| <= 5, either on a constraint line with margin 1
     from the excluded points, or fully generic with margin 1 from all lines."""
-    from .derivations import ARRANGEMENT_LINES, _mask_exprs
 
     def margin_ok(lam: float, mu: float, skip: str | None) -> bool:
         if min(abs(lam), abs(mu)) < 0.2:
             return False
-        for name, f in ARRANGEMENT_LINES.items():
-            if name == skip:
-                continue
-            if abs(f(lam, mu)) < 1.0:
-                return False
-        return True
+        return all(abs(v) >= 1.0 for letter, v in slot_defects(lam, mu).items() if letter != skip)
 
-    lines = list(_mask_exprs(0.0, 0.0).keys())
+    letters = list(MASK_SLOTS)
     while True:
         if rng.uniform() < 0.5:
-            letter = lines[rng.integers(len(lines))]
+            letter = letters[rng.integers(len(letters))]
             t = rng.uniform(-5.0, 5.0)
+            # the point at parameter t on the line of the letter's constant
             lam, mu = {
                 "b": (2.0, t),
                 "c": (t, 2.0),
@@ -207,18 +203,7 @@ def random_mask_spectrum(rng: np.random.Generator) -> tuple[float, float]:
                 "q": (t + 1.0, t),
                 "s": (t, 1.0 - t),
             }[letter]
-            name = {
-                "b": "lambda=2",
-                "c": "mu=2",
-                "d": "lambda=1/2",
-                "g": "mu=1/2",
-                "f": "mu=2*lambda",
-                "h": "lambda=2*mu",
-                "n": "mu=lambda+1",
-                "q": "lambda=mu+1",
-                "s": "lambda+mu=1",
-            }[letter]
-            if max(abs(lam), abs(mu)) <= 5.0 and margin_ok(lam, mu, skip=name):
+            if max(abs(lam), abs(mu)) <= 5.0 and margin_ok(lam, mu, skip=letter):
                 return lam, mu
         else:
             lam, mu = rng.uniform(-5.0, 5.0, size=2)
@@ -231,8 +216,6 @@ def random_mask_algebra(
 ) -> Algebra:
     """An algebra whose constants respect the diag(1, lam, mu) mask, with
     every allowed constant drawn nonzero in [-1, -0.1] u [0.1, 1]."""
-    from .derivations import admissible_mask
-
     mask = admissible_mask(lam, mu)
     c = np.zeros((3, 3, 3))
     for (i, j, k) in mask.allowed_slots():

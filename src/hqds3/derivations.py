@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import NAMED_SLOTS, Algebra
 from .linalg import nullspace
 from .tolerances import ILL_CONDITIONED_LIMIT, TAU_RANK, TAU_RES
 
@@ -337,35 +337,35 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
 # diagonal derivations diag(1, lambda, mu)
 
 
-# conditional constants: letter -> (tensor slot, survival condition on (lam, mu))
-MASK_SLOTS: dict[str, tuple[int, int, int]] = {
-    "b": (0, 0, 1),
-    "c": (0, 0, 2),
-    "d": (1, 1, 0),
-    "f": (1, 1, 2),
-    "g": (2, 2, 0),
-    "h": (2, 2, 1),
-    "n": (0, 1, 2),
-    "q": (0, 2, 1),
-    "s": (1, 2, 0),
+# diag(d) with d = (1, lam, mu) is a derivation of an algebra exactly when
+# every constant c[i, j, k] with d_k - d_i - d_j != 0 vanishes.  Where k is
+# i or j that difference is minus the weight of the other index, never zero
+# for an invertible spectrum; each of the other nine constants survives on
+# one line of the (lam, mu) plane, named here.
+MASK_LINES: dict[str, str] = {
+    "b": "lambda=2",
+    "c": "mu=2",
+    "d": "lambda=1/2",
+    "g": "mu=1/2",
+    "f": "mu=2*lambda",
+    "h": "lambda=2*mu",
+    "n": "mu=lambda+1",
+    "q": "lambda=mu+1",
+    "s": "lambda+mu=1",
 }
 
+# the conditional constants, letter -> tensor slot, in NAMED_SLOTS order
+MASK_SLOTS = {letter: slot for letter, slot in NAMED_SLOTS.items() if letter in MASK_LINES}
+
 # constants that vanish for every diagonal derivation with nonzero spectrum
-ALWAYS_ZERO_LETTERS = ("a", "e", "j", "k", "m", "p", "r", "t", "v")
+ALWAYS_ZERO_LETTERS = tuple(letter for letter in NAMED_SLOTS if letter not in MASK_LINES)
 
 
-def _mask_exprs(lam: float, mu: float) -> dict[str, float]:
-    return {
-        "b": lam - 2.0,
-        "c": mu - 2.0,
-        "d": 1.0 - 2.0 * lam,
-        "f": mu - 2.0 * lam,
-        "g": 1.0 - 2.0 * mu,
-        "h": lam - 2.0 * mu,
-        "n": mu - lam - 1.0,
-        "q": lam - mu - 1.0,
-        "s": lam + mu - 1.0,
-    }
+def slot_defects(lam: float, mu: float) -> dict[str, float]:
+    """d_k - (d_i + d_j) at d = (1, lam, mu) for each conditional letter; its
+    constant survives diag(d) where this is zero."""
+    d = (1.0, lam, mu)
+    return {letter: d[k] - (d[i] + d[j]) for letter, (i, j, k) in MASK_SLOTS.items()}
 
 
 @dataclass
@@ -388,16 +388,14 @@ def admissible_mask(lam: float, mu: float) -> ConstantMask:
     """Which structure constants diag(1, lam, mu) permits to be nonzero.
 
     A constant c[i, j, k] survives the Leibniz condition exactly when
-    d_k = d_i + d_j for the diagonal weights d = (1, lam, mu); the nine
-    conditional letters encode those equalities.
+    d_k = d_i + d_j for the diagonal weights d = (1, lam, mu) (see
+    MASK_LINES); each equality is decided up to TAU_RES (1 + |lam| + |mu|).
     """
     if abs(lam * mu) <= TAU_RANK * max(1.0, lam * lam + mu * mu):
         raise SingularSpectrum("diagonal derivation requires lambda * mu != 0")
     tol = TAU_RES * (1.0 + abs(lam) + abs(mu))
-    exprs = _mask_exprs(lam, mu)
-    return ConstantMask(
-        lam=lam, mu=mu, allowed={k: abs(v) <= tol for k, v in exprs.items()}
-    )
+    allowed = {letter: abs(v) <= tol for letter, v in slot_defects(lam, mu).items()}
+    return ConstantMask(lam=lam, mu=mu, allowed=allowed)
 
 
 def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
@@ -405,8 +403,6 @@ def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
     scale = max(1.0, alg.scale)
     worst = 0.0
     allowed = set(mask.allowed_slots())
-    from .algebra import NAMED_SLOTS
-
     for letter, slot in NAMED_SLOTS.items():
         if slot in allowed:
             continue
@@ -414,23 +410,12 @@ def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
     return worst / scale
 
 
-ARRANGEMENT_LINES: dict[str, object] = {
-    "lambda=2": lambda l, m: l - 2.0,
-    "mu=2": lambda l, m: m - 2.0,
-    "lambda=1/2": lambda l, m: 1.0 - 2.0 * l,
-    "mu=1/2": lambda l, m: 1.0 - 2.0 * m,
-    "mu=2*lambda": lambda l, m: m - 2.0 * l,
-    "lambda=2*mu": lambda l, m: l - 2.0 * m,
-    "mu=lambda+1": lambda l, m: m - l - 1.0,
-    "lambda=mu+1": lambda l, m: l - m - 1.0,
-    "lambda+mu=1": lambda l, m: l + m - 1.0,
-}
-
-
 def arrangement_lines(lam: float, mu: float) -> list[str]:
-    """Names of the spectrum-constraint lines passing through (lam, mu)."""
+    """Names of the spectrum-constraint lines passing through (lam, mu), in
+    MASK_LINES order."""
     tol = TAU_RES * (1.0 + abs(lam) + abs(mu))
-    return [name for name, f in ARRANGEMENT_LINES.items() if abs(f(lam, mu)) <= tol]
+    defects = slot_defects(lam, mu)
+    return [name for letter, name in MASK_LINES.items() if abs(defects[letter]) <= tol]
 
 
 @dataclass

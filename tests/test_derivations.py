@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3.algebra import from_named, product
+from hqds3.algebra import NAMED_SLOTS, from_named, product
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -15,6 +15,9 @@ from hqds3.catalog import (
     random_symmetric_algebra,
 )
 from hqds3.derivations import (
+    ALWAYS_ZERO_LETTERS,
+    MASK_LINES,
+    MASK_SLOTS,
     IllConditioned,
     SingularSpectrum,
     _leibniz_matrix,
@@ -29,6 +32,7 @@ from hqds3.derivations import (
     normalize_spectrum,
     real_eigenbasis,
     real_part_matrix,
+    slot_defects,
 )
 
 LEIBNIZ_TOL = 1e-9
@@ -243,6 +247,41 @@ def test_mask_residual_flags_forbidden_constant():
 def test_arrangement_lines_frozen():
     assert set(arrangement_lines(2.0, 3.0)) == {"lambda=2", "mu=lambda+1"}
     assert arrangement_lines(7.0, 11.0) == []
+
+
+def test_mask_follows_the_leibniz_rule():
+    # a single constant c[i, j, k] = 1 has Leibniz residual |d_k - d_i - d_j|
+    # under diag(d), d = (1, lam, mu), relative to max(1, |lam|, |mu|)
+    rng = np.random.default_rng(8)
+    for lam, mu in rng.uniform(-3.0, 3.0, size=(20, 2)):
+        d = (1.0, lam, mu)
+        defects = slot_defects(lam, mu)
+        for letter, (i, j, k) in NAMED_SLOTS.items():
+            got = derivation_residual(from_named(**{letter: 1.0}), np.diag(d))
+            want = abs(d[k] - d[i] - d[j]) / max(1.0, abs(lam), abs(mu))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), letter
+            if letter in MASK_SLOTS:
+                assert abs(defects[letter]) == pytest.approx(abs(d[k] - d[i] - d[j]), rel=1e-12)
+    # the always-zero letters are the slots whose output index is an input one
+    assert ALWAYS_ZERO_LETTERS == tuple(
+        letter for letter, (i, j, k) in NAMED_SLOTS.items() if k in (i, j)
+    )
+    assert sorted(MASK_SLOTS) == sorted(MASK_LINES)
+
+
+def test_mask_line_names_match_their_zero_sets():
+    for letter, name in MASK_LINES.items():
+        # the defect is affine in (lam, mu): read off its coefficients
+        a = slot_defects(0.0, 0.0)[letter]
+        b = slot_defects(1.0, 0.0)[letter] - a
+        c = slot_defects(0.0, 1.0)[letter] - a
+        lhs, rhs = name.replace("lambda", "lam").split("=")
+        for t in (0.3, 1.7):
+            lam, mu = (t, -(a + b * t) / c) if c else (-a / b, t)
+            assert abs(slot_defects(lam, mu)[letter]) <= 1e-15
+            scope = {"lam": lam, "mu": mu}
+            assert eval(lhs, scope) == pytest.approx(eval(rhs, scope), rel=1e-12), name
+            assert name in arrangement_lines(lam, mu)
 
 
 def test_normalize_spectrum_frozen_cases():
