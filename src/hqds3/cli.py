@@ -104,13 +104,7 @@ def _derivation_report(alg: Algebra, seed: int) -> dict:
     return {"dim": space.dim, "basis": space.basis, "ssnd": ssnd}
 
 
-def cmd_classify(args) -> int:
-    try:
-        alg, label = load_algebra(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     fp = fingerprint(alg)
     res = classify(alg)
     via = classify_via_derivation(alg, seed=args.seed)
@@ -147,12 +141,7 @@ def cmd_classify(args) -> int:
     return 0 if res.tag in CANONICAL_TAGS else 2
 
 
-def cmd_derivations(args) -> int:
-    try:
-        alg, label = load_algebra(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_derivations(args, alg: Algebra, label: str | None) -> int:
     report = {"label": label}
     report.update(_derivation_report(alg, args.seed))
     _emit(report)
@@ -187,13 +176,12 @@ def _require_finite_positive(flag: str, value: float) -> None:
         raise ValueError(f"{flag} must be positive and finite, got {value!r}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
     try:
-        alg, _ = load_algebra(args.input)
         x0 = _parse_vec3(args.x0)
         _require_finite_positive("--t-end", args.t_end)
         _require_finite_positive("--h0", args.h0)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -414,12 +402,7 @@ _VERIFY_CHECKS = {
 }
 
 
-def cmd_verify(args) -> int:
-    try:
-        alg, label = load_algebra(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_verify(args, alg: Algebra, label: str | None) -> int:
     res = classify(alg)
     print(f"class: {res.tag}" + (f"  label: {label}" if label else ""))
     ids = idempotents(alg)
@@ -513,7 +496,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("spectrum", help="constant mask for diag(1, lambda, mu)")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
     p.add_argument("--mu", type=float, required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("derivations", help="derivation space and SSND search")
     p.add_argument("input")
@@ -521,7 +503,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_derivations)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command == "spectrum":
+        return cmd_spectrum(args)
+    # every other command reads one input file, loaded here
+    try:
+        alg, label = load_algebra(args.input)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return args.func(args, alg, label)
 
 
 if __name__ == "__main__":
