@@ -279,11 +279,11 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
 
     Candidates: the generator (and its negative) when the space is a line;
     otherwise SSND_RANDOM_CANDIDATES random coefficient vectors drawn from
-    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each candidate is also replaced by its semisimple
-    part and, when that still has a complex pair, by the commuting
-    real-spectrum component, both of which are again derivations.  The first
-    candidate passing all three spectral tests wins; the search is not
-    exhaustive and may miss.
+    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each
+    candidate is also replaced by its semisimple part and, when that still
+    has a complex pair, by the commuting real-spectrum component, both of
+    which are again derivations.  The first candidate passing all three
+    spectral tests wins; the search is not exhaustive and may miss.
     """
     space = derivation_space(alg)
     if space.dim == 0:

@@ -154,10 +154,6 @@ def linear_first_integrals(alg: Algebra) -> np.ndarray:
 # partition cells
 
 
-# two cells with the same label are one cell when their params agree this well
-SAME_CELL = 1e-6
-
-
 @dataclass(frozen=True)
 class CellId:
     """One cell of the canonical-class partition of the ground space.
@@ -171,12 +167,12 @@ class CellId:
     params: tuple
 
     def same_cell(self, other: "CellId") -> bool:
-        """Same tag and label, and params equal within SAME_CELL."""
+        """Same tag and label, and params equal within 1e-6."""
         if self.tag != other.tag or self.label != other.label:
             return False
         if len(self.params) != len(other.params):
             return False
-        return all(abs(a - b) <= SAME_CELL for a, b in zip(self.params, other.params))
+        return all(abs(a - b) <= 1e-6 for a, b in zip(self.params, other.params))
 
     def compact(self) -> str:
         bits = ":".join(f"{p:.6g}" for p in self.params)
@@ -296,8 +292,8 @@ class Trajectory:
 
 def integrate_batch(alg: Algebra, x0s, t_ends, h0: float = 1e-3) -> list[Trajectory]:
     """One trajectory per row of the (n, 3) starts ``x0s``, row i run from
-    t = 0 to ``t_ends[i]`` (a scalar applies to every row), with first step
-    ``h0``.
+    t = 0 to ``t_ends[i]`` (a scalar applies to every row).  The first step
+    is ``h0``, cut to ``t_ends[i]``.
 
     Dormand-Prince 5(4) with FSAL.  An attempt evaluates stages 2 to 7, the
     field as x . (x . C) with C the (3, 9) matrix form of the tensor.  It
@@ -306,19 +302,20 @@ def integrate_batch(alg: Algebra, x0s, t_ends, h0: float = 1e-3) -> list[Traject
     is at most INT_RTOL.  Stage 7 is the field at the new state, so on
     acceptance it becomes the next step's first stage; a rejected attempt
     keeps its first stage.  The step size then scales by
-    0.9 (INT_RTOL / err)^(1/5), clipped to [0.2, 5], which is below 0.9 after a
-    rejection (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a NaN error
-    halves it.
+    0.9 (INT_RTOL / err)^(1/5), clipped to [0.2, 5], which is below 0.9
+    after a rejection (Hairer, Norsett & Wanner, Solving ODEs I, II.4); a
+    NaN error halves it.
 
     All rows step together, but each keeps its own time, step size,
-    acceptance and stop (t_end reached, |x| above BLOWUP_GUARD, step below
-    INT_H_MIN); a row that stops leaves the active arrays.  No row's arithmetic reads
-    another row, so a row agrees with its one-row run; the tests ask for
-    agreement to roundoff, since how a stacked matrix product rounds is up
-    to the numpy build.  Each step logs only its accepted samples, and
+    acceptance and stop: t_end reached, |x| above BLOWUP_GUARD, or a step
+    below INT_H_MIN.  A row that stops leaves the active arrays, and a batch
+    that takes MAX_STEPS steps raises RuntimeError.  No row's arithmetic
+    reads another row, so a row agrees with its one-row run; the tests ask
+    for agreement to roundoff, since how a stacked matrix product rounds is
+    up to the numpy build.  Each step logs only its accepted samples, and
     speed, curvature and torsion of every sample of every row are computed
     in one pass once the last row stops.  States stay in the input frame;
-    partition cells are the caller's to decide (``_cells``).
+    the integrator decides no partition cells.
     """
     c_mat = alg.c.reshape(3, 9)
 

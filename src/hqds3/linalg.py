@@ -72,16 +72,12 @@ def sign_canonical(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v.copy()
 
 
-# condition-number ceiling of random_well_conditioned
-WELL_CONDITIONED_CAP = 100.0
-
-
 def random_well_conditioned(rng: np.random.Generator) -> np.ndarray:
-    """Random invertible 3x3 with condition number below WELL_CONDITIONED_CAP."""
+    """Random invertible 3x3 with condition number below 100."""
     while True:
         q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         sv = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=3))
         m = q1 @ np.diag(sv) @ q2
-        if np.linalg.cond(m) < WELL_CONDITIONED_CAP:
+        if np.linalg.cond(m) < 100.0:
             return m
