@@ -146,11 +146,6 @@ def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:
     return np.einsum("i,ijk->kj", np.asarray(v, dtype=float), alg.c)
 
 
-# a basis change is singular when its smallest singular value is at most
-# this multiple of its largest: roundoff level in double precision
-_SINGULAR_SV = 8.0 * np.finfo(float).eps
-
-
 def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
     """Structure constants in the basis whose vectors are the columns of m,
     as computed: slots (i, j) and (j, i) may differ in their last bits.
@@ -163,7 +158,7 @@ def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
     if m.shape != (3, 3):
         raise ValueError("basis change must be a 3x3 matrix")
     sv = np.linalg.svd(m, compute_uv=False)
-    if not sv[-1] > _SINGULAR_SV * sv[0]:
+    if not sv[-1] > 8.0 * np.finfo(float).eps * sv[0]:
         raise SingularBasis("basis change matrix is singular")
     t = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
     return np.linalg.solve(m, t.reshape(9, 3).T).T.reshape(3, 3, 3)
