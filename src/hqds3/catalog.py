@@ -1,8 +1,9 @@
 """Canonical algebras, their symmetry families, and test-corpus generators.
 
-Four canonical multiplication tables cover, up to isomorphism, every
-three-dimensional commutative algebra that admits a real-diagonalizable
-invertible derivation and is not the zero algebra:
+The paper classifies the three-dimensional commutative algebras that admit
+a real-diagonalizable invertible derivation into four canonical
+multiplication tables (two more such algebras, with spectra (1, 2, 4) and
+(1, 2, 3), are none of them; both routes call them NotInFamily):
 
     A1: e1*e1 = e3, e2*e3 = e1
     A2: e3*e3 = e2

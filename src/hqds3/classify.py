@@ -8,8 +8,12 @@ Two independent routes produce the same answer on the classified family:
   canonical tables.
 * ``classify_via_derivation`` first searches for an invertible
   real-diagonalizable derivation, rewrites the algebra in its eigenbasis,
-  normalizes the eigenvalue triple, and reduces the few surviving structure
-  constants case by case.
+  keeps the structure constants its spectrum allows and reads the class off
+  the pattern they form.  It never calls the invariant route, so the two
+  routes check each other.
+
+Both routes build the certificate of A2, A3 and A4 with one helper, from the
+line w that spans every product and annihilates the algebra.
 
 Every positive answer carries a certificate matrix m whose columns express
 the canonical basis in the input coordinates: change_of_basis(alg, m)
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    NAMED_SLOTS,
     Algebra,
     NilconeDescriptor,
     SingularBasis,
@@ -38,7 +43,6 @@ from .algebra import (
 from .catalog import CANONICAL_TAGS, canonical_algebra
 from .derivations import (
     IllConditioned,
-    SingularSpectrum,
     SpectrumCase,
     admissible_mask,
     analyze_spectrum,
@@ -50,8 +54,8 @@ from .derivations import (
     normalize_spectrum,
     real_eigenbasis,
 )
-from .linalg import orthonormal_complement, sign_canonical
-from .tolerances import TAU_CERT
+from .linalg import orthonormal_complement, rank_and_rowspace, sign_canonical, unit
+from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
 ALL_TAGS = DEFINITE_TAGS + ("NotInFamily",)
@@ -100,18 +104,39 @@ def _cone_cached(norm: Algebra) -> NilconeDescriptor:
     return nilpotent_cone(norm)
 
 
-def _quotient_form(norm: Algebra, sq: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, lift_basis, B): products of lifts satisfy u*v = B(u, v) * w.
+def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndarray]:
+    """Tag and certificate columns of an algebra whose products are all
+    multiples of the unit vector w, which annihilates it.
 
-    Requires Ann and A*A to be lines with A*A inside Ann; w is the
-    sign-canonical unit generator of A*A and lift_basis spans a complement.
+    On orthonormal lifts of A / <w> the product is u*v = B(u, v) w, and the
+    rank and signature of B decide the class: rank one is A2, an indefinite
+    B is A3, a definite one A4.  The lifts live in the input frame, so the
+    columns are as well conditioned as the algebra allows.
     """
-    w = sign_canonical(sq.basis[0])
+    w = sign_canonical(w)
     lifts = orthonormal_complement(w[None, :])
     b = np.array(
         [[float(product(norm, lifts[i], lifts[j]) @ w) for j in range(2)] for i in range(2)]
     )
-    return w, lifts, b
+    vals, vecs = np.linalg.eigh(b)
+    tol = 1e-9 * float(np.max(np.abs(vals)))
+    if vals[0] < -tol and vals[1] > tol:
+        neg = vecs[:, 0] / np.sqrt(-vals[0])
+        pos = vecs[:, 1] / np.sqrt(vals[1])
+        return "A3", np.column_stack([(pos + neg) @ lifts, (pos - neg) @ lifts, 2.0 * w])
+    if vals[1] < -tol:
+        w, vals, vecs = -w, -vals[::-1], vecs[:, ::-1]
+    if vals[0] > tol:
+        f1 = (vecs[:, 0] / np.sqrt(vals[0])) @ lifts
+        f2 = (vecs[:, 1] / np.sqrt(vals[1])) @ lifts
+        return "A4", np.column_stack([f1, f2, w])
+    # rank one: the kernel lift annihilates, the other one squares to big * w
+    big = int(np.argmax(np.abs(vals)))
+    return "A2", np.column_stack([vecs[:, 1 - big] @ lifts, vals[big] * w, vecs[:, big] @ lifts])
+
+
+# the induced quotient form of each class the helper above returns
+_INDUCED_FORM = {"A2": "degenerate", "A3": "indefinite", "A4": "definite"}
 
 
 @functools.lru_cache(maxsize=256)
@@ -125,14 +150,7 @@ def fingerprint(alg: Algebra) -> InvariantFingerprint:
 
     induced = "n/a"
     if ann.dim == 1 and sq.dim == 1 and sq_in_ann:
-        _, _, b = _quotient_form(norm, sq)
-        det = float(np.linalg.det(b))
-        if det < -1e-9:
-            induced = "indefinite"
-        elif det > 1e-9:
-            induced = "definite"
-        else:
-            induced = "degenerate"
+        induced = _INDUCED_FORM[_square_line_normal_form(norm, sq.basis[0])[0]]
 
     return InvariantFingerprint(
         dim_ann=ann.dim,
@@ -221,52 +239,7 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# invariant-based recipes (each works on a scale-normalized algebra and the
-# subspaces classify dispatched on, and returns certificate columns, or None
-# when its preconditions fail)
-
-
-def _recipe_a2(norm: Algebra, ann: Subspace) -> np.ndarray | None:
-    f3 = orthonormal_complement(ann.basis)[0]
-    f2 = product(norm, f3, f3)
-    if float(np.linalg.norm(f2)) <= 1e-9:
-        return None
-    f2u = f2 / np.linalg.norm(f2)
-    best, best_len = None, 0.0
-    for row in ann.basis:
-        r = row - (row @ f2u) * f2u
-        ln = float(np.linalg.norm(r))
-        if ln > best_len:
-            best, best_len = r, ln
-    if best is None or best_len <= 1e-9:
-        return None
-    return np.column_stack([best, f2, f3])
-
-
-def _recipe_a3(qf: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray | None:
-    w, lifts, b = qf
-    vals, vecs = np.linalg.eigh(b)
-    if not (vals[0] < -1e-9 and vals[1] > 1e-9):
-        return None
-    neg = vecs[:, 0] / np.sqrt(-vals[0])
-    pos = vecs[:, 1] / np.sqrt(vals[1])
-    f1 = (pos + neg) @ lifts
-    f2 = (pos - neg) @ lifts
-    f3 = 2.0 * w
-    return np.column_stack([f1, f2, f3])
-
-
-def _recipe_a4(qf: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray | None:
-    w, lifts, b = qf
-    vals, vecs = np.linalg.eigh(b)
-    if vals[0] < 0.0 and vals[1] < 0.0:
-        w, b, vals = -w, -b, -vals[::-1]
-        vecs = vecs[:, ::-1]
-    if not (vals[0] > 1e-9 and vals[1] > 1e-9):
-        return None
-    f1 = (vecs[:, 0] / np.sqrt(vals[0])) @ lifts
-    f2 = (vecs[:, 1] / np.sqrt(vals[1])) @ lifts
-    return np.column_stack([f1, f2, w])
+# the A1 recipe of the invariant route (A2-A4 share _square_line_normal_form)
 
 
 def _balance_a1(m: np.ndarray) -> np.ndarray:
@@ -331,16 +304,8 @@ def classify(alg: Algebra) -> ClassificationResult:
     # dispatch on the cheap invariants; the nilpotent cone is only computed
     # on the one branch that needs it
     candidates: list[tuple[str, np.ndarray]] = []
-    if ann.dim == 2 and sq.dim == 1:
-        m = _recipe_a2(norm, ann)
-        if m is not None:
-            candidates.append(("A2", m))
-    elif ann.dim == 1 and sq.dim == 1 and sq_in_ann:
-        qf = _quotient_form(norm, sq)
-        for tag, recipe in (("A3", _recipe_a3), ("A4", _recipe_a4)):
-            m = recipe(qf)
-            if m is not None:
-                candidates.append((tag, m))
+    if sq.dim == 1 and sq_in_ann:
+        candidates.append(_square_line_normal_form(norm, sq.basis[0]))
     elif ann.dim == 0 and sq.dim == 2:
         cone = _cone_cached(norm)
         if cone.kind == "two-lines":
@@ -362,91 +327,54 @@ def classify(alg: Algebra) -> ClassificationResult:
 # reduction along a semisimple invertible derivation
 
 
-def _nonzero(value: float, scale: float) -> bool:
-    return abs(value) > 1e-9 * max(1.0, scale)
-
-
-def _columns(*cols) -> np.ndarray:
-    return np.column_stack([np.asarray(c, dtype=float) for c in cols])
-
-
-def _reduce_spectrum_m1_2(c: np.ndarray, scale: float) -> tuple[str, np.ndarray] | None:
-    """Representative (1, -1, 2): only e1*e1 -> e3 and e2*e3 -> e1 survive."""
-    p = float(c[0, 0, 2])
-    q = float(c[1, 2, 0])
-    e1, e2, e3 = np.eye(3)
-    if _nonzero(p, scale) and _nonzero(q, scale):
-        return "A1", np.diag([1.0 / p, 1.0 / q, 1.0 / p])
-    if _nonzero(p, scale):
-        return "A2", _columns(e2, p * e3, e1)
-    if _nonzero(q, scale):
-        return "A3", _columns(e2, e3, q * e1)
-    return None
-
-
-def _reduce_spectrum_1_2(c: np.ndarray, scale: float) -> tuple[str, np.ndarray] | None:
-    """Representative (1, 1, 2): a single quadratic form feeds e3.
-
-    Surviving constants: p = c[0,0,2], q = c[1,1,2], r = c[0,1,2]; the class
-    is decided by the rank and signature of [[p, r], [r, q]].
-    """
-    p = float(c[0, 0, 2])
-    q = float(c[1, 1, 2])
-    r = float(c[0, 1, 2])
-    e1, e2, e3 = np.eye(3)
-    zp, zq, zr = (not _nonzero(v, scale) for v in (p, q, r))
-
-    if zp and zq and zr:
+def _a1_columns(c: np.ndarray, cut: float) -> np.ndarray | None:
+    """Columns e_i/p, e_j/q, e_k/p when the only constants of c above cut
+    are e_i e_i = p e_k and e_j e_k = q e_i with i, j, k distinct, else None."""
+    support = [slot for slot in NAMED_SLOTS.values() if abs(c[slot]) > cut]
+    if len(support) != 2:
         return None
-    if zp and zq:
-        return "A3", _columns(e1, e2, r * e3)
-    if zp and zr:
-        return "A2", _columns(e1, q * e3, e2)
-    if zq and zr:
-        return "A2", _columns(e2, p * e3, e1)
-    if zp:
-        # swap the first two axes, landing in the q = 0 case below
-        swap = _columns(e2, e1, e3)
-        tag_m = _reduce_case5(q, r)
-        return "A3", swap @ tag_m
-    if zq:
-        return "A3", _reduce_case5(p, r)
-    if zr:
-        if p * q > 0.0:
-            return "A4", _columns(e1, np.sqrt(p / q) * e2, p * e3)
-        half = _columns(0.5 * (e1 + e2), 0.5 * (e1 - e2), 0.5 * e3)
-        return "A3", _columns(e1, np.sqrt(-p / q) * e2, p * e3) @ half
-
-    # all three nonzero: scale to p' = r' = 1, then split on q' = pq/r^2
-    m2 = np.diag([1.0, p / r, p])
-    lam2 = p * q / (r * r)
-    if abs(lam2 - 1.0) <= 1e-9 * (1.0 + abs(lam2)):
-        return "A2", m2 @ _columns(e1 - e2, e3, e1)
-    if lam2 < 1.0:
-        root = np.sqrt(1.0 - lam2)
-        s1 = (-1.0 + root) / lam2
-        s2 = (-1.0 - root) / lam2
-        m3 = _columns(e1 + s1 * e2, e1 + s2 * e2, (2.0 * (lam2 - 1.0) / lam2) * e3)
-        return "A3", m2 @ m3
-    m3 = _columns(np.sqrt(lam2 - 1.0) * e1, e1 - e2, (lam2 - 1.0) * e3)
-    return "A4", m2 @ m3
+    (i, i2, k), (a, b, i3) = sorted(support, key=lambda slot: slot[0] != slot[1])
+    j = 3 - i - k
+    if not (i == i2 == i3 and len({i, j, k}) == 3 and {a, b} == {j, k}):
+        return None
+    m = np.zeros((3, 3))
+    m[i, 0], m[j, 1], m[k, 2] = 1.0 / c[i, i, k], 1.0 / c[j, k, i], 1.0 / c[i, i, k]
+    return m
 
 
-def _reduce_case5(p: float, r: float) -> np.ndarray:
-    """p, r nonzero, q = 0: normalize both constants, then split the square."""
-    e1, e2, e3 = np.eye(3)
-    m2 = np.diag([r / p, 1.0, r * r / p])
-    m3 = _columns(2.0 * e1 - e2, e2, 2.0 * e3)
-    return m2 @ m3
+# the slots (i, j, k) of the 18 named constants, and the row d_k - d_i - d_j
+# of each one's spectrum relation
+_SLOTS = np.array(list(NAMED_SLOTS.values()))
+_RELATIONS = np.eye(3)[_SLOTS[:, 2]] - np.eye(3)[_SLOTS[:, 0]] - np.eye(3)[_SLOTS[:, 1]]
 
 
-def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult | None:
+def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
+    """The spectrum w of a derivation, moved onto d_k = d_i + d_j for every
+    constant c[i, j, k] of ``eig``, the algebra in its eigenbasis, above the
+    1e-7 that mask_residual allows.
+
+    A numerical derivation meets these relations only up to its residual,
+    which may exceed the TAU_RES at which the mask decides them.  The move
+    is the least-squares one, and a move above 1e-6 of the spectrum raises.
+    """
+    a = _RELATIONS[np.abs(eig.c[tuple(_SLOTS.T)]) > 1e-7 * max(1.0, eig.scale)]
+    if not a.size:
+        return w
+    snapped = w - np.linalg.lstsq(a, a @ w, rcond=None)[0]
+    if float(np.max(np.abs(snapped - w))) > 1e-6 * float(np.max(np.abs(w))):
+        raise ValueError("spectrum is far from the relations its constants impose")
+    return snapped
+
+
+def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     """Classify by rewriting in the eigenbasis of a given derivation.
 
-    ``d`` must be a real-diagonalizable invertible derivation of ``alg``.
-    Returns None when the normalized spectrum is not one of the two
-    representatives with an implemented reduction (callers then fall back
-    to the invariant route); raises on inconsistent input.
+    ``d`` must be a real-diagonalizable invertible derivation of ``alg``;
+    raises on inconsistent input.  The constants that diag(spectrum)
+    forbids are zeroed, and the class is read off the ones that survive:
+    e_i e_i = p e_k with e_j e_k = q e_i is A1; products that are all
+    multiples of one vector w that annihilates the algebra are A2, A3 or
+    A4; any other pattern is NotInFamily.  Never returns None.
     """
     d = np.asarray(d, dtype=float)
     norm, factor = alg.normalized()
@@ -457,41 +385,43 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult 
         raise ValueError("matrix is not a derivation of the algebra")
 
     w, v = real_eigenbasis(d, rep)
-    case = normalize_spectrum(w)
+    eig = change_of_basis(norm, v)
+    case = normalize_spectrum(_snapped_spectrum(w, eig))
     perm = list(case.permutation)
     v_perm = v[:, perm]
-    reduced = change_of_basis(norm, v_perm)
+    reduced = Algebra(eig.c[np.ix_(perm, perm, perm)])
     mask = admissible_mask(case.lam, case.mu)
     if mask_residual(reduced, mask) > 1e-7:
         raise ValueError("eigenbasis constants violate the diagonal-derivation mask")
 
+    def result(tag, m=None, res=None):
+        return ClassificationResult(
+            tag, m, res, "derivation-reduction", derivation=d, spectrum_case=case
+        )
+
     if reduced.scale <= 1e-9:
-        return ClassificationResult(
-            "NullAlgebra", np.eye(3), alg.scale, "derivation-reduction", spectrum_case=case
-        )
+        return result("NullAlgebra", np.eye(3), alg.scale)
 
-    if case.family == 1:
-        step = _reduce_spectrum_m1_2(reduced.c, reduced.scale)
-    elif case.family == 3:
-        step = _reduce_spectrum_1_2(reduced.c, reduced.scale)
+    # what the mask forbids is eigenbasis noise, small by the check above
+    c = np.zeros((3, 3, 3))
+    for i, j, k in mask.allowed_slots():
+        c[i, j, k] = c[j, i, k] = reduced.c[i, j, k]
+    cut = TAU_RANK * reduced.scale
+    cols = _a1_columns(c, cut)
+    if cols is not None:
+        tag, m = "A1", _balance_a1((v_perm @ cols) / factor)
     else:
-        return None
-    if step is None:
-        return ClassificationResult(
-            "NullAlgebra", np.eye(3), alg.scale, "derivation-reduction", spectrum_case=case
-        )
+        rank, rows = rank_and_rowspace(c.reshape(9, 3) / reduced.scale)
+        if rank != 1 or np.max(np.abs(np.einsum("i,ijk->jk", rows[0], c))) > cut:
+            return result("NotInFamily")
+        tag, m = _square_line_normal_form(norm, unit(v_perm @ rows[0]))
+        m = m / factor
 
-    tag, m_rest = step
-    m = (v_perm @ m_rest) / factor
-    if tag == "A1":
-        m = _balance_a1(m)
     m = polish_certificate(alg, tag, m)
     res = certificate_residual(alg, tag, m)
     if res > TAU_CERT:
         raise IllConditioned(f"reduction certificate residual {res:.2e}")
-    return ClassificationResult(
-        tag, m, res, "derivation-reduction", derivation=d, spectrum_case=case
-    )
+    return result(tag, m, res)
 
 
 def classify_via_derivation(alg: Algebra, seed: int = 0) -> ClassificationResult:
@@ -499,8 +429,9 @@ def classify_via_derivation(alg: Algebra, seed: int = 0) -> ClassificationResult
 
     Searches for a real-diagonalizable invertible derivation; a miss is
     reported as NotInFamily with method 'no-ssnd-found' (the search is not a
-    proof of absence).  Spectra without an implemented reduction fall back
-    to the invariant route, keeping the derivation for reference.
+    proof of absence).  Otherwise the answer is the reduction's, and a
+    reduction that raises is NotInFamily too; the invariant route is never
+    consulted.  Every result after a search carries the derivation found.
     """
     if alg.scale <= TAU_NULL:
         return ClassificationResult("NullAlgebra", np.eye(3), alg.scale, "null")
@@ -509,12 +440,8 @@ def classify_via_derivation(alg: Algebra, seed: int = 0) -> ClassificationResult
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")
     d, _rep = found
     try:
-        res = reduce_with_derivation(alg, d)
-    except (ValueError, SingularSpectrum, SingularBasis, IllConditioned):
-        res = None
-    if res is not None:
-        return res
-    fallback = classify(alg)
-    fallback.method = "derivation-fallback"
-    fallback.derivation = d
-    return fallback
+        return reduce_with_derivation(alg, d)
+    except (ValueError, IllConditioned):
+        return ClassificationResult(
+            "NotInFamily", None, None, "derivation-reduction", derivation=d
+        )

@@ -26,6 +26,7 @@ from .derivations import (
     ALWAYS_ZERO_LETTERS,
     SingularSpectrum,
     admissible_mask,
+    analyze_spectrum,
     arrangement_lines,
     derivation_space,
     find_real_ssnd,
@@ -93,22 +94,29 @@ def load_algebra(path: str) -> tuple[Algebra, str | None]:
 # classify / derivations
 
 
-def _derivation_report(alg: Algebra, seed: int) -> dict:
+def _derivation_report(alg: Algebra, d: np.ndarray | None) -> dict:
+    """The derivation space and the SSND ``d`` found in it, if any."""
     space = derivation_space(alg)
-    found = find_real_ssnd(alg, seed)
-    ssnd: dict = {"present": found is not None}
-    if found is not None:
-        d, rep = found
+    ssnd: dict = {"present": d is not None}
+    if d is not None:
         ssnd["matrix"] = d
-        ssnd["spectrum"] = sorted(float(v.real) for v in rep.eigenvalues)
+        ssnd["spectrum"] = sorted(float(v.real) for v in analyze_spectrum(d).eigenvalues)
     return {"dim": space.dim, "basis": space.basis, "ssnd": ssnd}
+
+
+def _ssnd(alg: Algebra, seed: int) -> np.ndarray | None:
+    found = find_real_ssnd(alg, seed)
+    return None if found is None else found[0]
 
 
 def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     fp = fingerprint(alg)
     res = classify(alg)
     via = classify_via_derivation(alg, seed=args.seed)
-    der = _derivation_report(alg, args.seed)
+    # report the SSND the derivation route found; only on the zero algebra
+    # does that route return before its search
+    ssnd = _ssnd(alg, args.seed) if via.method == "null" else via.derivation
+    der = _derivation_report(alg, ssnd)
 
     warnings = []
     if res.is_definite and via.is_definite and res.tag != via.tag:
@@ -119,7 +127,9 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     if res.tag == "NotInFamily" and der["ssnd"]["present"]:
         warnings.append(
             "invertible real-diagonalizable derivation found on a NotInFamily "
-            "input; this contradicts the classification and deserves a bug report"
+            "input; the four tables do not cover every such algebra (spectrum "
+            "families 2 and 5 hold two more), so either this is one of those "
+            "or a route missed its class"
         )
 
     classification = {"tag": res.tag, "residual": res.residual, "method": res.method}
@@ -143,7 +153,7 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
 
 def cmd_derivations(args, alg: Algebra, label: str | None) -> int:
     report = {"label": label}
-    report.update(_derivation_report(alg, args.seed))
+    report.update(_derivation_report(alg, _ssnd(alg, args.seed)))
     _emit(report)
     return 0
 

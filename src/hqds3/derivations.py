@@ -189,15 +189,18 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     )
 
 
-def jordan_chevalley(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jordan_chevalley(
+    m: np.ndarray, rep: SpectralReport | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Split m = S + N with S semisimple, N nilpotent, [S, N] = 0.
 
     S is assembled from spectral projectors, so it is a polynomial in m and
     the commutator vanishes identically.  A complex conjugate pair in 3x3 is
     automatically simple, hence m itself is semisimple in that branch.
+    ``rep``, when given, is analyze_spectrum(m).
     """
     m = np.asarray(m, dtype=float)
-    rep = analyze_spectrum(m)
+    rep = rep or analyze_spectrum(m)
     eye = np.eye(3)
     if rep.multiplicity in ("distinct", "complex-pair"):
         return m.copy(), np.zeros((3, 3))
@@ -279,10 +282,11 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
 
     Candidates: the generator (and its negative) when the space is a line;
     otherwise SSND_RANDOM_CANDIDATES random coefficient vectors drawn from
-    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each
-    candidate is also replaced by its semisimple part and, when that still
-    has a complex pair, by the commuting real-spectrum component, both of
-    which are again derivations.  The first candidate passing all three
+    ``seed``, followed by all +-1/0 sign patterns of the basis.  A
+    candidate with a repeated root is also replaced by its semisimple part,
+    and one with a complex pair by the commuting real-spectrum component;
+    both are again derivations, and each is kept only when its Leibniz
+    residual is at most 1e-8.  The first candidate passing all three
     spectral tests wins; the search is not exhaustive and may miss.
     """
     space = derivation_space(alg)
@@ -317,17 +321,22 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
         hit = attempt(raw)
         if hit:
             return hit
-        try:
-            sem, nil = jordan_chevalley(raw)
-        except IllConditioned:
-            continue
-        if float(np.max(np.abs(nil))) > TAU_RES * max(1.0, float(np.max(np.abs(raw)))):
-            hit = attempt(sem)
-            if hit:
-                return hit
-        realpart = real_part_matrix(sem)
-        if realpart is not None and derivation_residual(alg, realpart) <= 1e-8:
-            hit = attempt(realpart)
+        rep = analyze_spectrum(raw)
+        if rep.multiplicity in ("double", "triple"):
+            # a repeated root may be defective: try the semisimple part
+            try:
+                sem, nil = jordan_chevalley(raw, rep)
+            except IllConditioned:
+                continue
+            big = float(np.max(np.abs(nil))) > TAU_RES * max(1.0, float(np.max(np.abs(raw))))
+            part = sem if big else None
+        else:
+            # None unless there is a complex pair
+            part = real_part_matrix(raw, rep)
+        # either part is a derivation in exact arithmetic, but its projectors
+        # lose accuracy near a repeated root, so it is checked
+        if part is not None and derivation_residual(alg, part) <= 1e-8:
+            hit = attempt(part)
             if hit:
                 return hit
     return None

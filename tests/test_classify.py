@@ -1,4 +1,7 @@
 """Classification: fingerprints, certificates, and derivation-eigenbasis reduction."""
+import sys
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from hqds3.classify import (
     polish_certificate,
     reduce_with_derivation,
 )
-from hqds3.derivations import find_real_ssnd, normalize_spectrum
+from hqds3.derivations import derivation_residual, find_real_ssnd, normalize_spectrum
 
 CERT_TOL = 1e-8
 REDUCTION_TOL = 1e-12
@@ -236,7 +239,7 @@ def test_certificate_jacobian_matches_the_loop_build():
             assert np.array_equal(_certificate_jacobian(alg, t, m), _certificate_jacobian_loop(alg, t, m))
 
 
-# --- explicit reductions on the two implemented spectrum representatives ---
+# --- explicit reductions along a diagonal derivation ---
 
 
 def test_reduction_scaling_case_p2_q3():
@@ -316,14 +319,97 @@ def test_reduce_rejects_defective_matrix():
         reduce_with_derivation(alg, d)
 
 
-def test_reduction_unimplemented_spectrum_falls_back():
-    # mask of (2, 3) allows b and n; spectrum normalizes off families 1 and 3
-    alg = from_named(b=0.8, n=-0.5)
-    d = np.diag([1.0, 2.0, 3.0])
-    assert reduce_with_derivation(alg, d) is None
-    res = classify_via_derivation(alg)
-    assert res.tag in ("A1", "A2", "A3", "A4", "NotInFamily")
-    assert res.method in ("derivation-fallback", "invariant-recipe")
+# family, constants, diagonal derivation, class: the constants each spectrum
+# lets survive, and the class the reduction reads off them
+SURVIVING_CONSTANTS = [
+    (1, {"c": 2.0, "s": 3.0}, (1.0, -1.0, 2.0), "A1"),
+    (6, {"c": 1.0}, (1.0, -3.0, 2.0), "A2"),
+    (7, {"f": 1.0}, (1.0, -3.0, -6.0), "A2"),
+    (7, {"h": 1.0}, (1.0, -3.0, -1.5), "A2"),
+    (8, {"n": 1.0}, (1.0, -3.5, -2.5), "A3"),
+    (9, {"s": 1.0}, (1.0, -2.5, 3.5), "A3"),
+    (4, {"b": 1.0, "c": -2.0}, (1.0, 2.0, 2.0), "A2"),
+    # family 3 with its double eigenvalue first: e2 e2, e3 e3, e2 e3 feed e1
+    (3, {"d": 1.0, "g": 2.0, "s": 1.0}, (1.0, 0.5, 0.5), "A4"),
+    (2, {"b": 1.0, "f": 1.0}, (1.0, 2.0, 4.0), "NotInFamily"),
+    (5, {"b": 1.0, "n": 1.0}, (1.0, 2.0, 3.0), "NotInFamily"),
+]
+
+
+def test_reduction_reads_the_class_off_the_surviving_constants():
+    for family, constants, spectrum, want in SURVIVING_CONSTANTS:
+        alg = from_named(**constants)
+        res = reduce_with_derivation(alg, np.diag(spectrum))
+        assert (res.spectrum_case.family, res.tag) == (family, want), constants
+        assert res.method == "derivation-reduction"
+        if want == "NotInFamily":
+            assert res.certificate is None
+            continue
+        got = change_of_basis(alg, res.certificate)
+        assert np.max(np.abs(got.c - canonical_algebra(want).c)) < REDUCTION_TOL, constants
+
+
+def test_reduction_snaps_the_spectrum_onto_its_constants():
+    # a derivation 1e-8 off in the Leibniz rule puts the spectrum 1e-8 off
+    # the line mu = 2 lambda of the constant f, beyond the mask's TAU_RES;
+    # the relations of the constants that are clearly there pin it back
+    alg = from_named(c=1.0, f=-1.0, n=1.0)
+    res = reduce_with_derivation(alg, np.diag([1.0, 1.0 + 5e-9, 2.0]))
+    assert (res.spectrum_case.family, res.tag) == (3, "A3")
+    got = change_of_basis(alg, res.certificate)
+    assert np.max(np.abs(got.c - canonical_algebra("A3").c)) < REDUCTION_TOL
+
+
+def test_reduction_refuses_a_spectrum_its_constants_contradict():
+    # b = 1.5e-7 keeps diag(1, 1, 2) within the 1e-7 Leibniz bound, but it
+    # needs d2 = 2 d1, which with c and f leaves only the zero spectrum
+    alg = from_named(c=1.0, f=1.0, b=1.5e-7)
+    with pytest.raises(ValueError, match="relations"):
+        reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+
+
+def test_reduction_of_a_candidate_with_nearly_equal_eigenvalues():
+    # conjugate 133 of the sweep-recipe stream at seed 2 (cond < 16): the
+    # first SSND candidate has eigenvalues 6.4e-5 apart, read as a double
+    # root, and its semisimple part has Leibniz residual 2.0e-9; that puts
+    # the normalized spectrum 3.7e-9 off (1, 1, 2)
+    rng = np.random.default_rng([2, zlib.crc32(b"sweep-recipe")])
+    algs = [conjugated_canonical(tag, rng)[0] for _ in range(45) for tag in ("A2", "A3", "A4")]
+    res = classify_via_derivation(algs[133])
+    assert (res.tag, res.method) == ("A3", "derivation-reduction")
+    assert res.residual <= CERT_TOL
+
+
+def test_semisimple_part_must_be_a_derivation():
+    # the last A4 of 27 rounds of A2, A3, A4 from default_rng(2): the
+    # semisimple part of its first candidate has a double eigenvalue and
+    # Leibniz residual 3.6e-6, so the search must pass it over
+    rng = np.random.default_rng(2)
+    algs = [conjugated_canonical(tag, rng)[0] for _ in range(27) for tag in ("A2", "A3", "A4")]
+    d, _ = find_real_ssnd(algs[-1])
+    assert derivation_residual(algs[-1], d) <= 1e-8
+    res = classify_via_derivation(algs[-1])
+    assert (res.tag, res.method) == ("A4", "derivation-reduction")
+
+
+def test_derivation_route_never_consults_the_invariant_route(monkeypatch):
+    def refuse(alg):
+        raise AssertionError("the derivation route called the invariant route")
+
+    monkeypatch.setattr(sys.modules["hqds3.classify"], "classify", refuse)
+    # criterion 9's conjugates
+    rng = np.random.default_rng(109)
+    for i in range(250):
+        tag = TAGS[i % 4]
+        alg, _ = conjugated_canonical(tag, rng)
+        res = classify_via_derivation(alg)
+        assert (res.tag, res.method) == (tag, "derivation-reduction"), i
+    # the scale sweep's inputs
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    for tag in TAGS:
+        base = change_of_basis(canonical_algebra(tag), q)
+        for e in range(-8, 9):
+            assert classify_via_derivation(Algebra(10.0 ** e * base.c)).tag == tag, (tag, e)
 
 
 @settings(deadline=None, max_examples=12)

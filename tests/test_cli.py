@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hqds3 import cli
-from hqds3.algebra import from_named, idempotents
+from hqds3.algebra import from_named, idempotents, zero_algebra
 from hqds3.catalog import (
     canonical_algebra,
     canonical_system,
@@ -300,6 +300,38 @@ def test_cli_command_computes_cone_at_most_once(tmp_path, capsys, monkeypatch, c
     code, _, _ = run(capsys, argv)
     assert code in (0, 2)
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", ["A1", "A4", "random", "zero"])
+def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind):
+    # the report shows the SSND the derivation route found; on the zero
+    # algebra, where that route returns before its search, classify searches
+    rng = np.random.default_rng(5)
+    if kind == "random":
+        alg = random_symmetric_algebra(rng)
+    elif kind == "zero":
+        alg = zero_algebra()
+    else:
+        alg, _ = conjugated_canonical(kind, rng)
+    calls = []
+    original = sys.modules["hqds3.derivations"].find_real_ssnd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "find_real_ssnd", None) is original:
+            monkeypatch.setattr(module, "find_real_ssnd", counted)
+    code, out, _ = run(capsys, ["classify", write_algebra(tmp_path, alg), "--seed", "3"])
+    assert code in (0, 2)
+    assert len(calls) == 1
+    ssnd = json.loads(out)["derivation_space"]["ssnd"]
+    found = original(alg, 3)
+    assert ssnd["present"] == (found is not None)
+    if found is not None:
+        assert ssnd["matrix"] == found[0].tolist()
+        assert ssnd["spectrum"] == sorted(float(v.real) for v in found[1].eigenvalues)
 
 
 def test_verify_first_integral_drift_is_relative(tmp_path, capsys):
