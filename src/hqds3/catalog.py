@@ -21,20 +21,22 @@ from .algebra import Algebra, change_of_basis, from_products
 from .derivations import MASK_SLOTS, admissible_mask, slot_defects
 from .linalg import random_well_conditioned
 
-CANONICAL_TAGS = ("A1", "A2", "A3", "A4")
+# built once: an Algebra is immutable, so every caller shares one instance
+_TABLES = {
+    "A1": from_products({(1, 1): (0.0, 0.0, 1.0), (2, 3): (1.0, 0.0, 0.0)}),
+    "A2": from_products({(3, 3): (0.0, 1.0, 0.0)}),
+    "A3": from_products({(1, 2): (0.0, 0.0, 1.0)}),
+    "A4": from_products({(1, 1): (0.0, 0.0, 1.0), (2, 2): (0.0, 0.0, 1.0)}),
+}
+CANONICAL_TAGS = tuple(_TABLES)
 
 
 def canonical_algebra(tag: str) -> Algebra:
-    """The canonical multiplication table for one of the four tags."""
-    if tag == "A1":
-        return from_products({(1, 1): (0.0, 0.0, 1.0), (2, 3): (1.0, 0.0, 0.0)})
-    if tag == "A2":
-        return from_products({(3, 3): (0.0, 1.0, 0.0)})
-    if tag == "A3":
-        return from_products({(1, 2): (0.0, 0.0, 1.0)})
-    if tag == "A4":
-        return from_products({(1, 1): (0.0, 0.0, 1.0), (2, 2): (0.0, 0.0, 1.0)})
-    raise ValueError(f"unknown canonical tag {tag!r}")
+    """The canonical multiplication table for one of the four tags, the
+    same object on every call."""
+    if tag not in _TABLES:
+        raise ValueError(f"unknown canonical tag {tag!r}")
+    return _TABLES[tag]
 
 
 def canonical_system(k: int) -> Algebra:

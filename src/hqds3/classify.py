@@ -42,17 +42,18 @@ from .algebra import (
 )
 from .catalog import CANONICAL_TAGS, canonical_algebra
 from .derivations import (
+    RELATIONS,
+    SLOT_ARRAY,
     IllConditioned,
     SpectrumCase,
-    admissible_mask,
     analyze_spectrum,
     derivation_residual,
     derivation_space,
     find_real_ssnd,
     leibniz_operator,
-    mask_residual,
     normalize_spectrum,
     real_eigenbasis,
+    spectrum_admits,
 )
 from .linalg import orthonormal_complement, rank_and_rowspace, sign_canonical, unit
 from .tolerances import TAU_CERT, TAU_RANK
@@ -342,22 +343,18 @@ def _a1_columns(c: np.ndarray, cut: float) -> np.ndarray | None:
     return m
 
 
-# the slots (i, j, k) of the 18 named constants, and the row d_k - d_i - d_j
-# of each one's spectrum relation
-_SLOTS = np.array(list(NAMED_SLOTS.values()))
-_RELATIONS = np.eye(3)[_SLOTS[:, 2]] - np.eye(3)[_SLOTS[:, 0]] - np.eye(3)[_SLOTS[:, 1]]
-
-
 def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
     """The spectrum w of a derivation, moved onto d_k = d_i + d_j for every
-    constant c[i, j, k] of ``eig``, the algebra in its eigenbasis, above the
-    1e-7 that mask_residual allows.
+    constant c[i, j, k] of ``eig``, the algebra in its eigenbasis, above
+    1e-7 max(1, scale).
 
     A numerical derivation meets these relations only up to its residual,
-    which may exceed the TAU_RES at which the mask decides them.  The move
-    is the least-squares one, and a move above 1e-6 of the spectrum raises.
+    which may exceed the TAU_RES at which spectrum_admits decides them.  The
+    move is the least-squares one, and a move above 1e-6 of the spectrum
+    raises.  After it every such constant meets its relation to roundoff, so
+    the constants the spectrum forbids are at most 1e-7 max(1, scale).
     """
-    a = _RELATIONS[np.abs(eig.c[tuple(_SLOTS.T)]) > 1e-7 * max(1.0, eig.scale)]
+    a = RELATIONS[np.abs(eig.c[tuple(SLOT_ARRAY.T)]) > 1e-7 * max(1.0, eig.scale)]
     if not a.size:
         return w
     snapped = w - np.linalg.lstsq(a, a @ w, rcond=None)[0]
@@ -370,11 +367,13 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     """Classify by rewriting in the eigenbasis of a given derivation.
 
     ``d`` must be a real-diagonalizable invertible derivation of ``alg``;
-    raises on inconsistent input.  The constants that diag(spectrum)
-    forbids are zeroed, and the class is read off the ones that survive:
-    e_i e_i = p e_k with e_j e_k = q e_i is A1; products that are all
-    multiples of one vector w that annihilates the algebra are A2, A3 or
-    A4; any other pattern is NotInFamily.  Never returns None.
+    raises on inconsistent input.  In the eigenbasis, after the spectrum
+    snap, the constants whose relation d_k = d_i + d_j the spectrum meets
+    are kept and the rest, eigenbasis noise, are zeroed.  The class is read
+    off the kept ones: e_i e_i = p e_k with e_j e_k = q e_i is A1; products
+    that are all multiples of one vector w that annihilates the algebra are
+    A2, A3 or A4; any other pattern is NotInFamily.  The spectrum's family
+    (normalize_spectrum) is only reported.  Never returns None.
     """
     d = np.asarray(d, dtype=float)
     norm, factor = alg.normalized()
@@ -386,35 +385,29 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
 
     w, v = real_eigenbasis(d, rep)
     eig = change_of_basis(norm, v)
-    case = normalize_spectrum(_snapped_spectrum(w, eig))
-    perm = list(case.permutation)
-    v_perm = v[:, perm]
-    reduced = Algebra(eig.c[np.ix_(perm, perm, perm)])
-    mask = admissible_mask(case.lam, case.mu)
-    if mask_residual(reduced, mask) > 1e-7:
-        raise ValueError("eigenbasis constants violate the diagonal-derivation mask")
+    w = _snapped_spectrum(w, eig)
+    case = normalize_spectrum(w)
 
     def result(tag, m=None, res=None):
         return ClassificationResult(
             tag, m, res, "derivation-reduction", derivation=d, spectrum_case=case
         )
 
-    if reduced.scale <= 1e-9:
+    if eig.scale <= 1e-9:
         return result("NullAlgebra", np.eye(3), alg.scale)
 
-    # what the mask forbids is eigenbasis noise, small by the check above
     c = np.zeros((3, 3, 3))
-    for i, j, k in mask.allowed_slots():
-        c[i, j, k] = c[j, i, k] = reduced.c[i, j, k]
-    cut = TAU_RANK * reduced.scale
+    for i, j, k in SLOT_ARRAY[spectrum_admits(w)]:
+        c[i, j, k] = c[j, i, k] = eig.c[i, j, k]
+    cut = TAU_RANK * eig.scale
     cols = _a1_columns(c, cut)
     if cols is not None:
-        tag, m = "A1", _balance_a1((v_perm @ cols) / factor)
+        tag, m = "A1", _balance_a1((v @ cols) / factor)
     else:
-        rank, rows = rank_and_rowspace(c.reshape(9, 3) / reduced.scale)
+        rank, rows = rank_and_rowspace(c.reshape(9, 3) / eig.scale)
         if rank != 1 or np.max(np.abs(np.einsum("i,ijk->jk", rows[0], c))) > cut:
             return result("NotInFamily")
-        tag, m = _square_line_normal_form(norm, unit(v_perm @ rows[0]))
+        tag, m = _square_line_normal_form(norm, unit(v @ rows[0]))
         m = m / factor
 
     m = polish_certificate(alg, tag, m)

@@ -369,12 +369,34 @@ MASK_SLOTS = {letter: slot for letter, slot in NAMED_SLOTS.items() if letter in 
 # constants that vanish for every diagonal derivation with nonzero spectrum
 ALWAYS_ZERO_LETTERS = tuple(letter for letter in NAMED_SLOTS if letter not in MASK_LINES)
 
+# the slots (i, j, k) of the 18 named constants, in NAMED_SLOTS order, and
+# the row d_k - d_i - d_j of each one's spectrum relation
+SLOT_ARRAY = np.array(list(NAMED_SLOTS.values()))
+RELATIONS = (
+    np.eye(3)[SLOT_ARRAY[:, 2]] - np.eye(3)[SLOT_ARRAY[:, 0]] - np.eye(3)[SLOT_ARRAY[:, 1]]
+)
+_CONDITIONAL = np.array([letter in MASK_LINES for letter in NAMED_SLOTS])
+
+
+def spectrum_admits(w) -> np.ndarray:
+    """Which of the 18 named constants, in NAMED_SLOTS order, diag(w) lets
+    survive: the conditional ones whose relation d_k = d_i + d_j the
+    spectrum w meets up to TAU_RES * sum |w|."""
+    w = np.asarray(w, dtype=float)
+    return _CONDITIONAL & (np.abs(RELATIONS @ w) <= TAU_RES * float(np.sum(np.abs(w))))
+
+
+def _letters_on(lam: float, mu: float) -> tuple[str, ...]:
+    """The conditional letters whose line passes through (lam, mu), in
+    NAMED_SLOTS order, which is alphabetical."""
+    return tuple(itertools.compress(NAMED_SLOTS, spectrum_admits((1.0, lam, mu))))
+
 
 def slot_defects(lam: float, mu: float) -> dict[str, float]:
     """d_k - (d_i + d_j) at d = (1, lam, mu) for each conditional letter; its
     constant survives diag(d) where this is zero."""
-    d = (1.0, lam, mu)
-    return {letter: d[k] - (d[i] + d[j]) for letter, (i, j, k) in MASK_SLOTS.items()}
+    defects = RELATIONS @ np.array([1.0, lam, mu])
+    return {letter: float(v) for letter, v in zip(NAMED_SLOTS, defects) if letter in MASK_SLOTS}
 
 
 @dataclass
@@ -402,9 +424,8 @@ def admissible_mask(lam: float, mu: float) -> ConstantMask:
     """
     if abs(lam * mu) <= TAU_RANK * max(1.0, lam * lam + mu * mu):
         raise SingularSpectrum("diagonal derivation requires lambda * mu != 0")
-    tol = TAU_RES * (1.0 + abs(lam) + abs(mu))
-    allowed = {letter: abs(v) <= tol for letter, v in slot_defects(lam, mu).items()}
-    return ConstantMask(lam=lam, mu=mu, allowed=allowed)
+    on = _letters_on(lam, mu)
+    return ConstantMask(lam=lam, mu=mu, allowed={letter: letter in on for letter in MASK_SLOTS})
 
 
 def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
@@ -422,9 +443,8 @@ def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
 def arrangement_lines(lam: float, mu: float) -> list[str]:
     """Names of the spectrum-constraint lines passing through (lam, mu), in
     MASK_LINES order."""
-    tol = TAU_RES * (1.0 + abs(lam) + abs(mu))
-    defects = slot_defects(lam, mu)
-    return [name for letter, name in MASK_LINES.items() if abs(defects[letter]) <= tol]
+    on = _letters_on(lam, mu)
+    return [name for letter, name in MASK_LINES.items() if letter in on]
 
 
 @dataclass
@@ -435,45 +455,25 @@ class SpectrumCase:
     representative: np.ndarray     # (1, lam, mu)
     scale: float                   # representative = scale * spec[permutation]
     permutation: tuple
-    lines: list                    # arrangement lines through (lam, mu)
 
 
-# 1/3 appears in only one direction of the doubling-line catalogue entry,
-# but (1, 1/3, 2/3) rescales to (1, 2, 3), which the special list owns;
-# the union of both directions keeps the special families unambiguous
-_EXCL_RATIO2 = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
-_EXCL_DOUBLING = (-1.0, 0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0)
-_EXCL_SHIFT = (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-_EXCL_SUM1 = (-1.0, 0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0)
+# the family of a point on one line only; the lines d, g and q are the same
+# spectra seen from another divisor, which normalize_spectrum prefers
+_LINE_FAMILY = {"b": 6, "c": 6, "f": 7, "h": 7, "n": 8, "s": 9}
+
+# the five special spectra (1, lam, mu), keyed by the letters of the lines
+# through them: (-1, 2), (2, 4), (1, 2), (2, 2) and (2, 3)
+_POINT_FAMILY = {("c", "s"): 1, ("b", "f"): 2, ("c", "f", "n"): 3, ("b", "c"): 4, ("b", "n"): 5}
 
 
 def _match_family(lam: float, mu: float) -> int | None:
-    """Prop-family of a sorted normalized spectrum (1, lam, mu), or None."""
-    tol = 1e-9 * (1.0 + abs(lam) + abs(mu))
-
-    def eq(x: float, y: float) -> bool:
-        return abs(x - y) <= tol
-
-    def excluded(x: float, vals: tuple) -> bool:
-        return any(abs(x - v) <= tol for v in vals)
-
-    specials = {(-1.0, 2.0): 1, (2.0, 4.0): 2, (1.0, 2.0): 3, (2.0, 2.0): 4, (2.0, 3.0): 5}
-    for (sl, sm), fam in specials.items():
-        if eq(lam, sl) and eq(mu, sm):
-            return fam
-    if eq(lam, 2.0) and not excluded(mu, _EXCL_RATIO2):
-        return 6
-    if eq(mu, 2.0) and not excluded(lam, _EXCL_RATIO2):
-        return 6
-    if eq(mu, 2.0 * lam) and not excluded(lam, _EXCL_DOUBLING):
-        return 7
-    if eq(lam, 2.0 * mu) and not excluded(mu, _EXCL_DOUBLING):
-        return 7
-    if eq(mu, lam + 1.0) and not excluded(lam, _EXCL_SHIFT):
-        return 8
-    if eq(lam + mu, 1.0) and not excluded(lam, _EXCL_SUM1):
-        return 9
-    return None
+    """Prop-family of a sorted normalized spectrum (1, lam, mu) with
+    lam * mu != 0, or None, read off the lines through it: one line gives
+    its own family, two or more one of the five special points."""
+    on = _letters_on(lam, mu)
+    if len(on) == 1:
+        return _LINE_FAMILY.get(on[0])
+    return _POINT_FAMILY.get(on)
 
 
 def normalize_spectrum(spec) -> SpectrumCase:
@@ -509,7 +509,6 @@ def normalize_spectrum(spec) -> SpectrumCase:
                 representative=np.array([1.0, lam, mu]),
                 scale=1.0 / d,
                 permutation=(i, jl, jm),
-                lines=arrangement_lines(lam, mu),
             )
         )
 

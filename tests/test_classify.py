@@ -1,6 +1,9 @@
 """Classification: fingerprints, certificates, and derivation-eigenbasis reduction."""
+import runpy
 import sys
 import zlib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from hqds3.catalog import (
     random_symmetric_algebra,
 )
 from hqds3.classify import (
+    ClassificationResult,
     _certificate_jacobian,
+    canonical_fingerprint,
     certificate_residual,
     classify,
     classify_via_derivation,
@@ -429,3 +434,54 @@ def test_paths_never_disagree_on_definite_tags(seed):
     b = classify_via_derivation(alg)
     if a.is_definite and b.is_definite:
         assert a.tag == b.tag
+
+
+def test_canonical_tables_are_built_once():
+    for tag in TAGS:
+        table = canonical_algebra(tag)
+        assert canonical_algebra(tag) is table
+        with pytest.raises(ValueError):
+            table.c[0, 0, 0] = 1.0
+        before = fingerprint.cache_info().hits
+        assert canonical_fingerprint(tag) is canonical_fingerprint(tag)
+        assert fingerprint.cache_info().hits > before
+    with pytest.raises(ValueError, match="unknown canonical tag"):
+        canonical_algebra("A5")
+
+
+ATLAS = Path(__file__).resolve().parents[1] / "scripts" / "spectrum_atlas.py"
+
+
+def test_spectrum_atlas_enumerates_every_ssnd_class():
+    # every support a diagonal SSND allows, at every meet of its lines and
+    # on each line alone, with +-1 constants: both routes agree, and the
+    # classes are A1-A4 and the two algebras outside the four tables
+    atlas = runpy.run_path(str(ATLAS))
+    meets = atlas["meets"]()
+    assert Counter(len(atlas["letters_on"](*p)) for p in meets) == {2: 21, 3: 3}
+    families = Counter(
+        normalize_spectrum([1.0, float(lam), float(mu)]).family for lam, mu in meets
+    )
+    assert families == {1: 6, 2: 6, 3: 3, 4: 3, 5: 6}
+
+    entries = atlas["atlas"]()
+    assert len(entries) == 264
+    assert [e for e in entries if e.invariant.tag != e.derivation.tag] == []
+    tags = Counter(e.invariant.tag for e in entries)
+    assert tags == {"A2": 108, "A3": 78, "A1": 24, "A4": 6, "NotInFamily": 48}
+    extras = {fingerprint(from_named(b=1.0, f=1.0)), fingerprint(from_named(b=1.0, n=1.0))}
+    assert {e.invariant.fingerprint for e in entries if e.invariant.tag == "NotInFamily"} == extras
+
+
+def test_spectrum_atlas_fails_when_the_routes_disagree(monkeypatch, capsys):
+    atlas = runpy.run_path(str(ATLAS))
+    split = atlas["Entry"](
+        (2, 3),
+        {"b": 1.0, "n": 1.0},
+        ClassificationResult("NotInFamily", None, None, "invariant-recipe"),
+        ClassificationResult("A3", None, None, "derivation-reduction"),
+    )
+    monkeypatch.setitem(atlas["main"].__globals__, "atlas", lambda: [split])
+    monkeypatch.setattr(sys, "argv", ["spectrum_atlas.py"])
+    assert atlas["main"]() == 1
+    assert "routes disagree" in capsys.readouterr().err
