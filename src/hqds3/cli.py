@@ -12,6 +12,7 @@ Exit codes: 0 success (classify: tag A1..A4), 1 parse/IO/flag error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -190,13 +191,12 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
     try:
         x0 = _parse_vec3(args.x0)
         _require_finite_positive("--t-end", args.t_end)
-        _require_finite_positive("--h0", args.h0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     res = classify(alg)
-    traj = integrate(alg, x0, args.t_end, args.h0)
+    traj = integrate(alg, x0, args.t_end)
     cells = None
     if res.tag in CANONICAL_TAGS:
         cells = canonical_cells(res.tag, res.certificate, traj.states)
@@ -210,7 +210,7 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
     summary = (
         f"terminated: {traj.terminated} at t={traj.times[-1]:.9g} "
         f"({len(traj.times)} samples); "
-        f"steps: {traj.accepted_steps} accepted, {traj.rejected_steps} rejected; "
+        f"steps: {traj.accepted_steps}; "
         f"first integrals: {ints.shape[0]}, max drift {drift:.3e}"
     )
     if args.out:
@@ -273,9 +273,10 @@ def _check_first_integrals(alg, rng, res, ids):
         return "SKIP", "no linear first integrals (A*A spans everything)"
 
     def judge(trajs):
-        # RK methods conserve linear invariants exactly, so the only drift is
-        # roundoff, which grows with the state: judge it relative to the
-        # trajectory's largest entry (trajectories may run to the blow-up guard)
+        # every Taylor coefficient past the state lies in A*A, so the only
+        # drift is roundoff, which grows with the state: judge it relative to
+        # the trajectory's largest entry (trajectories may run to the blow-up
+        # guard)
         worst = 0.0
         for traj in trajs:
             vals = traj.states @ ints.T
@@ -478,7 +479,9 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="hqds3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -488,20 +491,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("classify", help="classify an algebra and print the report")
     p.add_argument("input", help="JSON document with structure_constants")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="integrate x' = x*x and export CSV")
     p.add_argument("input")
     p.add_argument("--x0", required=True, help="initial state, e.g. 1,0.5,0")
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
-    p.add_argument("--h0", type=float, default=1e-3, help="initial step size")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the qualitative-dictionary battery")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="constant mask for diag(1, lambda, mu)")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
@@ -510,9 +509,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("derivations", help="derivation space and SSND search")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_derivations)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "spectrum":
         return cmd_spectrum(args)
     # every other command reads one input file, loaded here
@@ -521,7 +522,15 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, alg, label)
+    # looked up per call, not bound into the cached parser, so that a wrapper
+    # installed on a command after the first call still sees it
+    command = {
+        "classify": cmd_classify,
+        "derivations": cmd_derivations,
+        "simulate": cmd_simulate,
+        "verify": cmd_verify,
+    }[args.command]
+    return command(args, alg, label)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ TAU_CERT = 1e-8
 # geometric degeneracy guard (velocity, osculating plane)
 TAU_GEO = 1e-12
 
-# integrator defaults
+# integrator: the tolerance on the last two terms of each Taylor step,
+# relative to max(1, |x|); the step floor; the blow-up guard on |x|
 INT_RTOL = 1e-10
 INT_H_MIN = 1e-14
 BLOWUP_GUARD = 1e8

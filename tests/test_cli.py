@@ -1,4 +1,5 @@
 """End-to-end command-line behavior, run in-process through main()."""
+import dataclasses
 import json
 import sys
 import zlib
@@ -172,9 +173,9 @@ def test_simulate_rejects_nonpositive_t_end(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "0"],
-        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "nan"],
-        ["--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", "-0.1"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "0"],
+        ["--x0", "0.1,0.2,0.3", "--t-end", "1e400"],
+        ["--x0", "0.1,0.2,inf", "--t-end", "1"],
         ["--x0", "0.1,0.2,0.3", "--t-end", "nan"],
         ["--x0", "0.1,0.2,0.3", "--t-end", "inf"],
         ["--x0", "nan,0.2,0.3", "--t-end", "1"],
@@ -193,17 +194,25 @@ def test_simulate_rejects_non_finite_or_non_positive_numbers(tmp_path, capsys, f
 
 
 def test_simulate_reports_step_counts_before_the_drift(tmp_path, capsys):
-    # on the A4 table the error estimate vanishes, so every step is accepted
-    # and may grow fivefold: from h0 = 0.25 the steps are 0.25 and then the
-    # 0.75 left to t = 1
+    # the A4 flow is affine, so its Taylor series ends at the linear term and
+    # one step reaches t = 1
     path = write_algebra(tmp_path, canonical_algebra("A4"))
-    code, out, err = run(
-        capsys, ["simulate", path, "--x0", "1,2,0", "--t-end", "1", "--h0", "0.25"]
-    )
+    code, out, err = run(capsys, ["simulate", path, "--x0", "1,2,0", "--t-end", "1"])
     assert code == 0
-    assert len(out.strip().split("\n")) == 1 + 3
-    assert "(3 samples); steps: 2 accepted, 0 rejected; first integrals: 2" in err
+    assert len(out.strip().split("\n")) == 1 + 2
+    assert "(2 samples); steps: 1; first integrals: 2" in err
     assert err.strip().endswith("max drift 0.000e+00")
+
+
+@pytest.mark.parametrize("value", ["1e-3", "0", "nan", "-0.1"])
+def test_simulate_refuses_h0(tmp_path, capsys, value):
+    # a Taylor step needs no first guess, so simulate has no --h0 to take
+    path = write_algebra(tmp_path, canonical_algebra("A2"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", path, "--x0", "0.1,0.2,0.3", "--t-end", "1", "--h0", value])
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --h0" in err
 
 
 def test_simulate_rejects_non_numeric_t_end(tmp_path, capsys):
@@ -397,6 +406,44 @@ def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, 
     assert len(batches[0]) == {"A1": 10, "random": 3}.get(kind, 18)
 
 
+@pytest.mark.parametrize(
+    "kind, claimed, check",
+    [
+        # A1 trajectories are curved and cross the A2 half-planes
+        ("A1", "A2", "curvature"),
+        ("A1", "A2", "cell-invariance"),
+        # A1 trajectories are torsion-free; a random tensor's are not
+        ("random", "A1", "torsion"),
+    ],
+)
+def test_verify_class_checks_fail_on_a_misreported_class(
+    tmp_path, capsys, monkeypatch, kind, claimed, check
+):
+    # the planted fault: classify reports the wrong canonical class, with the
+    # input's own certificate, or the identity where it has none.  At seed 0
+    # the checks judge few samples, since each Taylor step is long: 18
+    # curvature samples, 13 cell samples and 139 torsion samples
+    rng = np.random.default_rng(5)
+    alg = conjugated_canonical("A1", rng)[0] if kind == "A1" else random_symmetric_algebra(rng)
+    classify = cli.classify
+
+    def misreported(alg):
+        res = classify(alg)
+        certificate = np.eye(3) if res.certificate is None else res.certificate
+        return dataclasses.replace(res, tag=claimed, certificate=certificate)
+
+    monkeypatch.setattr(cli, "classify", misreported)
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    assert code == 4
+    assert out.splitlines()[0] == f"class: {claimed}"
+    line = next(ln for ln in out.splitlines() if ln.split()[1] == f"{check}:")
+    assert line.startswith(f"FAIL {check}:")
+    if check != "cell-invariance":
+        # a clear miss: the curvature or torsion is of order one, against
+        # bounds of 1e-9 and 1e-6
+        assert float(line.split()[3]) > 0.1
+
+
 def _cli_dynamics_random_file(seed, group):
     """The random tensor of one group of the cli-dynamics workload's files."""
     rng = np.random.default_rng([seed, zlib.crc32(b"cli-dynamics")])
@@ -534,6 +581,19 @@ def test_derivations_report(tmp_path, capsys):
 
 
 # --- dispatch ---
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(tmp_path, capsys, monkeypatch):
+    # the parser is cached per process; a command replaced after the first
+    # call, as a tracer or a test does, is still the one that runs
+    path = write_algebra(tmp_path, canonical_algebra("A2"), label="A2")
+    assert run(capsys, ["derivations", path])[0] == 0
+    parser = cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_derivations", lambda args, alg, label: calls.append(label) or 0)
+    assert run(capsys, ["derivations", path]) == (0, "", "")
+    assert calls == ["A2"]
+    assert cli._parser() is parser
 
 
 def test_no_arguments_is_usage_error():

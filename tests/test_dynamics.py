@@ -1,13 +1,11 @@
-"""Trajectory geometry, closed forms, cell invariants, and the adaptive integrator."""
-from fractions import Fraction
-
+"""Trajectory geometry, closed forms, cell invariants, and the Taylor integrator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqds3 import dynamics
-from hqds3.algebra import from_named, product, square_map
+from hqds3.algebra import from_named, idempotents, product, square_map
 from hqds3.catalog import (
     canonical_algebra,
     canonical_system,
@@ -19,11 +17,8 @@ from hqds3.dynamics import (
     CellId,
     DegenerateVelocity,
     PreconditionFailed,
-    _DP_A,
-    _DP_B,
-    _DP_B_HAT,
-    _DP_E,
     _cells,
+    _taylor_coefficients,
     affine_flow,
     analytic_derivatives,
     cell_of,
@@ -35,8 +30,9 @@ from hqds3.dynamics import (
     steady_state_residual,
     trajectory_to_csv,
 )
+from hqds3 import cli
 from hqds3.cli import canonical_cells
-from hqds3.tolerances import TAU_GEO
+from hqds3.tolerances import INT_RTOL, TAU_GEO
 
 FD_RTOL = 2e-6
 GEOM_ATOL = 1e-12
@@ -46,7 +42,20 @@ BATCH_RTOL = 1e-12
 ENSEMBLE_STATE_RTOL = 1e-9  # relative to max(1, |x|)
 ENSEMBLE_TIME_RTOL = 1e-12  # final time of rows stopped before t_end
 CELL_RTOL = 4 * np.finfo(float).eps  # cell directions, batch against one point
-TABLEAU_ATOL = 1e-15  # order conditions, in double-precision coefficients
+# X_1, 2 X_2, 6 X_3 against analytic_derivatives, relative to the largest
+# entry; measured at most 1.8e-15 on tables, conjugates and random tensors
+COEF_RTOL = 1e-14
+# step sizes against the step rule: roundoff of the rule, plus that of the
+# sample times, whose differences are the steps
+STEP_RTOL = 1e-12
+STEP_ATOL = 4 * np.finfo(float).eps
+# closed forms against the samples, each measured over the starts its test
+# draws: 1/x = 1/x0 - t on e1 e1 = e1 up to the guard, relative to 1/x0
+# (measured 2.1e-11); idempotent rays v/(1-t) to t = 0.9, relative to
+# max(1, |x|) (4.5e-10); affine flows, relative to max(1, |x|) (3.5e-13)
+POLE_RTOL = 1e-10
+RAY_SAMPLE_RTOL = 1e-8
+AFFINE_RTOL = 1e-11
 
 
 @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4"])
@@ -466,8 +475,7 @@ def test_ensemble_repeats_bit_for_bit(case, cell_tag):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.torsion, b.torsion)
-        assert (a.terminated, a.accepted_steps, a.rejected_steps) == (
-            b.terminated, b.accepted_steps, b.rejected_steps)
+        assert (a.terminated, a.accepted_steps) == (b.terminated, b.accepted_steps)
         if cell_tag is not None:
             cells = [canonical_cells(cell_tag, np.eye(3), t.states) for t in (a, b)]
             assert cells[0] == cells[1]
@@ -478,67 +486,129 @@ def test_ensemble_of_no_rows_and_rows_that_never_start():
     assert integrate_batch(alg, np.zeros((0, 3)), 1.0) == []
     idle, moving = integrate_batch(alg, [[1.0, 0.0, 1.0], [0.1, 0.2, 0.3]], [0.0, 1.0])
     assert idle.times.tolist() == [0.0] and idle.terminated == "t_end_reached"
-    assert (idle.accepted_steps, idle.rejected_steps) == (0, 0)
+    assert idle.accepted_steps == 0
     assert moving.times[-1] == 1.0
 
 
-def test_step_counts_follow_the_acceptance_pattern():
-    # the A4 flow is affine (A*A lies in the annihilator), so every stage
-    # equals the first and the error estimate vanishes: every step is
-    # accepted and grows by the largest factor, 5, until the last is cut to
-    # the 0.219 left to t = 1
+def _step_rule(alg, xs):
+    """The step the integrator takes from each row of xs before the cut to
+    t_end: min over j = N-1, N of (INT_RTOL max(1, |x|) / |X_j|)^(1/j)."""
+    coef = _taylor_coefficients(alg, xs)
+    size = np.maximum(1.0, np.abs(xs).max(axis=1))
+    tail = np.abs(coef[:, -2:]).max(axis=2)
+    order = dynamics.TAYLOR_ORDER
+    return ((INT_RTOL * size[:, None] / tail) ** (1.0 / np.array([order - 1, order]))).min(axis=1)
+
+
+def test_step_counts_follow_the_step_rule():
+    # the A4 flow is affine (A*A lies in the annihilator), so X_2 = 0 and the
+    # series ends at X_1: one step reaches t = 1
     alg = canonical_algebra("A4")
     traj = integrate(alg, np.array([1.0, 2.0, 0.0]), 1.0)
-    assert (traj.accepted_steps, traj.rejected_steps) == (6, 0)
-    np.testing.assert_allclose(
-        np.diff(traj.times), [1e-3, 5e-3, 0.025, 0.125, 0.625, 0.219], rtol=1e-12
-    )
-    # a start whose error estimate is never finite is halved until the step
-    # falls below INT_H_MIN = 1e-14: 1e-3 / 2^37 is the first such step
+    assert traj.accepted_steps == 1
+    assert traj.times.tolist() == [0.0, 1.0]
+    # a start whose coefficients are not finite takes no step
     stuck = integrate(alg, np.array([np.nan, 0.0, 0.0]), 1.0)
     assert stuck.terminated == "step_underflow"
-    assert (stuck.accepted_steps, stuck.rejected_steps) == (0, 37)
-    # a first step of 0.5 is far too long on the A1 table: it is rejected and
-    # shrunk by the smallest factor, 0.2, twice, so the first sample is at 0.02
-    a1 = integrate(canonical_algebra("A1"), np.array([1.0, 1.0, 1.0]), 1.0, h0=0.5)
-    assert a1.terminated == "t_end_reached"
-    assert a1.accepted_steps == a1.times.size - 1
-    assert (a1.accepted_steps, a1.rejected_steps) == (83, 2)
-    assert a1.times[1] == pytest.approx(0.5 * 0.2 ** 2, rel=1e-12)
-    # the pole row: every accepted step adds a sample
-    pole = integrate(from_named(a=1.0), np.array([1.5, 0.0, 0.0]), 2.0)
-    assert pole.accepted_steps == pole.times.size - 1
-
-
-def test_dormand_prince_tableau():
-    f = Fraction
-    c = np.array([0, f(1, 5), f(3, 10), f(4, 5), f(8, 9), 1, 1], dtype=float)
-    a = _DP_A
-    np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=TABLEAU_ATOL)
-    assert np.all(np.triu(a) == 0.0)  # explicit
-    np.testing.assert_array_equal(a[-1], _DP_B)  # FSAL: the last stage is f(x_new)
-    assert _DP_B[-1] == 0.0
-    assert abs(_DP_E.sum()) < TABLEAU_ATOL
-    np.testing.assert_array_equal(_DP_E, _DP_B - _DP_B_HAT)
-
-    # order conditions sum_i w_i Phi_i(tree) = 1 / tree!, one per rooted tree
-    ac = a @ c
-    conditions = [
-        (1, np.ones(7), 1),
-        (2, c, 2),
-        (3, c ** 2, 3), (3, ac, 6),
-        (4, c ** 3, 4), (4, c * ac, 8), (4, a @ c ** 2, 12), (4, a @ ac, 24),
-        (5, c ** 4, 5), (5, c ** 2 * ac, 10), (5, c * (a @ c ** 2), 15),
-        (5, c * (a @ ac), 30), (5, ac ** 2, 20), (5, a @ c ** 3, 20),
-        (5, a @ (c * ac), 40), (5, a @ (a @ c ** 2), 60), (5, a @ (a @ ac), 120),
+    assert stuck.accepted_steps == 0 and stuck.times.tolist() == [0.0]
+    # every step is the rule's at the sample it starts from; only the last
+    # step of a row that reaches t_end is cut
+    rng = np.random.default_rng(31)
+    cases = [
+        (canonical_algebra("A1"), np.array([1.0, 1.0, 1.0]), "blowup_guard"),
+        (random_symmetric_algebra(rng), rng.uniform(-0.6, 0.6, size=3), "t_end_reached"),
     ]
-    assert len(conditions) == 17  # 1 + 1 + 2 + 4 + 9 trees through order 5
-    for order, phi, density in conditions:
-        assert abs(_DP_B @ phi - 1.0 / density) < TABLEAU_ATOL, (order, density)
-        if order <= 4:
-            assert abs(_DP_B_HAT @ phi - 1.0 / density) < TABLEAU_ATOL, (order, density)
-    # the embedded pair is of order exactly 4: b_hat misses an order-5 tree
-    assert max(abs(_DP_B_HAT @ phi - 1.0 / d) for o, phi, d in conditions if o == 5) > 1e-6
+    for alg, x0, stop in cases:
+        traj = integrate(alg, x0, 2.0)
+        assert traj.terminated == stop
+        assert traj.accepted_steps == traj.times.size - 1 > 1
+        steps, rule = np.diff(traj.times), _step_rule(alg, traj.states[:-1])
+        cut = stop == "t_end_reached"
+        np.testing.assert_allclose(
+            steps[:len(steps) - cut], rule[:len(rule) - cut], rtol=STEP_RTOL, atol=STEP_ATOL
+        )
+        assert steps[-1] <= rule[-1] * (1.0 + STEP_RTOL)
+    # on e1 e1 = e1 the coefficients of x e1 are x^(n+1) e1, so for x >= 1 the
+    # rule is INT_RTOL^(1/(N-1)) / x: each step covers the same share, 0.30,
+    # of the distance 1/x to the pole, and 51 steps take 1.5 e1 past 1e8
+    pole = integrate(from_named(a=1.0), np.array([1.5, 0.0, 0.0]), 2.0)
+    assert pole.terminated == "blowup_guard"
+    assert pole.accepted_steps == pole.times.size - 1 == 51
+    share = INT_RTOL ** (1.0 / (dynamics.TAYLOR_ORDER - 1))
+    np.testing.assert_allclose(
+        np.diff(pole.times), share / pole.states[:-1, 0], rtol=STEP_RTOL, atol=STEP_ATOL
+    )
+
+
+@pytest.mark.parametrize("kind", ["table", "conjugate", "random"])
+def test_taylor_coefficients_match_analytic_derivatives(kind):
+    # X_n is x^(n)/n! at the start: X_1, 2 X_2 and 6 X_3 are x', x'' and x'''
+    rng = np.random.default_rng(19)
+    if kind == "table":
+        algs = [canonical_algebra(tag) for tag in ("A1", "A2", "A3", "A4")]
+    elif kind == "conjugate":
+        algs = [conjugated_canonical(tag, rng)[0] for tag in ("A1", "A2", "A3", "A4")]
+    else:
+        algs = [random_symmetric_algebra(rng) for _ in range(4)]
+    for alg in algs:
+        xs = rng.uniform(-1.0, 1.0, size=(5, 3))
+        coef = _taylor_coefficients(alg, xs)
+        assert coef.shape == (5, dynamics.TAYLOR_ORDER + 1, 3)
+        ints = linear_first_integrals(alg)
+        for x, cx in zip(xs, coef):
+            derivs = analytic_derivatives(alg, x)
+            got = np.array([cx[1], 2.0 * cx[2], 6.0 * cx[3]])
+            np.testing.assert_allclose(got, derivs, rtol=0, atol=COEF_RTOL * np.abs(derivs).max())
+            np.testing.assert_array_equal(cx[0], x)
+            # past X_0 every coefficient lies in A*A, where the integrals vanish
+            if ints.shape[0]:
+                assert np.abs(cx[1:] @ ints.T).max() <= COEF_RTOL * np.abs(cx[1:]).max()
+
+
+@pytest.mark.parametrize("x0", [1.5, 3.0, 50.0])
+def test_samples_follow_the_scalar_pole_up_to_the_guard(x0):
+    # on e1 e1 = e1 the solution x0/(1 - x0 t) blows up at t = 1/x0; its
+    # reciprocal 1/x0 - t is affine, so compare that: near the pole a time
+    # error dt moves x by the factor x dt, which says nothing of the method
+    traj = integrate(from_named(a=1.0), np.array([x0, 0.0, 0.0]), 2.0)
+    assert traj.terminated == "blowup_guard"
+    assert 1e8 < traj.final_state[0] and traj.times[-1] < 1.0 / x0
+    np.testing.assert_array_equal(traj.states[:, 1:], 0.0)
+    recip = 1.0 / traj.states[:, 0]
+    assert np.max(np.abs(recip - (1.0 / x0 - traj.times))) <= POLE_RTOL / x0
+
+
+def test_samples_follow_the_idempotent_rays():
+    # every idempotent v of 20 random tensors whose transverse eigenvalue is
+    # at most 3 (the rays verify runs to t = 0.9), integrated along v/(1-t)
+    rng = np.random.default_rng(23)
+    rays = 0
+    for _ in range(20):
+        alg = random_symmetric_algebra(rng)
+        for v in idempotents(alg):
+            if cli._transverse_eigenvalue(alg, v) > 3.0:
+                continue
+            traj = integrate(alg, v, 0.9)
+            assert traj.terminated == "t_end_reached"
+            expect = ray_solution(v, traj.times)
+            err = np.abs(traj.states - expect) / np.maximum(1.0, np.abs(expect))
+            assert err.max() <= RAY_SAMPLE_RTOL
+            rays += 1
+    assert rays == 45
+
+
+@pytest.mark.parametrize("tag", ["A2", "A3", "A4"])
+def test_samples_follow_the_affine_closed_form(tag):
+    # the table and five conjugates, five Gaussian starts each, to t = 2
+    rng = np.random.default_rng(29)
+    algs = [canonical_algebra(tag)] + [conjugated_canonical(tag, rng)[0] for _ in range(5)]
+    for alg in algs:
+        starts = rng.standard_normal((5, 3))
+        for x0, traj in zip(starts, integrate_batch(alg, starts, 2.0)):
+            assert traj.times.tolist() == [0.0, 2.0]
+            expect = affine_flow(alg, x0, traj.times)
+            scale = max(1.0, float(np.abs(expect).max()))
+            assert np.max(np.abs(traj.states - expect)) <= AFFINE_RTOL * scale
 
 
 @settings(deadline=None, max_examples=20)
