@@ -136,9 +136,22 @@ def square_map(alg: Algebra, x: np.ndarray) -> np.ndarray:
     return np.einsum("i,j,ijk->k", x, x, alg.c)
 
 
+def products_batch(alg: Algebra, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Row-wise u * v for two (n, 3) stacks: each row's outer product u (x) v,
+    flattened, times the tensor as a (9, 3) matrix.
+
+    The rows are multiplied as a stack of (1, 9) matrices, not as one (n, 9)
+    matrix: a 2-D product may round a row differently for different n, and
+    this way a row's product does not depend on the rows beside it.
+    """
+    outer = us[:, :, None] * vs[:, None, :]
+    return (outer.reshape(len(us), 1, 9) @ alg.c.reshape(9, 3))[:, 0]
+
+
 def squares_batch(alg: Algebra, xs: np.ndarray) -> np.ndarray:
     """Row-wise x * x for a stack of vectors."""
-    return np.einsum("ni,nj,ijk->nk", xs, xs, alg.c)
+    xs = np.asarray(xs, dtype=float)
+    return products_batch(alg, xs, xs)
 
 
 def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:
@@ -531,36 +544,75 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
 
 def _lattice_newton(norm: Algebra) -> list[np.ndarray]:
     """Distinct nonzero roots of v*v = v reached by damped Newton from the
-    lattice.  A start leaves the batch once its own residual is <= 1e-14,
-    so every start follows the iterates of the full batch until then."""
-    v = _LATTICE.copy()
-    active = np.arange(v.shape[0])
-    eye = np.eye(3)
+    lattice.
+
+    The starts are the columns of one (3, n) array, and each iteration is a
+    few whole-array operations over the starts still moving: the residual
+    v*v - v is a (3, 6) coefficient matrix times the six monomials
+    x1^2, x2^2, x3^2, x1 x2, x1 x3, x2 x3; the nine entries of the Jacobian
+    2 L(x) - I are one (9, 3) matrix times the starts; and the step solves
+    the damped normal equations (J^T J + 1e-12 max(1, tr J^T J) I) d = J^T f
+    by the adjugate of the symmetric 3x3.  The damped matrix's eigenvalues
+    are at least 1e-12, so its determinant is at least 1e-36.  A start
+    leaves the batch once its own residual is <= 1e-14, so every start
+    follows the iterates of the full batch until then, and one whose norm
+    passes 1e3 restarts from the origin.
+    """
+    c = norm.c
+    # column m of coef multiplies the monomial x_i x_j with (i, j) the m-th
+    # of (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2); x*x holds the mixed
+    # ones twice
+    coef = np.hstack([c[[0, 1, 2], [0, 1, 2]].T, 2.0 * c[[0, 0, 1], [1, 2, 2]].T])
+    # row 3k + j holds the coefficients of x_i in J[k, j] = 2 sum_i x_i c[i, j, k]
+    jac_of = 2.0 * c.transpose(2, 1, 0).reshape(9, 3)
+    v = np.ascontiguousarray(_LATTICE.T)  # each start's last iterate
+    active, x = np.arange(v.shape[1]), v
     for _ in range(_NEWTON_STEPS):
-        x = v[active]
-        f = squares_batch(norm, x) - x
-        moving = np.max(np.abs(f), axis=1) > 1e-14
-        if not moving.any():
-            break
-        active, x, f = active[moving], x[moving], f[moving]
-        jac = 2.0 * np.einsum("ni,ijk->nkj", x, norm.c) - eye
+        f = coef @ (x[[0, 1, 2, 0, 0, 1]] * x[[0, 1, 2, 1, 2, 2]]) - x
+        done = np.abs(f).max(axis=0) <= 1e-14
+        if done.any():
+            v[:, active[done]] = x[:, done]
+            active, x, f = (np.compress(~done, a, axis=-1) for a in (active, x, f))
+            if not len(active):
+                break
+        jac = jac_of @ x
+        jac[[0, 4, 8]] -= 1.0
+        jac = jac.reshape(3, 3, -1)  # jac[k, a] = dF_k / dx_a, one row per start
+        # the six entries of J^T J and the three of J^T f
+        g00, g11, g22 = (jac * jac).sum(axis=0)
+        g01, g12, g02 = (jac * jac[:, [1, 2, 0]]).sum(axis=0)
+        r0, r1, r2 = (jac * f[:, None]).sum(axis=0)
         # damp singular Jacobians relative to J^T J, which reaches ~1e6 near
         # the reset radius where an absolute 1e-12 would be lost to roundoff
-        jtj = jac.transpose(0, 2, 1) @ jac
-        damp = 1e-12 * np.maximum(1.0, np.trace(jtj, axis1=1, axis2=2))
-        jtj = jtj + damp[:, None, None] * eye
-        rhs = (jac.transpose(0, 2, 1) @ f[:, :, None])
-        x = x - np.linalg.solve(jtj, rhs)[:, :, 0]
-        x[np.linalg.norm(x, axis=1) > 1e3] = 0.0
-        v[active] = x
+        damp = 1e-12 * np.maximum(1.0, g00 + g11 + g22)
+        g00, g11, g22 = g00 + damp, g11 + damp, g22 + damp
+        # the adjugate, symmetric like the matrix, and the determinant
+        a00, a11, a22 = g11 * g22 - g12 * g12, g00 * g22 - g02 * g02, g00 * g11 - g01 * g01
+        a01, a02, a12 = g02 * g12 - g01 * g22, g01 * g12 - g02 * g11, g01 * g02 - g00 * g12
+        det = g00 * a00 + g01 * a01 + g02 * a02
+        x = x - np.stack([
+            a00 * r0 + a01 * r1 + a02 * r2,
+            a01 * r0 + a11 * r1 + a12 * r2,
+            a02 * r0 + a12 * r1 + a22 * r2,
+        ]) / det
+        x[:, np.linalg.norm(x, axis=0) > 1e3] = 0.0
+    v[:, active] = x
 
+    v = v.T
     res = np.max(np.abs(squares_batch(norm, v) - v), axis=1)
     ok = (res <= TAU_RES) & (np.linalg.norm(v, axis=1) > TAU_DEDUP)
-    found: list[np.ndarray] = []
-    for cand in v[ok]:
-        if all(np.linalg.norm(cand - w) > TAU_DEDUP for w in found):
-            found.append(cand)
-    return found
+    return _first_come_distinct(v[ok])
+
+
+def _first_come_distinct(points: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``points`` with no earlier kept row within TAU_DEDUP, in
+    order: keep the first remaining row, drop every row within TAU_DEDUP of
+    it, and repeat."""
+    kept: list[np.ndarray] = []
+    while len(points):
+        kept.append(points[0])
+        points = points[np.linalg.norm(points - points[0], axis=1) > TAU_DEDUP]
+    return kept
 
 
 # ---------------------------------------------------------------------------

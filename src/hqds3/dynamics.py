@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, ideal_structure, square_ideal, square_map
+from .algebra import Algebra, ideal_structure, products_batch, square_ideal, square_map
 from .linalg import orthonormal_complement
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
@@ -49,13 +49,9 @@ class PreconditionFailed(RuntimeError):
 
 def _derivatives(alg: Algebra, xs: np.ndarray) -> np.ndarray:
     """x', x'', x''' at every row of the (n, 3) stack xs, as shape (3, n, 3)."""
-
-    def prod(u, v):
-        return np.einsum("ni,nj,ijk->nk", u, v, alg.c)
-
-    d1 = prod(xs, xs)
-    d2 = 2.0 * prod(xs, d1)
-    d3 = 2.0 * (prod(d1, d1) + prod(xs, d2))
+    d1 = products_batch(alg, xs, xs)
+    d2 = 2.0 * products_batch(alg, xs, d1)
+    d3 = 2.0 * (products_batch(alg, d1, d1) + products_batch(alg, xs, d2))
     return np.stack([d1, d2, d3])
 
 

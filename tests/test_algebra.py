@@ -17,6 +17,7 @@ from hqds3.algebra import (
     change_of_basis,
     from_named,
     from_products,
+    _first_come_distinct,
     _lattice_newton,
     idempotents,
     left_mult_matrix,
@@ -389,18 +390,58 @@ def test_idempotents_match_the_full_batch_search():
 def test_idempotents_of_solvable_classes_need_no_search(monkeypatch):
     # v = v*v puts v in every term of the derived series, which vanishes on A1-A4
     calls = []
-    original = algebra.squares_batch
+    original = algebra._lattice_newton
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(algebra, "squares_batch", counted)
+    monkeypatch.setattr(algebra, "_lattice_newton", counted)
     rng = np.random.default_rng(9)
     for tag in TAGS:
         for _ in range(50):
             assert idempotents(conjugated_canonical(tag, rng)[0]) == []
     assert calls == []
+
+
+def test_idempotents_through_a_singular_jacobian():
+    # e1 e1 = e1, e2 e2 = 0.625 e2: at the lattice value x2 = 0.8 (stored as
+    # 0.8000000000000003) the entry J22 = 1.25 x2 - 1 of the Jacobian is
+    # roundoff, so the damped step must stay finite there and warn of nothing
+    alg = from_products({(1, 1): (1.0, 0.0, 0.0), (2, 2): (0.0, 0.625, 0.0)})
+    x2 = np.linspace(-2.0, 2.0, 11)[7]
+    assert x2 in algebra._LATTICE[:, 1]
+    jac = 2.0 * left_mult_matrix(alg, [0.0, x2, 0.0]) - np.eye(3)
+    assert 0.0 < abs(jac[1, 1]) < 1e-15
+    found = idempotents(alg)
+    assert len(found) == 3
+    for got, want in zip(found, [(0.0, 1.6, 0.0), (1.0, 0.0, 0.0), (1.0, 1.6, 0.0)]):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_first_come_distinct_keeps_the_first_of_a_chain():
+    # b is within TAU_DEDUP of a and c of b, but c is not of a: b goes with a,
+    # and c, judged against the kept a only, stays
+    u = np.array([2.0, -1.0, 2.0]) / 3.0
+    a = np.array([0.3, -0.2, 0.5])
+    b = a + 0.6 * TAU_DEDUP * u
+    c = b + 0.6 * TAU_DEDUP * u
+    kept = _first_come_distinct(np.array([a, b, c]))
+    assert len(kept) == 2
+    assert np.array_equal(kept[0], a) and np.array_equal(kept[1], c)
+
+
+def test_first_come_distinct_keeps_the_first_copy_of_each_root():
+    rng = np.random.default_rng(4)
+    roots = rng.standard_normal((3, 3))
+    for _ in range(20):
+        labels = rng.permutation(np.repeat(np.arange(3), 4))
+        points = roots[labels] + 0.1 * TAU_DEDUP * rng.uniform(-1.0, 1.0, (12, 3))
+        first = [int(np.flatnonzero(labels == k)[0]) for k in dict.fromkeys(labels)]
+        kept = _first_come_distinct(points)
+        assert len(kept) == 3
+        for got, i in zip(kept, first):
+            assert np.array_equal(got, points[i])
 
 
 def test_lattice_newton_survives_large_jacobians():
