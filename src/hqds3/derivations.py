@@ -1,9 +1,10 @@
 """Derivations of a commutative algebra and their spectral structure.
 
 A derivation is a matrix D with D(u*v) = (Du)*v + u*(Dv).  The key objects
-are the full derivation space, the closed-form eigenvalue analysis of a 3x3
-matrix, the Jordan-Chevalley split, the search for a real-diagonalizable
-invertible derivation, and the bookkeeping for diagonal derivations
+are the full derivation space, the eigenvalue analysis of a 3x3 matrix
+from one eigvals call, one spectral projector for its Jordan-Chevalley
+split and real part, the search for a real-diagonalizable invertible
+derivation, and the bookkeeping for diagonal derivations
 diag(1, lambda, mu): which structure constants they allow and how a spectrum
 normalizes to a standard representative.
 """
@@ -82,13 +83,13 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
 
 
 # ---------------------------------------------------------------------------
-# closed-form spectral analysis
+# spectral analysis from one eigenvalue call
 
 
 @dataclass
 class SpectralReport:
     char_poly: np.ndarray          # monic [1, a2, a1, a0] of det(tI - M)
-    eigenvalues: np.ndarray        # complex, length 3
+    eigenvalues: np.ndarray        # complex, length 3; a simple root before a pair
     all_real: bool
     semisimple: bool
     nonsingular: bool
@@ -96,97 +97,91 @@ class SpectralReport:
     multiplicity: str              # 'distinct' | 'double' | 'triple' | 'complex-pair'
 
 
-def _cubic_roots(a2: float, a1: float, a0: float) -> tuple[np.ndarray, str]:
-    """Roots of t^3 + a2 t^2 + a1 t + a0 via the discriminant split.
-
-    Returns the roots and a multiplicity tag.  For 'double' the repeated
-    root occupies the first two slots.
-    """
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
-    shift = a2 / 3.0
-    s0 = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    disc_n = disc / s0 ** 6
-
-    if disc_n > TAU_RES:
-        # three distinct real roots; p < 0 in this branch
-        m = 2.0 * np.sqrt(-p / 3.0)
-        arg = np.clip(3.0 * q / (p * m), -1.0, 1.0)
-        theta = np.arccos(arg) / 3.0
-        ks = np.array([0.0, 1.0, 2.0])
-        roots = m * np.cos(theta - 2.0 * np.pi * ks / 3.0) - shift
-        return roots.astype(complex), "distinct"
-    if disc_n < -TAU_RES:
-        rad = np.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-        u = np.cbrt(-q / 2.0 + rad)
-        v = np.cbrt(-q / 2.0 - rad)
-        real = u + v - shift
-        re = -(u + v) / 2.0 - shift
-        im = (np.sqrt(3.0) / 2.0) * (u - v)
-        return np.array([real, re + 1j * im, re - 1j * im]), "complex-pair"
-    # boundary: repeated real roots
-    if abs(p) <= 1e-6 * s0 ** 2:
-        r = np.cbrt(-q) - shift
-        return np.array([r, r, r], dtype=complex), "triple"
-    u = -3.0 * q / (2.0 * p)
-    return np.array([u, u, -2.0 * u], dtype=complex) - shift, "double"
-
-
-def _rank3(m: np.ndarray) -> int:
-    """Numerical rank of a 3x3 matrix, singular values above 1e-7 * max(1, s_max)."""
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-7 * max(1.0, s[0])))
-
-
 def analyze_spectrum(m: np.ndarray) -> SpectralReport:
-    """Eigenvalues of a real 3x3 matrix by the closed-form cubic, plus the
-    all-real / semisimple / nonsingular verdicts used by the classifier."""
-    m = np.asarray(m, dtype=float)
-    tr = float(np.trace(m))
-    minors = (
-        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    )
-    det = float(np.linalg.det(m))
-    char = np.array([1.0, -tr, minors, -det])
+    """Eigenvalues of a real 3x3 matrix, plus the all-real / semisimple /
+    nonsingular verdicts used by the classifier.
 
+    The roots come from one ``np.linalg.eigvals`` call in units of
+    sigma = max(1, max |m_ij|), centred at their mean: y = roots - mean,
+    p = e2(y), q = -e3(y) and s0 = max(1, |p|^(1/2), |q|^(1/3)).  A root is
+    repeated when the discriminant prod (y_i - y_j)^2 is within TAU_RES * s0^6
+    of zero, and triple when also |p| <= 1e-6 * s0^2; otherwise a negative
+    discriminant is a complex pair.  A repeated root lam is reported as its
+    cluster's mean, after the simple root.  A double one is semisimple when
+    m - lam I has rank at most 1 (singular values cut at 1e-7 * max(1,
+    s_max)), a triple one when max |m - lam I| <= 1e-7 * sigma; nonsingular
+    is |det m| > TAU_RANK.
+    """
+    m = np.asarray(m, dtype=float)
     sigma = max(1.0, float(np.max(np.abs(m))))
-    mn = m / sigma
-    a2 = -float(np.trace(mn))
-    a1 = (
-        mn[1, 1] * mn[2, 2] - mn[1, 2] * mn[2, 1]
-        + mn[0, 0] * mn[2, 2] - mn[0, 2] * mn[2, 0]
-        + mn[0, 0] * mn[1, 1] - mn[0, 1] * mn[1, 0]
-    )
-    a0 = -float(np.linalg.det(mn))
-    roots, kind = _cubic_roots(a2, float(a1), a0)
-    roots = roots * sigma
+    roots = np.linalg.eigvals(m / sigma).tolist()
+    centre = sum(roots) / 3.0
+    y = [r - centre for r in roots]
+    p = (y[0] * y[1] + y[0] * y[2] + y[1] * y[2]).real
+    q = -(y[0] * y[1] * y[2]).real
+    s0 = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
+    disc = (((y[0] - y[1]) * (y[0] - y[2]) * (y[1] - y[2])) ** 2).real / s0 ** 6
+
+    semisimple = True
+    if abs(disc) > TAU_RES:
+        kind = "distinct" if disc > 0.0 else "complex-pair"
+        roots.sort(key=lambda r: abs(r.imag))  # a complex pair's real root first
+    elif abs(p) <= 1e-6 * s0 ** 2:
+        kind = "triple"
+        roots = [centre.real] * 3
+        semisimple = float(np.max(np.abs(m - sigma * centre.real * np.eye(3)))) <= 1e-7 * sigma
+    else:
+        kind = "double"
+        # the simple root lies twice as far from the centre as the pair
+        odd = max(range(3), key=lambda i: abs(y[i]))
+        lam = sum(roots[k] for k in range(3) if k != odd).real / 2.0
+        roots = [roots[odd].real, lam, lam]
+        sv = np.linalg.svd(m - sigma * lam * np.eye(3), compute_uv=False)
+        semisimple = bool(sv[1] <= 1e-7 * max(1.0, sv[0]))
+    roots = sigma * np.array(roots, dtype=complex)
+    minors = (roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]).real
+    det = float(np.linalg.det(m))
 
     all_real = kind != "complex-pair"
-    if kind == "distinct" or kind == "complex-pair":
-        semisimple = True
-    elif kind == "double":
-        lam = roots[0].real
-        semisimple = _rank3(m - lam * np.eye(3)) <= 1
-    else:  # triple
-        lam = roots[0].real
-        semisimple = float(np.max(np.abs(m - lam * np.eye(3)))) <= 1e-7 * sigma
-
-    nonsingular = abs(det) > TAU_RANK
-    spectrum = np.sort(roots.real) if all_real else None
     return SpectralReport(
-        char_poly=char,
+        char_poly=np.array([1.0, -roots.sum().real, minors, -det]),
         eigenvalues=roots,
         all_real=all_real,
         semisimple=semisimple,
-        nonsingular=nonsingular,
-        spectrum=spectrum,
+        nonsingular=abs(det) > TAU_RANK,
+        spectrum=np.sort(roots.real) if all_real else None,
         multiplicity=kind,
     )
+
+
+def real_semisimple_part(m: np.ndarray, rep: SpectralReport | None = None) -> np.ndarray:
+    """The matrix acting by Re(lambda) on each generalized eigenspace of m.
+
+    With a real spectrum this is the semisimple part of m, and with a
+    complex pair its real part.  Either is a polynomial in m, so it commutes
+    with m and is a derivation whenever m is one.  For a simple real root
+    gamma whose two companions are the roots of the monic quadratic
+    q(t) = (t - alpha)^2 + beta^2 (a repeated root alpha, or alpha +- i beta),
+    q(m) / q(gamma) projects onto gamma's line.  Raises IllConditioned when
+    |q(m)| / q(gamma) exceeds ILL_CONDITIONED_LIMIT.  ``rep``, when given,
+    is analyze_spectrum(m).
+    """
+    m = np.asarray(m, dtype=float)
+    rep = rep or analyze_spectrum(m)
+    if rep.multiplicity == "distinct":
+        return m.copy()
+    gamma = float(rep.eigenvalues[0].real)
+    if rep.multiplicity == "triple":
+        return gamma * np.eye(3)
+    alpha, beta = float(rep.eigenvalues[1].real), float(rep.eigenvalues[1].imag)
+    eye = np.eye(3)
+    qm = (m - alpha * eye) @ (m - alpha * eye) + beta ** 2 * eye
+    qg = (gamma - alpha) ** 2 + beta ** 2
+    cond = float(np.linalg.norm(qm)) / qg if qg != 0.0 else np.inf
+    if cond > ILL_CONDITIONED_LIMIT:
+        raise IllConditioned(f"projector condition estimate {cond:.2e}")
+    proj = qm / qg
+    return gamma * proj + alpha * (eye - proj)
 
 
 def jordan_chevalley(
@@ -194,79 +189,38 @@ def jordan_chevalley(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split m = S + N with S semisimple, N nilpotent, [S, N] = 0.
 
-    S is assembled from spectral projectors, so it is a polynomial in m and
-    the commutator vanishes identically.  A complex conjugate pair in 3x3 is
-    automatically simple, hence m itself is semisimple in that branch.
-    ``rep``, when given, is analyze_spectrum(m).
+    S is real_semisimple_part(m), a polynomial in m, so the commutator
+    vanishes identically.  A complex conjugate pair in 3x3 is automatically
+    simple, hence m itself is semisimple in that branch.  ``rep``, when
+    given, is analyze_spectrum(m).
     """
     m = np.asarray(m, dtype=float)
     rep = rep or analyze_spectrum(m)
-    eye = np.eye(3)
-    if rep.multiplicity in ("distinct", "complex-pair"):
+    if rep.multiplicity == "complex-pair":
         return m.copy(), np.zeros((3, 3))
-    if rep.multiplicity == "triple":
-        lam = float(rep.eigenvalues[0].real)
-        s = lam * eye
-        return s, m - s
-    lam = float(rep.eigenvalues[0].real)
-    gamma = float(rep.eigenvalues[2].real)
-    denom = (gamma - lam) ** 2
-    sq = (m - lam * eye) @ (m - lam * eye)
-    cond = float(np.linalg.norm(sq)) / abs(denom) if denom != 0.0 else np.inf
-    if cond > ILL_CONDITIONED_LIMIT:
-        raise IllConditioned(f"projector condition estimate {cond:.2e}")
-    proj = sq / denom
-    s = lam * (eye - proj) + gamma * proj
+    s = real_semisimple_part(m, rep)
     return s, m - s
-
-
-def real_part_matrix(m: np.ndarray, rep: SpectralReport | None = None) -> np.ndarray | None:
-    """For a semisimple matrix with one complex pair, the commuting matrix
-    acting by Re(eigenvalue) on each eigenspace; None when not applicable."""
-    rep = rep or analyze_spectrum(m)
-    if rep.all_real or rep.multiplicity != "complex-pair":
-        return None
-    gamma = float(rep.eigenvalues[0].real)
-    alpha = float(rep.eigenvalues[1].real)
-    beta = float(rep.eigenvalues[1].imag)
-    denom = (gamma - alpha) ** 2 + beta ** 2
-    if denom <= TAU_RANK:
-        return None
-    eye = np.eye(3)
-    proj = ((m - alpha * eye) @ (m - alpha * eye) + beta ** 2 * eye) / denom
-    return gamma * proj + alpha * (eye - proj)
 
 
 def real_eigenbasis(m: np.ndarray, rep: SpectralReport | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of an all-real semisimple matrix.
 
-    Repeated eigenvalues are clustered and served by orthonormal bases of
-    their eigenspaces; raises IllConditioned when the numerical eigenspace
-    dimensions disagree with the root multiplicities.
+    Each distinct eigenvalue of the report is served by an orthonormal
+    basis of its eigenspace; raises IllConditioned when the numerical
+    eigenspace dimensions disagree with the root multiplicities.
     """
     m = np.asarray(m, dtype=float)
     rep = rep or analyze_spectrum(m)
     if not (rep.all_real and rep.semisimple):
         raise IllConditioned("matrix is not real-diagonalizable")
-    roots = np.sort(rep.eigenvalues.real)
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    clusters: list[list[float]] = []
-    for r in roots:
-        if clusters and abs(r - clusters[-1][-1]) <= 1e-6 * scale:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    values = []
+    values, counts = np.unique(rep.eigenvalues.real, return_counts=True)
     columns = []
-    for cl in clusters:
-        lam = float(np.mean(cl))
+    for lam, count in zip(values, counts):
         basis = nullspace(m - lam * np.eye(3), rtol=1e-7)
-        if basis.shape[0] != len(cl):
+        if basis.shape[0] != count:
             raise IllConditioned("eigenspace dimension does not match multiplicity")
-        for row in basis:
-            values.append(lam)
-            columns.append(row)
-    return np.array(values), np.array(columns).T
+        columns.extend(basis)
+    return np.repeat(values, counts), np.array(columns).T
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +236,10 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
 
     Candidates: the generator (and its negative) when the space is a line;
     otherwise SSND_RANDOM_CANDIDATES random coefficient vectors drawn from
-    ``seed``, followed by all +-1/0 sign patterns of the basis.  A
-    candidate with a repeated root is also replaced by its semisimple part,
-    and one with a complex pair by the commuting real-spectrum component;
-    both are again derivations, and each is kept only when its Leibniz
+    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each
+    candidate is scaled to largest entry 1 and analysed once.  One that
+    misses with a defective or complex spectrum is replaced by its
+    real_semisimple_part, again a derivation, kept only when its Leibniz
     residual is at most 1e-8.  The first candidate passing all three
     spectral tests wins; the search is not exhaustive and may miss.
     """
@@ -306,39 +260,31 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
         )
         return itertools.chain(randoms, patterns)
 
-    def attempt(cand: np.ndarray) -> tuple[np.ndarray, SpectralReport] | None:
+    def scaled(cand: np.ndarray) -> tuple[np.ndarray, SpectralReport] | None:
         top = float(np.max(np.abs(cand)))
         if top <= TAU_RANK:
             return None
         cand = cand / top
-        rep = analyze_spectrum(cand)
-        if rep.all_real and rep.semisimple and rep.nonsingular:
-            return cand, rep
-        return None
+        return cand, analyze_spectrum(cand)
 
     for coeffs in vectors():
-        raw = (coeffs @ flat).reshape(3, 3)
-        hit = attempt(raw)
-        if hit:
-            return hit
-        rep = analyze_spectrum(raw)
-        if rep.multiplicity in ("double", "triple"):
-            # a repeated root may be defective: try the semisimple part
+        found = scaled((coeffs @ flat).reshape(3, 3))
+        if found is None:
+            continue
+        cand, rep = found
+        if not (rep.all_real and rep.semisimple):
+            # the part is a derivation in exact arithmetic, but its projector
+            # loses accuracy near a repeated root, so it is checked
             try:
-                sem, nil = jordan_chevalley(raw, rep)
+                part = real_semisimple_part(cand, rep)
             except IllConditioned:
                 continue
-            big = float(np.max(np.abs(nil))) > TAU_RES * max(1.0, float(np.max(np.abs(raw))))
-            part = sem if big else None
-        else:
-            # None unless there is a complex pair
-            part = real_part_matrix(raw, rep)
-        # either part is a derivation in exact arithmetic, but its projectors
-        # lose accuracy near a repeated root, so it is checked
-        if part is not None and derivation_residual(alg, part) <= 1e-8:
-            hit = attempt(part)
-            if hit:
-                return hit
+            found = scaled(part) if derivation_residual(alg, part) <= 1e-8 else None
+            if found is None:
+                continue
+            cand, rep = found
+        if rep.all_real and rep.semisimple and rep.nonsingular:
+            return cand, rep
     return None
 
 

@@ -26,5 +26,7 @@ INT_RTOL = 1e-10
 INT_H_MIN = 1e-14
 BLOWUP_GUARD = 1e8
 
-# condition-number ceiling before jordan_chevalley reports failure
+# ceiling on |q(m)| / q(gamma), the condition estimate of the one spectral
+# projector (derivations.real_semisimple_part, behind jordan_chevalley and
+# the SSND search), before it raises IllConditioned
 ILL_CONDITIONED_LIMIT = 1e12

@@ -111,6 +111,38 @@ def test_scale_sweep_classifies_on_both_routes(tag):
             assert certificate_residual(alg, tag, res.certificate) <= CERT_TOL, e
 
 
+# condition numbers of the kappa sweep, in drawing order
+SWEEP_KAPPAS = (1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e8)
+
+
+def _kappa_sweep():
+    """(kappa, tag, table in the basis m^-1) for m = Q1 diag(1, sqrt(kappa),
+    kappa) Q2 with Q1, Q2 from the QR of Gaussian matrices, 15 per tag and
+    kappa, all drawn from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    for kappa in SWEEP_KAPPAS:
+        for tag in TAGS:
+            for _ in range(15):
+                q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                m = q1 @ np.diag([1.0, np.sqrt(kappa), kappa]) @ q2
+                yield kappa, tag, change_of_basis(canonical_algebra(tag), np.linalg.inv(m))
+
+
+# tag -> the largest kappa of the sweep up to which the (invariant,
+# derivation) route classifies every input; above it some or all miss
+SWEEP_LIMITS = {"A1": (1e2, 1.0), "A2": (1e6, 1e6), "A3": (1e6, 1e6), "A4": (1e6, 1e6)}
+
+
+def test_kappa_sweep_classifies_up_to_the_pinned_limits():
+    for kappa, tag, alg in _kappa_sweep():
+        inv_limit, der_limit = SWEEP_LIMITS[tag]
+        if kappa <= inv_limit:
+            assert classify(alg).tag == tag, (tag, kappa)
+        if kappa <= der_limit:
+            assert classify_via_derivation(alg).tag == tag, (tag, kappa)
+
+
 def test_off_orbit_perturbations_stay_not_in_family():
     # a random symmetric direction of size 1e-6 leaves the orbit of each
     # table, whose codimension is 9 + dim Der, so no route may classify it

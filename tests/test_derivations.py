@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqds3 import derivations
 from hqds3.algebra import NAMED_SLOTS, from_named, product
 from hqds3.catalog import (
     canonical_algebra,
@@ -31,7 +32,7 @@ from hqds3.derivations import (
     mask_residual,
     normalize_spectrum,
     real_eigenbasis,
-    real_part_matrix,
+    real_semisimple_part,
     slot_defects,
 )
 
@@ -166,6 +167,35 @@ def test_analyze_spectrum_singular():
     assert not rep.nonsingular
 
 
+# Jordan forms -> (multiplicity, semisimple, nonsingular)
+_ROTATION_PLUS_3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+JORDAN_FORMS = {
+    "distinct": (np.diag([1.0, -2.0, 3.0]), ("distinct", True, True)),
+    "semisimple-double": (np.diag([2.0, 2.0, -5.0]), ("double", True, True)),
+    "defective-double": (
+        np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -5.0]]),
+        ("double", False, True),
+    ),
+    "scalar": (3.0 * np.eye(3), ("triple", True, True)),
+    "defective-triple": (3.0 * np.eye(3) + np.eye(3, k=1), ("triple", False, True)),
+    "rotation-plus-3": (_ROTATION_PLUS_3, ("complex-pair", True, True)),
+}
+
+
+@pytest.mark.parametrize("form", JORDAN_FORMS)
+def test_analyze_spectrum_of_conjugated_jordan_forms(form):
+    # triangular forms have exact computed eigenvalues; a conjugate does not,
+    # and its verdicts must not depend on the basis
+    j, expected = JORDAN_FORMS[form]
+    rng = np.random.default_rng(12)
+    for i in range(50):
+        v = rng.standard_normal((3, 3))
+        while np.linalg.cond(v) > 16.0:
+            v = rng.standard_normal((3, 3))
+        rep = analyze_spectrum(v @ j @ np.linalg.inv(v))
+        assert (rep.multiplicity, rep.semisimple, rep.nonsingular) == expected, i
+
+
 def test_jordan_chevalley_frozen():
     m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     s, n = jordan_chevalley(m)
@@ -195,9 +225,23 @@ def test_jordan_chevalley_random_properties():
 def test_real_part_matrix_frozen():
     # rotation block (eigenvalues +-i) plus real eigenvalue 3
     m = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
-    out = real_part_matrix(m)
+    out = real_semisimple_part(m)
     np.testing.assert_allclose(out, np.diag([0.0, 0.0, 3.0]), atol=1e-12)
-    assert real_part_matrix(np.diag([1.0, 2.0, 3.0])) is None
+
+
+def test_find_real_ssnd_analyses_each_candidate_once(monkeypatch):
+    # canonical A4's first candidate has a complex pair and its real part is
+    # an SSND: one analysis for each of the two
+    calls = []
+    original = derivations.analyze_spectrum
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(derivations, "analyze_spectrum", counted)
+    assert find_real_ssnd(canonical_algebra("A4")) is not None
+    assert len(calls) == 2
 
 
 def test_real_eigenbasis_reconstructs():
