@@ -331,19 +331,9 @@ def structure_flags(alg: Algebra) -> StructureFlags:
 # nilpotent cone
 
 
-NILCONE_KINDS = (
-    "origin-only",
-    "one-line",
-    "two-lines",
-    "plane",
-    "two-planes",
-    "whole-space",
-    "other",
-)
-
-
 @dataclass
 class NilconeDescriptor:
+    # origin-only | one-line | two-lines | plane | two-planes | whole-space | other
     kind: str
     lines: list = field(default_factory=list)     # list[Subspace], dim 1
     planes: list = field(default_factory=list)    # list[Subspace], dim 2

@@ -126,9 +126,6 @@ def automorphism_family(tag: str, params) -> np.ndarray:
     raise ValueError(f"unknown canonical tag {tag!r}")
 
 
-AUTOMORPHISM_PARAM_COUNT = {"A1": 1, "A2": 5, "A3": 4, "A4": 4}
-
-
 def automorphism_swap(tag: str) -> np.ndarray:
     """The involution generating A3's second automorphism component."""
     if tag != "A3":

@@ -59,7 +59,6 @@ from .linalg import orthonormal_complement, rank_and_rowspace, sign_canonical, u
 from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
-ALL_TAGS = DEFINITE_TAGS + ("NotInFamily",)
 
 # an algebra is the zero algebra when no constant exceeds this
 TAU_NULL = 1e-12
@@ -188,7 +187,7 @@ def pairwise_noniso_witness(tag_a: str, tag_b: str) -> tuple[str, object, object
 
 @dataclass
 class ClassificationResult:
-    tag: str                       # one of ALL_TAGS
+    tag: str                       # one of DEFINITE_TAGS, or NotInFamily
     certificate: np.ndarray | None
     residual: float | None
     method: str
@@ -372,8 +371,10 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     are kept and the rest, eigenbasis noise, are zeroed.  The class is read
     off the kept ones: e_i e_i = p e_k with e_j e_k = q e_i is A1; products
     that are all multiples of one vector w that annihilates the algebra are
-    A2, A3 or A4; any other pattern is NotInFamily.  The spectrum's family
-    (normalize_spectrum) is only reported.  Never returns None.
+    A2, A3 or A4; any other pattern is NotInFamily.  NullAlgebra is read off
+    the algebra's own scale (TAU_NULL), never off the eigenbasis rewrite,
+    whose scale an ill-conditioned eigenbasis can shrink.  The spectrum's
+    family (normalize_spectrum) is only reported.  Never returns None.
     """
     d = np.asarray(d, dtype=float)
     norm, factor = alg.normalized()
@@ -393,7 +394,7 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
             tag, m, res, "derivation-reduction", derivation=d, spectrum_case=case
         )
 
-    if eig.scale <= 1e-9:
+    if alg.scale <= TAU_NULL:
         return result("NullAlgebra", np.eye(3), alg.scale)
 
     c = np.zeros((3, 3, 3))

@@ -38,6 +38,7 @@ from .dynamics import (
     _cells,
     affine_flow,
     affine_flow_applies,
+    curve_geometry,
     integrate,
     integrate_batch,
     linear_first_integrals,
@@ -214,10 +215,10 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
         f"first integrals: {ints.shape[0]}, max drift {drift:.3e}"
     )
     if args.out:
-        save_csv(traj, cells, args.out)
+        save_csv(alg, traj, cells, args.out)
         print(summary)
     else:
-        sys.stdout.write(trajectory_to_csv(traj, cells))
+        sys.stdout.write(trajectory_to_csv(alg, traj, cells))
         print(summary, file=sys.stderr)
     return 0
 
@@ -308,11 +309,8 @@ def _check_curvature(alg, rng, res, ids):
         return "SKIP", "straight-line claim applies to classes A2-A4"
 
     def judge(trajs):
-        worst = 0.0
-        for traj in trajs:
-            defined = traj.curvature[traj.curvature_defined]
-            if defined.shape[0]:
-                worst = max(worst, float(np.max(defined)))
+        _, kappa, _ = curve_geometry(alg, np.vstack([traj.states for traj in trajs]))
+        worst = float(np.max(kappa[~np.isnan(kappa)], initial=0.0))
         if worst < 1e-9:
             return "PASS", f"max curvature {worst:.2e}"
         return "FAIL", f"curvature {worst:.2e} exceeds 1e-9"
@@ -325,15 +323,11 @@ def _check_torsion(alg, rng, res, ids):
         return "SKIP", "torsion-free claim needs a classified algebra"
 
     def judge(trajs):
-        worst = 0.0
-        n_defined = 0
-        for traj in trajs:
-            defined = traj.torsion[traj.torsion_defined]
-            n_defined += defined.shape[0]
-            if defined.shape[0]:
-                worst = max(worst, float(np.max(np.abs(defined))))
+        _, _, tau = curve_geometry(alg, np.vstack([traj.states for traj in trajs]))
+        defined = np.abs(tau[~np.isnan(tau)])
+        worst = float(np.max(defined, initial=0.0))
         if worst < 1e-6:
-            return "PASS", f"|torsion| <= {worst:.2e} on {n_defined} defined samples"
+            return "PASS", f"|torsion| <= {worst:.2e} on {len(defined)} defined samples"
         return "FAIL", f"torsion {worst:.2e} exceeds 1e-6"
 
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)

@@ -88,7 +88,6 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
 
 @dataclass
 class SpectralReport:
-    char_poly: np.ndarray          # monic [1, a2, a1, a0] of det(tI - M)
     eigenvalues: np.ndarray        # complex, length 3; a simple root before a pair
     all_real: bool
     semisimple: bool
@@ -139,12 +138,10 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
         sv = np.linalg.svd(m - sigma * lam * np.eye(3), compute_uv=False)
         semisimple = bool(sv[1] <= 1e-7 * max(1.0, sv[0]))
     roots = sigma * np.array(roots, dtype=complex)
-    minors = (roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]).real
     det = float(np.linalg.det(m))
 
     all_real = kind != "complex-pair"
     return SpectralReport(
-        char_poly=np.array([1.0, -roots.sum().real, minors, -det]),
         eigenvalues=roots,
         all_real=all_real,
         semisimple=semisimple,

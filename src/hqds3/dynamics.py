@@ -11,16 +11,18 @@ recurrence, so each step sums the series to order TAYLOR_ORDER over a step
 read off its last coefficients, and no step is rejected.  It runs an
 ensemble: every row of an (n, 3) array of starts keeps its own time, step
 size and stop, and ``verify`` integrates all of its starts in one
-``integrate_batch`` call; ``integrate`` is the one-row case.  Derivatives
-for curvature and torsion come from differentiating the field analytically
-rather than from finite differences, and are computed for all samples of
-all rows in one pass over their state array; ``curvature_torsion`` is the
-one-sample case of the same code.  Partition cells are likewise decided in
-one pass over a state array (``_cells``), of which ``cell_of`` is the
-one-sample case; the integrator decides none, and ``cli.canonical_cells``
-decides them for ``simulate`` and ``verify`` alike.  The integrator takes
-no settings: it reads the module constants TAYLOR_ORDER, INT_RTOL,
-INT_H_MIN, BLOWUP_GUARD and MAX_STEPS when it is called.
+``integrate_batch`` call; ``integrate`` is the one-row case.  A trajectory
+holds only its times, states and stop; what is read off the states is
+computed where it is read, in one pass over a state array.  Speed,
+curvature and torsion come from ``curve_geometry``, which differentiates
+the field analytically rather than by finite differences, and of which
+``curvature_torsion`` is the one-sample case; the CSV writer and the
+``verify`` checks that judge curvature and torsion call it.  Partition
+cells come from ``_cells``, of which ``cell_of`` is the one-sample case,
+and ``cli.canonical_cells`` decides them for ``simulate`` and ``verify``
+alike.  The integrator computes neither.  It takes no settings: it reads
+the module constants TAYLOR_ORDER, INT_RTOL, INT_H_MIN, BLOWUP_GUARD and
+MAX_STEPS when it is called.
 """
 from __future__ import annotations
 
@@ -55,10 +57,9 @@ def _derivatives(alg: Algebra, xs: np.ndarray) -> np.ndarray:
     return np.stack([d1, d2, d3])
 
 
-def _geometry(alg: Algebra, xs: np.ndarray):
-    """(speed, curvature, torsion, curvature_defined, torsion_defined) at
-    every row of the (n, 3) stack xs; curvature and torsion are NaN where
-    undefined.
+def curve_geometry(alg: Algebra, xs: np.ndarray):
+    """(speed, curvature, torsion) of the trajectory through each row of the
+    (n, 3) stack xs, each of shape (n,); NaN marks a value that is undefined.
 
     Curvature is undefined where |x'| <= TAU_GEO (steady states).  Torsion is
     also undefined where the osculating plane degenerates: |x' x x''| <=
@@ -66,8 +67,9 @@ def _geometry(alg: Algebra, xs: np.ndarray):
     x'' = 0 exactly (A*A in Ann) the computed x'' is rounding error and the
     torsion noise.
 
-    A trajectory may run up to a blow-up guard far beyond 1e100, where the
-    derivatives overflow; such samples get infinite or NaN values, quietly.
+    Derivatives of a state far out along a blow-up ray, or of a table with
+    huge constants, may overflow; such samples get infinite or NaN values,
+    quietly.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = _derivatives(alg, xs)
@@ -82,7 +84,7 @@ def _geometry(alg: Algebra, xs: np.ndarray):
         torsion = np.full(len(xs), np.nan)
         frames = d.transpose(1, 0, 2)[t_def]  # rows x', x'', x''' of each sample
         torsion[t_def] = np.linalg.det(frames) / ncr[t_def] ** 2
-    return speed, curvature, torsion, c_def, t_def
+    return speed, curvature, torsion
 
 
 def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
@@ -98,14 +100,14 @@ def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
 def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]:
     """(curvature, torsion) of the trajectory arc through x.
 
-    The one-sample case of the geometry ``integrate_batch`` computes for
-    every sample.  Raises DegenerateVelocity on steady states; torsion is None
-    when the osculating plane degenerates (both guards: ``_geometry``).
+    The one-sample case of ``curve_geometry``.  Raises DegenerateVelocity on
+    steady states; torsion is None when the osculating plane degenerates
+    (both guards: ``curve_geometry``).
     """
-    _, kappa, tau, c_def, t_def = _geometry(alg, np.asarray(x, dtype=float)[None, :])
-    if not c_def[0]:
+    _, (kappa,), (tau,) = curve_geometry(alg, np.asarray(x, dtype=float)[None, :])
+    if np.isnan(kappa):
         raise DegenerateVelocity("velocity vanishes; curvature undefined")
-    return float(kappa[0]), float(tau[0]) if t_def[0] else None
+    return float(kappa), None if np.isnan(tau) else float(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +276,18 @@ def _taylor_coefficients(alg: Algebra, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray              # (n,)
-    states: np.ndarray             # (n, 3)
-    terminated: str                # t_end_reached | blowup_guard | step_underflow
-    speed: np.ndarray              # (n,)
-    curvature: np.ndarray          # (n,), NaN where undefined
-    torsion: np.ndarray            # (n,), NaN where undefined
-    curvature_defined: np.ndarray  # (n,) bool
-    torsion_defined: np.ndarray    # (n,) bool
-    accepted_steps: int            # n - 1: every step adds a sample
+    times: np.ndarray   # (n,)
+    states: np.ndarray  # (n, 3)
+    terminated: str     # t_end_reached | blowup_guard | step_underflow
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    @property
+    def accepted_steps(self) -> int:
+        """Every step adds a sample."""
+        return len(self.times) - 1
 
 
 def integrate_batch(alg: Algebra, x0s, t_ends) -> list[Trajectory]:
@@ -312,10 +313,9 @@ def integrate_batch(alg: Algebra, x0s, t_ends) -> list[Trajectory]:
     raises RuntimeError.  No row's arithmetic reads another row, so a row
     agrees with its one-row run; the tests ask for agreement to roundoff,
     since how a stacked matrix product rounds is up to the numpy build.
-    Each step logs one sample per row it advanced, and speed, curvature and
-    torsion of every sample of every row are computed in one pass once the
-    last row stops.  States stay in the input frame; the integrator decides
-    no partition cells.
+    Each step logs one sample per row it advanced.  States stay in the
+    input frame; the integrator computes no curve geometry and decides no
+    partition cells.
     """
     x = np.array(x0s, dtype=float).reshape(-1, 3)
     n = len(x)
@@ -360,26 +360,9 @@ def integrate_batch(alg: Algebra, x0s, t_ends) -> list[Trajectory]:
     owner, times, states = (np.concatenate(part) for part in zip(*log))
     # a stable sort keeps each row's samples in the order they were taken
     order = np.argsort(owner, kind="stable")
-    times, states = times[order], states[order]
-    counts = np.bincount(owner, minlength=n)
-    geometry = _geometry(alg, states)
-
-    trajectories = []
-    ends = np.cumsum(counts)
-    for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
-        speed, curvature, torsion, c_def, t_def = (g[lo:hi] for g in geometry)
-        trajectories.append(Trajectory(
-            times=times[lo:hi],
-            states=states[lo:hi],
-            terminated=terminated[i],
-            speed=speed,
-            curvature=curvature,
-            torsion=torsion,
-            curvature_defined=c_def,
-            torsion_defined=t_def,
-            accepted_steps=int(hi - lo - 1),
-        ))
-    return trajectories
+    bounds = np.cumsum(np.bincount(owner, minlength=n))[:-1]
+    times, states = np.split(times[order], bounds), np.split(states[order], bounds)
+    return [Trajectory(*row) for row in zip(times, states, terminated)]
 
 
 def integrate(alg: Algebra, x0: np.ndarray, t_end: float) -> Trajectory:
@@ -394,27 +377,23 @@ def integrate(alg: Algebra, x0: np.ndarray, t_end: float) -> Trajectory:
 CSV_HEADER = ["t", "x1", "x2", "x3", "speed", "curvature", "torsion", "cell"]
 
 
-def trajectory_to_csv(traj: Trajectory, cells: list[CellId] | None) -> str:
-    """The CSV rows of a trajectory; ``cells`` holds each sample's partition
-    cell, or is None when the algebra has no canonical class."""
+def trajectory_to_csv(alg: Algebra, traj: Trajectory, cells: list[CellId] | None) -> str:
+    """The CSV rows of a trajectory of ``alg``; ``cells`` holds each sample's
+    partition cell, or is None when the algebra has no canonical class.
+    Curvature and torsion are left empty where ``curve_geometry`` leaves
+    them undefined."""
+    speed, curvature, torsion = curve_geometry(alg, traj.states)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for i in range(len(traj.times)):
-        row = [
-            f"{traj.times[i]:.12g}",
-            f"{traj.states[i, 0]:.12g}",
-            f"{traj.states[i, 1]:.12g}",
-            f"{traj.states[i, 2]:.12g}",
-            f"{traj.speed[i]:.12g}",
-            f"{traj.curvature[i]:.12g}" if traj.curvature_defined[i] else "",
-            f"{traj.torsion[i]:.12g}" if traj.torsion_defined[i] else "",
-            cells[i].compact() if cells is not None else "",
-        ]
+        row = [f"{v:.12g}" for v in (traj.times[i], *traj.states[i], speed[i])]
+        row += ["" if np.isnan(v) else f"{v:.12g}" for v in (curvature[i], torsion[i])]
+        row.append(cells[i].compact() if cells is not None else "")
         writer.writerow(row)
     return buf.getvalue()
 
 
-def save_csv(traj: Trajectory, cells: list[CellId] | None, path: str) -> None:
+def save_csv(alg: Algebra, traj: Trajectory, cells: list[CellId] | None, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_to_csv(traj, cells))
+        fh.write(trajectory_to_csv(alg, traj, cells))

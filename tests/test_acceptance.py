@@ -40,7 +40,7 @@ from hqds3.derivations import (
     jordan_chevalley,
 )
 from hqds3.cli import canonical_cells
-from hqds3.dynamics import affine_flow, integrate, ray_solution
+from hqds3.dynamics import affine_flow, curve_geometry, integrate, ray_solution
 
 TAGS = ("A1", "A2", "A3", "A4")
 
@@ -248,11 +248,10 @@ def test_criterion_8_dynamics_dictionary():
         for _ in range(5):
             x0 = rng.uniform(-1.0, 1.0, size=3)
             traj = integrate(alg, x0, 10.0)
-            if np.any(traj.curvature_defined):
-                worst_curv = max(
-                    worst_curv,
-                    float(np.max(np.abs(traj.curvature[traj.curvature_defined]))),
-                )
+            _, kappa, _ = curve_geometry(alg, traj.states)
+            defined = ~np.isnan(kappa)
+            if np.any(defined):
+                worst_curv = max(worst_curv, float(np.max(np.abs(kappa[defined]))))
             worst_aff = max(
                 worst_aff,
                 float(np.max(np.abs(traj.states - affine_flow(alg, x0, traj.times)))),
@@ -273,10 +272,10 @@ def test_criterion_8_dynamics_dictionary():
         worst_x2 = max(
             worst_x2, float(np.max(np.abs(traj.states[:, 1] - traj.states[0, 1])))
         )
-        if np.any(traj.torsion_defined):
-            worst_tor = max(
-                worst_tor, float(np.max(np.abs(traj.torsion[traj.torsion_defined])))
-            )
+        _, _, tau = curve_geometry(a1, traj.states)
+        defined = ~np.isnan(tau)
+        if np.any(defined):
+            worst_tor = max(worst_tor, float(np.max(np.abs(tau[defined]))))
         cells_ok = cells_ok and _cells_constant("A1", traj)
     c_ok = reached and worst_x2 < CONSERVED_TOL and worst_tor < TORSION_TOL
 

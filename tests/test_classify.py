@@ -405,6 +405,27 @@ def test_reduction_refuses_a_spectrum_its_constants_contradict():
         reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
 
 
+def test_reduction_of_the_zero_algebra_is_null():
+    res = reduce_with_derivation(zero_algebra(), np.diag([1.0, 2.0, 3.0]))
+    assert (res.tag, res.method) == ("NullAlgebra", "derivation-reduction")
+
+
+def test_reduction_reads_null_off_the_algebra_not_its_eigenbasis(monkeypatch):
+    # the eigenbasis e3 + eps e1, e3 + eps e2, e3 of diag(1, 2, 3) on A3 is
+    # nearly singular and rewrites the constants to about eps^2 = 1e-10; the
+    # algebra is not null, and the certificate is built in the input frame
+    eps = 1e-5
+    e = np.eye(3)
+    basis = np.column_stack([e[2] + eps * e[0], e[2] + eps * e[1], e[2]])
+    monkeypatch.setattr(
+        sys.modules["hqds3.classify"], "real_eigenbasis",
+        lambda m, rep=None: (np.array([1.0, 2.0, 3.0]), basis),
+    )
+    res = reduce_with_derivation(canonical_algebra("A3"), np.diag([1.0, 2.0, 3.0]))
+    assert (res.tag, res.method) == ("A3", "derivation-reduction")
+    assert res.residual <= CERT_TOL
+
+
 def test_reduction_of_a_candidate_with_nearly_equal_eigenvalues():
     # conjugate 133 of the sweep-recipe stream at seed 2 (cond < 16): the
     # first SSND candidate has eigenvalues 6.4e-5 apart, read as a double

@@ -406,6 +406,35 @@ def test_verify_integrates_each_start_once(tmp_path, capsys, monkeypatch, kind, 
     assert len(batches[0]) == {"A1": 10, "random": 3}.get(kind, 18)
 
 
+@pytest.mark.parametrize("kind, expected", [("A2", 2), ("random", 0)])
+def test_verify_computes_curve_geometry_only_where_read(
+    tmp_path, capsys, monkeypatch, kind, expected
+):
+    # the integrator computes no geometry; the curvature and torsion checks
+    # each make one call on their own trajectories' states, and on a random
+    # tensor (NotInFamily) both skip, so nothing computes geometry at all
+    if kind == "random":
+        alg = random_symmetric_algebra(np.random.default_rng(0))
+    else:
+        alg = canonical_algebra(kind)
+    original = sys.modules["hqds3.dynamics"].curve_geometry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "curve_geometry", None) is original:
+            monkeypatch.setattr(module, "curve_geometry", counted)
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    assert code == 0
+    statuses = dict(line.split()[1::-1] for line in out.strip().split("\n")[1:])
+    want = "PASS" if expected else "SKIP"
+    assert statuses["curvature:"] == statuses["torsion:"] == want
+    assert len(calls) == expected
+
+
 @pytest.mark.parametrize(
     "kind, claimed, check",
     [

@@ -23,6 +23,7 @@ from hqds3.dynamics import (
     analytic_derivatives,
     cell_of,
     curvature_torsion,
+    curve_geometry,
     integrate,
     integrate_batch,
     linear_first_integrals,
@@ -178,9 +179,10 @@ def test_first_class_torsion_small_along_trajectories():
     for _ in range(10):
         x0 = rng.uniform(-1.0, 1.0, size=3)
         traj = integrate(alg, x0, 1.0)
-        defined = traj.torsion_defined
+        _, _, tau = curve_geometry(alg, traj.states)
+        defined = ~np.isnan(tau)
         if np.any(defined):
-            assert np.max(np.abs(traj.torsion[defined])) < 1e-6
+            assert np.max(np.abs(tau[defined])) < 1e-6
 
 
 def _row_geometry(alg, x):
@@ -211,23 +213,22 @@ def test_trajectory_geometry_matches_per_row_formulas(case):
         alg = random_symmetric_algebra(rng)
         x0 = rng.uniform(-0.3, 0.3, size=3)
     traj = integrate(alg, x0, 1.0)
+    speed, curvature, torsion = curve_geometry(alg, traj.states)
     rows = [_row_geometry(alg, x) for x in traj.states]
     kappa_def = np.array([k is not None for _, k, _ in rows])
     tau_def = np.array([t is not None for _, _, t in rows])
 
-    np.testing.assert_allclose(traj.speed, [s for s, _, _ in rows], rtol=BATCH_RTOL, atol=0)
-    np.testing.assert_array_equal(traj.curvature_defined, kappa_def)
-    np.testing.assert_array_equal(traj.torsion_defined, tau_def)
+    np.testing.assert_allclose(speed, [s for s, _, _ in rows], rtol=BATCH_RTOL, atol=0)
+    np.testing.assert_array_equal(~np.isnan(curvature), kappa_def)
+    np.testing.assert_array_equal(~np.isnan(torsion), tau_def)
     np.testing.assert_allclose(
-        traj.curvature[kappa_def], [k for _, k, _ in rows if k is not None],
+        curvature[kappa_def], [k for _, k, _ in rows if k is not None],
         rtol=BATCH_RTOL, atol=0,
     )
     np.testing.assert_allclose(
-        traj.torsion[tau_def], [t for _, _, t in rows if t is not None],
+        torsion[tau_def], [t for _, _, t in rows if t is not None],
         rtol=BATCH_RTOL, atol=0,
     )
-    assert np.all(np.isnan(traj.curvature[~kappa_def]))
-    assert np.all(np.isnan(traj.torsion[~tau_def]))
     # each case reaches the branch it stands for
     if case in ("A1", "random"):
         assert tau_def.all()
@@ -361,7 +362,7 @@ def test_times_monotone_and_end_reached():
     assert traj.times[-1] == pytest.approx(1.0, abs=0)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.states.shape == (traj.times.size, 3)
-    assert traj.speed.shape == traj.times.shape
+    assert all(g.shape == traj.times.shape for g in curve_geometry(alg, traj.states))
 
 
 def test_integrator_step_floor_terminates(monkeypatch):
@@ -375,7 +376,7 @@ def test_integrator_step_floor_terminates(monkeypatch):
 def test_csv_header_and_values():
     alg = canonical_algebra("A2")
     traj = integrate(alg, np.array([1.0, 0.0, 1.0]), 1.0)
-    text = trajectory_to_csv(traj, canonical_cells("A2", np.eye(3), traj.states))
+    text = trajectory_to_csv(alg, traj, canonical_cells("A2", np.eye(3), traj.states))
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[0] == "t,x1,x2,x3,speed,curvature,torsion,cell"
@@ -390,7 +391,7 @@ def test_csv_header_and_values():
 def test_csv_empty_fields_when_undefined():
     alg = canonical_algebra("A1")
     traj = integrate(alg, np.array([0.0, 1.0, 1.0]), 0.01)
-    text = trajectory_to_csv(traj, None)
+    text = trajectory_to_csv(alg, traj, None)
     row = text.strip().split("\n")[1].split(",")
     # d2 = 0 at the start: torsion has no value there, field stays empty
     assert row[6] == ""
@@ -474,7 +475,9 @@ def test_ensemble_repeats_bit_for_bit(case, cell_tag):
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.torsion, b.torsion)
+        np.testing.assert_array_equal(
+            curve_geometry(alg, a.states)[2], curve_geometry(alg, b.states)[2]
+        )
         assert (a.terminated, a.accepted_steps) == (b.terminated, b.accepted_steps)
         if cell_tag is not None:
             cells = [canonical_cells(cell_tag, np.eye(3), t.states) for t in (a, b)]
