@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     contains_vector,
     nullspace,
+    orthonormal_complement,
     project_onto,
     rank_and_rowspace,
     sign_canonical,
@@ -507,91 +508,86 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
 # idempotents
 
 
-# Newton starts: an 11-point lattice per axis over [-2, 2]^3, in units of the
-# normalized constants, and the step budget per start
-_LATTICE = np.array(list(itertools.product(np.linspace(-2.0, 2.0, 11), repeat=3)))
-_NEWTON_STEPS = 40
+class NonIsolatedIdempotents(ValueError):
+    """Raised when v*v = v has a curve of solutions, not isolated points."""
+
+
+# _MON[d] numbers the monomials of degree d in z = (x1, x2, x3, t); _PLACE[a, i, j, m] is 1
+# when z_i z_j m_a = m_m (degrees 2 and 4); _TIMES[m, i] numbers z_i m_m (m of degree 3)
+_MON = [{m: n for n, m in enumerate(itertools.combinations_with_replacement(range(4), d))}
+        for d in range(5)]
+_TIMES = np.array([[_MON[4][tuple(sorted(m + (i,)))] for i in range(4)] for m in _MON[3]])
+_PAIR = _TIMES[[[_MON[3][tuple(sorted(a + (i,)))] for i in range(4)] for a in _MON[2]]]
+_PLACE = (_PAIR[..., None] == np.arange(35)).astype(float)
+_SHIFT = np.array([[0.8136, -0.4621, 0.5873, 0.9218], [-0.3377, 0.7064, 0.2519, -0.6152]])  # h0, h1
 
 
 def idempotents(alg: Algebra) -> list[np.ndarray]:
-    """Nonzero solutions of v*v = v: none on a solvable algebra, otherwise
-    the isolated ones Newton reaches from a lattice.
+    """All real nonzero solutions of v*v = v, deduplicated and sorted
+    lexicographically; NonIsolatedIdempotents when they form a curve.
 
-    An idempotent v = v*v lies in A*A, hence v = v*v lies in (A*A)*(A*A),
-    and so on down the derived series.  When that series vanishes (every
-    class A1-A4 is solvable) the answer is exactly empty and no search runs.
-    Otherwise Newton runs from the lattice, scaled to the magnitude of the
-    constants (idempotents scale inversely with the constants); it may miss
-    idempotents far from the lattice.  Results are deduplicated and sorted
-    lexicographically.
+    An idempotent v = v*v lies in A*A, then in (A*A)*(A*A), and so on down
+    the derived series, so a solvable algebra (every class A1-A4) has none.
+    Otherwise the quadrics (x*x)_k = t x_k meet in 8 points of P^3 if in
+    finitely many (Bezout): the origin, the idempotents x/t and nilpotent
+    directions (t = 0).  Their degree-4 Macaulay matrix then has an 8-dim
+    null space, where multiplication by h1/h0 is an 8 x 8 eigenproblem with
+    the roots as eigenvectors (Telen, Mourrain & Van Barel, SIMAX 39, 2018).
+    Two curves at infinity have closed forms: x*x = q(x) w gives w/q(w),
+    and x*x = l(x) Mx gives u/(mu l(u)) for the eigenpairs (mu, u) of M.
+
+    A root with |t| <= eps |x| is at infinity.  The others enter by their
+    real part (a real root of multiplicity m is located only to about
+    eps^(1/m)) and take three Newton steps by the pseudoinverse of 2 L_v - I,
+    each kept only where it lowers the residual (from an exact multiple root
+    a step goes astray).  Nonzero points with |v*v - v| <= TAU_RES
+    max(1, |v|)^2 in the normalized constants are kept, most accurate first.
     """
     norm, factor = alg.normalized()
     if is_solvable(norm):
         return []
-    found = [w / factor for w in _lattice_newton(norm)]
+    x, t = _projective_roots(norm)
+    finite = np.abs(t) > np.finfo(float).eps * np.linalg.norm(x, axis=1)
+    v = (x[finite] / t[finite, None]).real
+    f = squares_batch(norm, v) - v
+    for _ in range(3):
+        jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - np.eye(3)
+        step = v - (np.linalg.pinv(jac) @ f[:, :, None])[:, :, 0]
+        f_step = squares_batch(norm, step) - step
+        better = np.abs(f_step).max(axis=1) < np.abs(f).max(axis=1)
+        v[better], f[better] = step[better], f_step[better]
+    size = np.linalg.norm(v, axis=1)
+    res = np.abs(f).max(axis=1) / np.maximum(1.0, size) ** 2
+    order = np.argsort(res)  # of two copies of one root, the more accurate is kept
+    ok = order[(res[order] <= TAU_RES) & (size[order] > TAU_DEDUP)]
+    found = [w / factor for w in _first_come_distinct(v[ok])]
     return sorted(found, key=lambda w: tuple(np.round(w, 9)))
 
 
-def _lattice_newton(norm: Algebra) -> list[np.ndarray]:
-    """Distinct nonzero roots of v*v = v reached by damped Newton from the
-    lattice.
-
-    The starts are the columns of one (3, n) array, and each iteration is a
-    few whole-array operations over the starts still moving: the residual
-    v*v - v is a (3, 6) coefficient matrix times the six monomials
-    x1^2, x2^2, x3^2, x1 x2, x1 x3, x2 x3; the nine entries of the Jacobian
-    2 L(x) - I are one (9, 3) matrix times the starts; and the step solves
-    the damped normal equations (J^T J + 1e-12 max(1, tr J^T J) I) d = J^T f
-    by the adjugate of the symmetric 3x3.  The damped matrix's eigenvalues
-    are at least 1e-12, so its determinant is at least 1e-36.  A start
-    leaves the batch once its own residual is <= 1e-14, so every start
-    follows the iterates of the full batch until then, and one whose norm
-    passes 1e3 restarts from the origin.
-    """
-    c = norm.c
-    # column m of coef multiplies the monomial x_i x_j with (i, j) the m-th
-    # of (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2); x*x holds the mixed
-    # ones twice
-    coef = np.hstack([c[[0, 1, 2], [0, 1, 2]].T, 2.0 * c[[0, 0, 1], [1, 2, 2]].T])
-    # row 3k + j holds the coefficients of x_i in J[k, j] = 2 sum_i x_i c[i, j, k]
-    jac_of = 2.0 * c.transpose(2, 1, 0).reshape(9, 3)
-    v = np.ascontiguousarray(_LATTICE.T)  # each start's last iterate
-    active, x = np.arange(v.shape[1]), v
-    for _ in range(_NEWTON_STEPS):
-        f = coef @ (x[[0, 1, 2, 0, 0, 1]] * x[[0, 1, 2, 1, 2, 2]]) - x
-        done = np.abs(f).max(axis=0) <= 1e-14
-        if done.any():
-            v[:, active[done]] = x[:, done]
-            active, x, f = (np.compress(~done, a, axis=-1) for a in (active, x, f))
-            if not len(active):
-                break
-        jac = jac_of @ x
-        jac[[0, 4, 8]] -= 1.0
-        jac = jac.reshape(3, 3, -1)  # jac[k, a] = dF_k / dx_a, one row per start
-        # the six entries of J^T J and the three of J^T f
-        g00, g11, g22 = (jac * jac).sum(axis=0)
-        g01, g12, g02 = (jac * jac[:, [1, 2, 0]]).sum(axis=0)
-        r0, r1, r2 = (jac * f[:, None]).sum(axis=0)
-        # damp singular Jacobians relative to J^T J, which reaches ~1e6 near
-        # the reset radius where an absolute 1e-12 would be lost to roundoff
-        damp = 1e-12 * np.maximum(1.0, g00 + g11 + g22)
-        g00, g11, g22 = g00 + damp, g11 + damp, g22 + damp
-        # the adjugate, symmetric like the matrix, and the determinant
-        a00, a11, a22 = g11 * g22 - g12 * g12, g00 * g22 - g02 * g02, g00 * g11 - g01 * g01
-        a01, a02, a12 = g02 * g12 - g01 * g22, g01 * g12 - g02 * g11, g01 * g02 - g00 * g12
-        det = g00 * a00 + g01 * a01 + g02 * a02
-        x = x - np.stack([
-            a00 * r0 + a01 * r1 + a02 * r2,
-            a01 * r0 + a11 * r1 + a12 * r2,
-            a02 * r0 + a12 * r1 + a22 * r2,
-        ]) / det
-        x[:, np.linalg.norm(x, axis=0) > 1e3] = 0.0
-    v[:, active] = x
-
-    v = v.T
-    res = np.max(np.abs(squares_batch(norm, v) - v), axis=1)
-    ok = (res <= TAU_RES) & (np.linalg.norm(v, axis=1) > TAU_DEDUP)
-    return _first_come_distinct(v[ok])
+def _projective_roots(norm: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (x, t) of (x*x)_k = t x_k, complex in general, x as rows."""
+    g = np.pad(norm.c, ((0, 1), (0, 1), (0, 0)))  # (x*x)_k - t x_k = g[i, j, k] z_i z_j
+    g[[0, 1, 2], 3, [0, 1, 2]] = -1.0
+    null = nullspace(np.einsum("aijm,ijk->akm", _PLACE, g).reshape(30, 35))
+    if len(null) == 8:  # h(z) times each monomial of degree 3, in the null space basis
+        shifted = np.einsum("hi,mia->hma", _SHIFT, null.T[_TIMES])
+        _, vecs = np.linalg.eig(np.linalg.lstsq(shifted[0], shifted[1], rcond=None)[0])
+        z = shifted[0][[_MON[3][i, 3, 3] for i in range(4)]] @ vecs  # h0 (t^2 x, t^3)
+        return z[:3].T, z[3]
+    forms = norm.c.transpose(2, 0, 1).reshape(3, 9)
+    r, rows = rank_and_rowspace(forms)
+    if r == 1:  # x*x = q(x) w
+        w = forms @ rows[0]
+        return w[None, :], np.array([w @ rows[0].reshape(3, 3) @ w])
+    planes = nilpotent_cone(norm).planes
+    if planes:  # x*x = l(x) Mx: a curve when l is not zero on an eigenspace of dim > 1
+        ell = orthonormal_complement(planes[0].basis)[0]
+        m = 2.0 * left_mult_matrix(norm, ell) - np.outer(square_map(norm, ell), ell)
+        mu, u = np.linalg.eig(m)
+        spaces = [nullspace(m - lam * np.eye(3)) for lam in mu.real[(mu.imag == 0) & (mu != 0)]]
+        if all(len(s) == 1 or np.linalg.norm(s @ ell) <= TAU_RANK for s in spaces):
+            return u.T, mu * (u.T @ ell)
+    raise NonIsolatedIdempotents(f"non-isolated idempotents: Macaulay nullity {len(null)}, not 8")
 
 
 def _first_come_distinct(points: np.ndarray) -> list[np.ndarray]:

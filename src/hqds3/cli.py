@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Algebra, idempotents, is_solvable, left_mult_matrix, squares_batch
+from .algebra import Algebra, NonIsolatedIdempotents, idempotents, is_solvable
+from .algebra import left_mult_matrix, squares_batch
 from .catalog import CANONICAL_TAGS
 from .classify import _cone_cached, classify, classify_via_derivation, fingerprint
 from .derivations import (
@@ -227,11 +228,10 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
 # verify
 
 
-# Each check takes (alg, rng, res, ids), with rng freshly seeded per check, res
-# the ClassificationResult and ids the idempotents.  It returns its (status,
-# detail) at once when it needs no trajectory, and an _Integrate request
-# otherwise; ``cmd_verify`` runs every distinct start of every request in one
-# ``integrate_batch`` call.
+# Each check takes (alg, rng, res), with rng freshly seeded per check and res
+# the ClassificationResult.  It returns its (status, detail) at once when it
+# needs no trajectory, and an _Integrate request otherwise; ``cmd_verify``
+# runs every distinct start of every request in one ``integrate_batch`` call.
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def _unit_ball_start(rng):
     return x0 / max(1.0, float(np.linalg.norm(x0)))
 
 
-def _check_steady_states(alg, rng, res, ids):
+def _check_steady_states(alg, rng, res):
     norm, _ = alg.normalized()
     cone = _cone_cached(norm)
     if cone.samples.shape[0]:
@@ -268,7 +268,7 @@ def _check_steady_states(alg, rng, res, ids):
     return "PASS", f"cone residual {on_res:.2e}; off-cone points clearly non-steady"
 
 
-def _check_first_integrals(alg, rng, res, ids):
+def _check_first_integrals(alg, rng, res):
     ints = linear_first_integrals(alg)
     if ints.shape[0] == 0:
         return "SKIP", "no linear first integrals (A*A spans everything)"
@@ -290,7 +290,7 @@ def _check_first_integrals(alg, rng, res, ids):
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(10)], judge)
 
 
-def _check_cell_invariance(alg, rng, res, ids):
+def _check_cell_invariance(alg, rng, res):
     if res.tag not in CANONICAL_TAGS:
         return "SKIP", "no cell partition without a canonical class"
 
@@ -304,7 +304,7 @@ def _check_cell_invariance(alg, rng, res, ids):
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_curvature(alg, rng, res, ids):
+def _check_curvature(alg, rng, res):
     if res.tag not in ("A2", "A3", "A4"):
         return "SKIP", "straight-line claim applies to classes A2-A4"
 
@@ -318,7 +318,7 @@ def _check_curvature(alg, rng, res, ids):
     return _Integrate([(rng.standard_normal(3), 1.0) for _ in range(5)], judge)
 
 
-def _check_torsion(alg, rng, res, ids):
+def _check_torsion(alg, rng, res):
     if res.tag not in CANONICAL_TAGS:
         return "SKIP", "torsion-free claim needs a classified algebra"
 
@@ -333,7 +333,7 @@ def _check_torsion(alg, rng, res, ids):
     return _Integrate([(_unit_ball_start(rng), 1.0) for _ in range(5)], judge)
 
 
-def _check_affine_form(alg, rng, res, ids):
+def _check_affine_form(alg, rng, res):
     if not affine_flow_applies(alg):
         return "SKIP", "A*A not inside the annihilator; solutions are not affine"
     starts = [(rng.standard_normal(3), 2.0) for _ in range(5)]
@@ -365,16 +365,18 @@ def _ray_horizon(mu):
     return 0.9 if mu <= 3.0 else 1.0 - 1000.0 ** (-1.0 / mu)
 
 
-def _check_ray_solutions(alg, rng, res, ids):
+def _check_ray_solutions(alg, rng, res):
+    try:
+        ids = idempotents(alg)
+    except NonIsolatedIdempotents as exc:
+        return "SKIP", str(exc)
     if not ids:
         if is_solvable(alg):
             return "SKIP", "solvable: no nonzero idempotent exists"
-        if _cone_cached(alg.normalized()[0]).kind == "origin-only":
-            return "SKIP", (
-                "lattice found no idempotent; the cone is origin-only, so by "
-                "Kaplan-Yorke a nonzero idempotent exists and the lattice missed it"
-            )
-        return "SKIP", "lattice found no idempotent"
+        kind = _cone_cached(alg.normalized()[0]).kind
+        if kind == "origin-only":  # Kaplan-Yorke: a nonzero idempotent or a nonzero v*v = 0
+            return "FAIL", "no real idempotent and an origin-only cone contradict Kaplan-Yorke"
+        return "SKIP", f"no real idempotent; the cone is {kind}"
     rays = ids[:3]
     mus = [_transverse_eigenvalue(alg, v) for v in rays]
     starts = [(v, _ray_horizon(mu)) for v, mu in zip(rays, mus)]
@@ -410,9 +412,8 @@ _VERIFY_CHECKS = {
 def cmd_verify(args, alg: Algebra, label: str | None) -> int:
     res = classify(alg)
     print(f"class: {res.tag}" + (f"  label: {label}" if label else ""))
-    ids = idempotents(alg)
     plans = {
-        name: check(alg, np.random.default_rng(args.seed), res, ids)
+        name: check(alg, np.random.default_rng(args.seed), res)
         for name, check in sorted(_VERIFY_CHECKS.items())
     }
     # every check re-seeds the same generator, so several draw the same starts

@@ -11,6 +11,7 @@ from hqds3 import algebra
 from hqds3.algebra import (
     NAMED_SLOTS,
     Algebra,
+    NonIsolatedIdempotents,
     SingularBasis,
     annihilator,
     automorphism_residual,
@@ -18,7 +19,6 @@ from hqds3.algebra import (
     from_named,
     from_products,
     _first_come_distinct,
-    _lattice_newton,
     idempotents,
     left_mult_matrix,
     nilpotent_cone,
@@ -349,8 +349,9 @@ def test_idempotents_survive_large_jacobians():
 
 
 def _full_batch_idempotents(alg):
-    # the search before the solvable shortcut and the active set: every
-    # lattice point steps until all residuals are below 1e-14 at once
+    # the lattice search that came before the exact solve: damped Newton
+    # from 1331 lattice points, each stepping until all residuals are below
+    # 1e-14 at once
     norm, factor = alg.normalized()
     if norm.scale == 0.0:
         return []
@@ -374,29 +375,46 @@ def _full_batch_idempotents(alg):
     for cand in v[ok]:
         if all(np.linalg.norm(cand - w) > TAU_DEDUP for w in found):
             found.append(cand)
-    return sorted([w / factor for w in found], key=lambda w: tuple(np.round(w, 9)))
+    return [w / factor for w in found]
 
 
 def test_idempotents_match_the_full_batch_search():
+    # the exact solve finds every root the lattice reached, and more: the
+    # lattice misses one idempotent on 9 of these 100 tensors
     rng = np.random.default_rng(11)
+    more = 0
     for _ in range(100):
         alg = random_symmetric_algebra(rng)
         got, want = idempotents(alg), _full_batch_idempotents(alg)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+        for w in want:
+            assert min(np.linalg.norm(g - w) for g in got) <= 1e-10 * np.linalg.norm(w)
+        more += len(got) - len(want)
+    assert more > 0
+
+
+def test_idempotents_are_roots_to_roundoff_and_odd_in_number():
+    # 8 roots in P^3, none at infinity for a random tensor: complex ones come
+    # in conjugate pairs, so the real ones, the origin among them, are even
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        alg = random_symmetric_algebra(rng)
+        found = idempotents(alg)
+        assert (len(found) + 1) % 2 == 0
+        for v in found:
+            res = np.max(np.abs(square_map(alg, v) - v))
+            assert res <= 1e-12 * max(1.0, np.linalg.norm(v)) ** 2 * max(1.0, alg.scale)
 
 
 def test_idempotents_of_solvable_classes_need_no_search(monkeypatch):
     # v = v*v puts v in every term of the derived series, which vanishes on A1-A4
     calls = []
-    original = algebra._lattice_newton
+    original = algebra._projective_roots
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(algebra, "_lattice_newton", counted)
+    monkeypatch.setattr(algebra, "_projective_roots", counted)
     rng = np.random.default_rng(9)
     for tag in TAGS:
         for _ in range(50):
@@ -405,18 +423,108 @@ def test_idempotents_of_solvable_classes_need_no_search(monkeypatch):
 
 
 def test_idempotents_through_a_singular_jacobian():
-    # e1 e1 = e1, e2 e2 = 0.625 e2: at the lattice value x2 = 0.8 (stored as
-    # 0.8000000000000003) the entry J22 = 1.25 x2 - 1 of the Jacobian is
-    # roundoff, so the damped step must stay finite there and warn of nothing
+    # e1 e1 = e1, e2 e2 = 0.625 e2: the entry J22 = 1.25 x2 - 1 of the
+    # Jacobian vanishes at x2 = 0.8, midway between the roots 0 and 1.6
     alg = from_products({(1, 1): (1.0, 0.0, 0.0), (2, 2): (0.0, 0.625, 0.0)})
-    x2 = np.linspace(-2.0, 2.0, 11)[7]
-    assert x2 in algebra._LATTICE[:, 1]
-    jac = 2.0 * left_mult_matrix(alg, [0.0, x2, 0.0]) - np.eye(3)
-    assert 0.0 < abs(jac[1, 1]) < 1e-15
     found = idempotents(alg)
     assert len(found) == 3
     for got, want in zip(found, [(0.0, 1.6, 0.0), (1.0, 0.0, 0.0), (1.0, 1.6, 0.0)]):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "products, want, tol",
+    [
+        # J is singular at the double root (1/4, 0, 1/4), which the
+        # eigenproblem gives exactly; a Newton step from there goes astray
+        (
+            {(1, 1): (1, 0, 0), (1, 2): (-1, 1, 1), (1, 3): (2, -1, 1),
+             (2, 2): (0, -1, 2), (2, 3): (1, 0, -1), (3, 3): (-1, 2, 2)},
+            (0.25, 0.0, 0.25),
+            1e-12,
+        ),
+        # (1, 1, 0) is a root of multiplicity 4: its eigenvalues come out as
+        # two complex pairs 2e-4 off, located to about eps^(1/4)
+        (
+            {(1, 1): (0.5, 0, 0), (1, 3): (2, 2, 0), (2, 2): (0.5, 1, 0),
+             (2, 3): (1, 0, 0.5), (3, 3): (0, 2, 0)},
+            (1.0, 1.0, 0.0),
+            1e-3,
+        ),
+    ],
+    ids=["double", "quadruple"],
+)
+def test_idempotents_at_a_multiple_root(products, want, tol):
+    found = idempotents(from_products(products))
+    assert min(np.max(np.abs(v - want)) for v in found) <= tol
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        {(1, 2): (0, 0, 2), (1, 3): (0.5, 1, 0), (2, 3): (0.5, 0, 0), (3, 3): (1, 0, 0)},
+        {(1, 1): (0, -1, 0), (1, 2): (-1, 0, 0), (2, 2): (2, 0.5, 0), (2, 3): (0, -1, 0),
+         (3, 3): (0, -1, 0)},
+        {(1, 2): (0, 1, 0), (1, 3): (0, 0, -1), (2, 2): (0, 2, 0), (2, 3): (1, 1, 0.5)},
+    ],
+)
+def test_idempotents_keep_the_most_accurate_copy_of_a_root(products):
+    # the real part of a complex or spurious root can reach a real root in
+    # three Newton steps only to a residual near TAU_RES; the exact copy the
+    # eigenproblem gave must be the one kept
+    alg = from_products(products)
+    for v in idempotents(alg):
+        res = np.max(np.abs(square_map(alg, v) - v))
+        assert res <= 1e-12 * max(1.0, np.linalg.norm(v)) ** 2 * max(1.0, alg.scale)
+
+
+@pytest.mark.parametrize(
+    "c, want, cone_calls",
+    [
+        # x*x = (x1 + x2) diag(1, 2, 3) x: the eigenpairs (1, e1) and (2, e2)
+        # give e1 and e2 / 2, and (3, e3) none, since l(e3) = 0
+        (
+            from_products({(1, 1): (1, 0, 0), (1, 2): (0.5, 1, 0), (2, 2): (0, 2, 0),
+                           (1, 3): (0, 0, 1.5), (2, 3): (0, 0, 1.5)}).c,
+            [(0.0, 0.5, 0.0), (1.0, 0.0, 0.0)],
+            1,
+        ),
+        # x*x = (x1^2 - x2^2 + x3^2) (1, 1, 1): w / q(w) = (1, 1, 1), decided
+        # before the cone
+        (
+            np.einsum("ij,k->ijk", np.diag([1.0, -1.0, 1.0]), np.ones(3)),
+            [(1.0, 1.0, 1.0)],
+            0,
+        ),
+    ],
+    ids=["common-linear-factor", "proportional-products"],
+)
+def test_idempotents_closed_forms(monkeypatch, c, want, cone_calls):
+    # the roots at infinity form a curve, so the Macaulay null space is not
+    # 8-dimensional and the closed forms answer
+    calls = []
+    original = algebra.nilpotent_cone
+    monkeypatch.setattr(algebra, "nilpotent_cone", lambda a: calls.append(1) or original(a))
+    found = idempotents(Algebra(c))
+    assert len(calls) == cone_calls
+    assert len(found) == len(want)
+    for got, w in zip(found, want):
+        assert np.max(np.abs(got - w)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        # x*x = x1 x: every point of the plane x1 = 1 is idempotent
+        {(1, 1): (1, 0, 0), (1, 2): (0, 0.5, 0), (1, 3): (0, 0, 0.5)},
+        # the lines (0, 1, s) and (1, 1, s)
+        {(1, 1): (1, 0, 0), (2, 2): (0, 1, 0), (2, 3): (0, 0, 0.5)},
+    ],
+    ids=["plane", "two-lines"],
+)
+def test_idempotents_fail_loudly_when_not_isolated(products):
+    with pytest.raises(NonIsolatedIdempotents, match="^non-isolated idempotents: Macaulay nullity"):
+        idempotents(from_products(products))
 
 
 def test_first_come_distinct_keeps_the_first_of_a_chain():
@@ -442,14 +550,6 @@ def test_first_come_distinct_keeps_the_first_copy_of_each_root():
         assert len(kept) == 3
         for got, i in zip(kept, first):
             assert np.array_equal(got, points[i])
-
-
-def test_lattice_newton_survives_large_jacobians():
-    # the shortcut answers A1 before any Newton step, so drive the lattice
-    # search itself on the tensor whose J^T J once broke the undamped solve
-    alg, _ = conjugated_canonical("A1", np.random.default_rng(32))
-    norm, _ = alg.normalized()
-    assert _lattice_newton(norm) == []
 
 
 def test_automorphism_residual_identity():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hqds3 import cli
-from hqds3.algebra import from_named, idempotents, zero_algebra
+from hqds3.algebra import from_named, from_products, idempotents, zero_algebra
 from hqds3.catalog import (
     canonical_algebra,
     canonical_system,
@@ -268,7 +268,7 @@ def test_verify_missing_file(tmp_path, capsys):
 
 def test_verify_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._VERIFY_CHECKS, "forced", lambda alg, rng, res, ids: ("FAIL", "forced")
+        cli._VERIFY_CHECKS, "forced", lambda alg, rng, res: ("FAIL", "forced")
     )
     path = write_algebra(tmp_path, canonical_algebra("A2"))
     code, out, _ = run(capsys, ["verify", path])
@@ -530,32 +530,56 @@ def test_verify_ray_check_ends_at_its_mu_aware_horizon(
         assert float(line.split("mismatch ")[1].split(";")[0]) > 1e-4
 
 
+def _rng11_tensor_17():
+    # an origin-only cone and one idempotent, (-2.793, -4.648, 3.908), that
+    # no lattice start reached
+    rng = np.random.default_rng(11)
+    for _ in range(18):
+        alg = random_symmetric_algebra(rng)
+    return alg
+
+
 @pytest.mark.parametrize(
     "kind, reason",
     [
         ("A1", "solvable: no nonzero idempotent exists"),
-        # e1 e1 = 0.01 e1, e2 e2 = e3: the idempotent 100 e1 lies far outside
-        # the lattice, and the cone is the e3 axis
-        ("far", "lattice found no idempotent"),
-        # random tensor 17 of default_rng(11): an origin-only cone and no
-        # idempotent reached from the lattice
-        ("random", "lattice found no idempotent; the cone is origin-only, so by Kaplan-Yorke"),
+        ("plane", "non-isolated idempotents: Macaulay nullity 16, not 8"),
+        ("two-lines", "non-isolated idempotents: Macaulay nullity 11, not 8"),
     ],
 )
 def test_verify_ray_skip_names_its_reason(tmp_path, capsys, kind, reason):
     if kind == "A1":
         alg, _ = conjugated_canonical("A1", np.random.default_rng(3))
-    elif kind == "far":
-        alg = from_named(a=0.01, f=1.0)
-    else:
-        rng = np.random.default_rng(11)
-        for _ in range(18):
-            alg = random_symmetric_algebra(rng)
+    elif kind == "plane":  # x*x = x1 x: the plane x1 = 1 is idempotent
+        alg = from_products({(1, 1): (1, 0, 0), (1, 2): (0, 0.5, 0), (1, 3): (0, 0, 0.5)})
+    else:  # the lines (0, 1, s) and (1, 1, s)
+        alg = from_products({(1, 1): (1, 0, 0), (2, 2): (0, 1, 0), (2, 3): (0, 0, 0.5)})
     code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
     line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
     assert code == 0
     assert line.startswith(f"SKIP ray-solutions: {reason}")
-    assert (kind == "random") == ("Kaplan-Yorke" in line)
+
+
+@pytest.mark.parametrize("kind", ["far", "random"])
+def test_verify_ray_check_passes_on_far_idempotents(tmp_path, capsys, kind):
+    # e1 e1 = 0.01 e1, e2 e2 = e3 has the one idempotent 100 e1, far outside
+    # the [-2, 2]^3 lattice the search once started from; the random tensor
+    # is tensor 17 of default_rng(11)
+    alg = from_named(a=0.01, f=1.0) if kind == "far" else _rng11_tensor_17()
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, alg)])
+    line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
+    assert code == 0
+    assert line.startswith("PASS ray-solutions: 1 idempotent rays matched")
+
+
+def test_verify_fails_an_origin_only_cone_without_idempotents(tmp_path, capsys, monkeypatch):
+    # by Kaplan-Yorke a real commutative algebra has a nonzero idempotent or
+    # a nonzero square-zero vector, so a solver that found neither is wrong
+    monkeypatch.setattr(cli, "idempotents", lambda alg: [])
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, _rng11_tensor_17())])
+    line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
+    assert code == 4
+    assert line.startswith("FAIL ray-solutions: no real idempotent and an origin-only cone")
 
 
 # --- spectrum ---

@@ -597,7 +597,7 @@ def test_samples_follow_the_idempotent_rays():
             err = np.abs(traj.states - expect) / np.maximum(1.0, np.abs(expect))
             assert err.max() <= RAY_SAMPLE_RTOL
             rays += 1
-    assert rays == 45
+    assert rays == 47
 
 
 @pytest.mark.parametrize("tag", ["A2", "A3", "A4"])
