@@ -541,7 +541,8 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
     eps^(1/m)) and take three Newton steps by the pseudoinverse of 2 L_v - I,
     each kept only where it lowers the residual (from an exact multiple root
     a step goes astray).  Nonzero points with |v*v - v| <= TAU_RES
-    max(1, |v|)^2 in the normalized constants are kept, most accurate first.
+    max(1, |v|)^2 in the normalized constants are kept, most accurate first,
+    and the copies of a multiple root collapse to the first of them.
     """
     norm, factor = alg.normalized()
     if is_solvable(norm):
@@ -592,12 +593,13 @@ def _projective_roots(norm: Algebra) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_come_distinct(points: np.ndarray) -> list[np.ndarray]:
     """The rows of ``points`` with no earlier kept row within TAU_DEDUP, in
-    order: keep the first remaining row, drop every row within TAU_DEDUP of
-    it, and repeat."""
+    order: keep the first remaining row v, drop every row within TAU_DEDUP
+    max(1, |v|) of it, and repeat."""
     kept: list[np.ndarray] = []
     while len(points):
         kept.append(points[0])
-        points = points[np.linalg.norm(points - points[0], axis=1) > TAU_DEDUP]
+        radius = TAU_DEDUP * max(1.0, float(np.linalg.norm(points[0])))
+        points = points[np.linalg.norm(points - points[0], axis=1) > radius]
     return kept
 
 

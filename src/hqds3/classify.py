@@ -418,21 +418,23 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     return result(tag, m, res)
 
 
-def classify_via_derivation(alg: Algebra, seed: int = 0) -> ClassificationResult:
+def classify_via_derivation(alg: Algebra) -> ClassificationResult:
     """Derivation-eigenbasis classification route.
 
     Searches for a real-diagonalizable invertible derivation; a miss is
     reported as NotInFamily with method 'no-ssnd-found' (the search is not a
     proof of absence).  Otherwise the answer is the reduction's, and a
     reduction that raises is NotInFamily too; the invariant route is never
-    consulted.  Every result after a search carries the derivation found.
+    consulted.  Every other result carries an SSND: the one found, or on the
+    zero algebra the identity, which needs no search.
     """
     if alg.scale <= TAU_NULL:
-        return ClassificationResult("NullAlgebra", np.eye(3), alg.scale, "null")
-    found = find_real_ssnd(alg, seed)
-    if found is None:
+        return ClassificationResult(
+            "NullAlgebra", np.eye(3), alg.scale, "null", derivation=np.eye(3)
+        )
+    d = find_real_ssnd(alg)
+    if d is None:
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")
-    d, _rep = found
     try:
         return reduce_with_derivation(alg, d)
     except (ValueError, IllConditioned):

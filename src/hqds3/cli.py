@@ -72,7 +72,7 @@ def _jsonable(obj):
 
 
 def _emit(doc: dict) -> None:
-    json.dump(_jsonable(doc), sys.stdout, indent=2)
+    json.dump(_jsonable(doc), sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -107,19 +107,11 @@ def _derivation_report(alg: Algebra, d: np.ndarray | None) -> dict:
     return {"dim": space.dim, "basis": space.basis, "ssnd": ssnd}
 
 
-def _ssnd(alg: Algebra, seed: int) -> np.ndarray | None:
-    found = find_real_ssnd(alg, seed)
-    return None if found is None else found[0]
-
-
 def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     fp = fingerprint(alg)
     res = classify(alg)
-    via = classify_via_derivation(alg, seed=args.seed)
-    # report the SSND the derivation route found; only on the zero algebra
-    # does that route return before its search
-    ssnd = _ssnd(alg, args.seed) if via.method == "null" else via.derivation
-    der = _derivation_report(alg, ssnd)
+    via = classify_via_derivation(alg)
+    der = _derivation_report(alg, via.derivation)
 
     warnings = []
     if res.is_definite and via.is_definite and res.tag != via.tag:
@@ -156,7 +148,7 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
 
 def cmd_derivations(args, alg: Algebra, label: str | None) -> int:
     report = {"label": label}
-    report.update(_derivation_report(alg, _ssnd(alg, args.seed)))
+    report.update(_derivation_report(alg, find_real_ssnd(alg)))
     _emit(report)
     return 0
 
@@ -228,10 +220,11 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
 # verify
 
 
-# Each check takes (alg, rng, res), with rng freshly seeded per check and res
-# the ClassificationResult.  It returns its (status, detail) at once when it
-# needs no trajectory, and an _Integrate request otherwise; ``cmd_verify``
-# runs every distinct start of every request in one ``integrate_batch`` call.
+# Each check takes (alg, rng, res), with rng a fresh default_rng(0) per check
+# and res the ClassificationResult.  It returns its (status, detail) at once
+# when it needs no trajectory, and an _Integrate request otherwise;
+# ``cmd_verify`` runs every distinct start of every request in one
+# ``integrate_batch`` call.
 
 
 @dataclass(frozen=True)
@@ -413,10 +406,11 @@ def cmd_verify(args, alg: Algebra, label: str | None) -> int:
     res = classify(alg)
     print(f"class: {res.tag}" + (f"  label: {label}" if label else ""))
     plans = {
-        name: check(alg, np.random.default_rng(args.seed), res)
+        name: check(alg, np.random.default_rng(0), res)
         for name, check in sorted(_VERIFY_CHECKS.items())
     }
-    # every check re-seeds the same generator, so several draw the same starts
+    # every check draws from the same fresh generator, so several draw the
+    # same starts
     distinct = {}
     for plan in plans.values():
         for x0, t_end in plan.starts if isinstance(plan, _Integrate) else ():
@@ -442,6 +436,10 @@ def cmd_verify(args, alg: Algebra, label: str | None) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
+        if not np.isfinite(value):
+            print(f"error: {flag} must be finite, got {value!r}", file=sys.stderr)
+            return 1
     try:
         mask = admissible_mask(args.lam, args.mu)
     except SingularSpectrum:
@@ -480,12 +478,8 @@ def _parser() -> _Parser:
     parser = _Parser(prog="hqds3", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-
     p = sub.add_parser("classify", help="classify an algebra and print the report")
     p.add_argument("input", help="JSON document with structure_constants")
-    common(p)
 
     p = sub.add_parser("simulate", help="integrate x' = x*x and export CSV")
     p.add_argument("input")
@@ -495,7 +489,6 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the qualitative-dictionary battery")
     p.add_argument("input")
-    common(p)
 
     p = sub.add_parser("spectrum", help="constant mask for diag(1, lambda, mu)")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
@@ -503,7 +496,6 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("derivations", help="derivation space and SSND search")
     p.add_argument("input")
-    common(p)
     return parser
 
 

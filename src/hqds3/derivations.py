@@ -224,38 +224,20 @@ def real_eigenbasis(m: np.ndarray, rep: SpectralReport | None = None) -> tuple[n
 # search for a real-diagonalizable invertible derivation
 
 
-# random candidates drawn before the sign patterns
-SSND_RANDOM_CANDIDATES = 200
-
-
-def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralReport] | None:
+def find_real_ssnd(alg: Algebra) -> np.ndarray | None:
     """Look for a derivation that is semisimple with real nonzero eigenvalues.
 
-    Candidates: the generator (and its negative) when the space is a line;
-    otherwise SSND_RANDOM_CANDIDATES random coefficient vectors drawn from
-    ``seed``, followed by all +-1/0 sign patterns of the basis.  Each
-    candidate is scaled to largest entry 1 and analysed once.  One that
-    misses with a defective or complex spectrum is replaced by its
-    real_semisimple_part, again a derivation, kept only when its Leibniz
-    residual is at most 1e-8.  The first candidate passing all three
-    spectral tests wins; the search is not exhaustive and may miss.
+    Candidates: the 3^dim - 1 nonzero +-1/0 sign patterns of the basis, in
+    itertools.product order over (0, 1, -1), so a line's generator comes
+    before its negative.  Each candidate is scaled to largest entry 1 and
+    analysed once.  One that misses with a defective or complex spectrum is
+    replaced by its real_semisimple_part, again a derivation, kept only when
+    its Leibniz residual is at most 1e-8.  The first candidate passing all
+    three spectral tests is returned; the search is not exhaustive, so None
+    is a miss, not a proof of absence.
     """
     space = derivation_space(alg)
-    if space.dim == 0:
-        return None
-    flat = np.array([b.reshape(9) for b in space.basis])
-
-    def vectors() -> "itertools.chain":
-        if space.dim == 1:
-            return itertools.chain([np.array([1.0]), np.array([-1.0])])
-        rng = np.random.default_rng(seed)
-        randoms = (rng.standard_normal(space.dim) for _ in range(SSND_RANDOM_CANDIDATES))
-        patterns = (
-            np.array(p, dtype=float)
-            for p in itertools.product((0.0, 1.0, -1.0), repeat=space.dim)
-            if any(p)
-        )
-        return itertools.chain(randoms, patterns)
+    flat = np.reshape(space.basis, (space.dim, 9))
 
     def scaled(cand: np.ndarray) -> tuple[np.ndarray, SpectralReport] | None:
         top = float(np.max(np.abs(cand)))
@@ -264,8 +246,8 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
         cand = cand / top
         return cand, analyze_spectrum(cand)
 
-    for coeffs in vectors():
-        found = scaled((coeffs @ flat).reshape(3, 3))
+    for coeffs in itertools.product((0.0, 1.0, -1.0), repeat=space.dim):
+        found = scaled(np.dot(coeffs, flat).reshape(3, 3))
         if found is None:
             continue
         cand, rep = found
@@ -281,7 +263,7 @@ def find_real_ssnd(alg: Algebra, seed: int = 0) -> tuple[np.ndarray, SpectralRep
                 continue
             cand, rep = found
         if rep.all_real and rep.semisimple and rep.nonsingular:
-            return cand, rep
+            return cand
     return None
 
 

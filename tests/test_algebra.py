@@ -459,6 +459,16 @@ def test_idempotents_at_a_multiple_root(products, want, tol):
     assert min(np.max(np.abs(v - want)) for v in found) <= tol
 
 
+def test_idempotents_report_a_multiple_root_once():
+    # e1 and e1 + e3 are triple roots, located only to about eps^(1/3): the
+    # solve returns two copies of each, 2.3-2.4e-5 apart, and one is kept
+    alg = from_products({(1, 1): (1, 0, 0), (2, 2): (1, 0, 0), (1, 2): (0, 0.5, 0), (3, 3): (0, 0, 1)})
+    found = idempotents(alg)
+    assert len(found) == 3
+    for got, want in zip(found, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0)]):
+        assert np.max(np.abs(got - want)) <= 1e-4
+
+
 @pytest.mark.parametrize(
     "products",
     [

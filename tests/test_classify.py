@@ -28,7 +28,15 @@ from hqds3.classify import (
     polish_certificate,
     reduce_with_derivation,
 )
-from hqds3.derivations import derivation_residual, find_real_ssnd, normalize_spectrum
+from hqds3 import derivations
+from hqds3.derivations import (
+    analyze_spectrum,
+    derivation_residual,
+    derivation_space,
+    find_real_ssnd,
+    normalize_spectrum,
+    real_semisimple_part,
+)
 
 CERT_TOL = 1e-8
 REDUCTION_TOL = 1e-12
@@ -84,7 +92,10 @@ def test_exact_tables_short_circuit():
 
 def test_null_algebra_both_routes():
     assert classify(zero_algebra()).tag == "NullAlgebra"
-    assert classify_via_derivation(zero_algebra()).tag == "NullAlgebra"
+    via = classify_via_derivation(zero_algebra())
+    assert via.tag == "NullAlgebra"
+    # every invertible matrix is a derivation of the zero algebra
+    np.testing.assert_array_equal(via.derivation, np.eye(3))
 
 
 def test_scaled_table_still_classifies():
@@ -143,6 +154,19 @@ def test_kappa_sweep_classifies_up_to_the_pinned_limits():
             assert classify_via_derivation(alg).tag == tag, (tag, kappa)
 
 
+def test_futile_ssnd_searches_try_each_sign_pattern_at_most_once(monkeypatch):
+    # the derivation route misses A1 from kappa = 1e4 on; each miss may cost
+    # one analysis per nonzero sign pattern and one per semisimple part
+    calls = []
+    original = derivations.analyze_spectrum
+    monkeypatch.setattr(derivations, "analyze_spectrum", lambda m: calls.append(1) or original(m))
+    for kappa, tag, alg in _kappa_sweep():
+        if tag == "A1" and kappa >= 1e4:
+            calls.clear()
+            find_real_ssnd(alg)
+            assert len(calls) <= 2 * (3 ** derivation_space(alg).dim - 1), kappa
+
+
 def test_off_orbit_perturbations_stay_not_in_family():
     # a random symmetric direction of size 1e-6 leaves the orbit of each
     # table, whose codimension is 9 + dim Der, so no route may classify it
@@ -190,9 +214,9 @@ def test_ssnd_algebras_outside_the_four_tables(constants, spectrum, family):
     # both admit an invertible real-diagonalizable derivation, yet neither
     # is one of A1-A4: both routes say NotInFamily
     alg = from_named(**constants)
-    found = find_real_ssnd(alg)
-    assert found is not None
-    d, rep = found
+    d = find_real_ssnd(alg)
+    assert d is not None
+    rep = analyze_spectrum(d)
     assert rep.all_real and rep.semisimple and rep.nonsingular
     case = normalize_spectrum(rep.spectrum)
     assert case.family == family
@@ -427,24 +451,30 @@ def test_reduction_reads_null_off_the_algebra_not_its_eigenbasis(monkeypatch):
 
 
 def test_reduction_of_a_candidate_with_nearly_equal_eigenvalues():
-    # conjugate 133 of the sweep-recipe stream at seed 2 (cond < 16): the
-    # first SSND candidate has eigenvalues 6.4e-5 apart, read as a double
-    # root, and its semisimple part has Leibniz residual 2.0e-9; that puts
-    # the normalized spectrum 3.7e-9 off (1, 1, 2)
+    # conjugate 133 of the sweep-recipe stream at seed 2 (cond < 16) and the
+    # derivation with coefficients default_rng(0).standard_normal(dim): its
+    # eigenvalues are 6.4e-5 apart, read as a double root, and its
+    # semisimple part has Leibniz residual 2.0e-9; that puts the normalized
+    # spectrum 3.7e-9 off (1, 1, 2)
     rng = np.random.default_rng([2, zlib.crc32(b"sweep-recipe")])
     algs = [conjugated_canonical(tag, rng)[0] for _ in range(45) for tag in ("A2", "A3", "A4")]
-    res = classify_via_derivation(algs[133])
+    space = derivation_space(algs[133])
+    m = np.tensordot(np.random.default_rng(0).standard_normal(space.dim), space.basis, 1)
+    d = real_semisimple_part(m / np.max(np.abs(m)))
+    d /= np.max(np.abs(d))
+    assert 1e-10 < derivation_residual(algs[133], d) <= 1e-8
+    res = reduce_with_derivation(algs[133], d)
     assert (res.tag, res.method) == ("A3", "derivation-reduction")
     assert res.residual <= CERT_TOL
 
 
 def test_semisimple_part_must_be_a_derivation():
-    # the last A4 of 27 rounds of A2, A3, A4 from default_rng(2): the
-    # semisimple part of its first candidate has a double eigenvalue and
-    # Leibniz residual 3.6e-6, so the search must pass it over
-    rng = np.random.default_rng(2)
-    algs = [conjugated_canonical(tag, rng)[0] for _ in range(27) for tag in ("A2", "A3", "A4")]
-    d, _ = find_real_ssnd(algs[-1])
+    # the last A4 of 70 rounds of A2, A3, A4 from default_rng(0): the
+    # semisimple part of its first sign pattern has a double eigenvalue and
+    # Leibniz residual 3.0e-5, so the search must pass it over
+    rng = np.random.default_rng(0)
+    algs = [conjugated_canonical(tag, rng)[0] for _ in range(70) for tag in ("A2", "A3", "A4")]
+    d = find_real_ssnd(algs[-1])
     assert derivation_residual(algs[-1], d) <= 1e-8
     res = classify_via_derivation(algs[-1])
     assert (res.tag, res.method) == ("A4", "derivation-reduction")

@@ -15,6 +15,7 @@ from hqds3.catalog import (
     conjugated_canonical,
     random_symmetric_algebra,
 )
+from hqds3.derivations import analyze_spectrum
 from hqds3.dynamics import ray_solution
 from hqds3.linalg import orthonormal_complement
 
@@ -313,8 +314,8 @@ def test_cli_command_computes_cone_at_most_once(tmp_path, capsys, monkeypatch, c
 
 @pytest.mark.parametrize("kind", ["A1", "A4", "random", "zero"])
 def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind):
-    # the report shows the SSND the derivation route found; on the zero
-    # algebra, where that route returns before its search, classify searches
+    # the report shows the SSND the derivation route found in its one
+    # search; the zero algebra needs no search, and its SSND is the identity
     rng = np.random.default_rng(5)
     if kind == "random":
         alg = random_symmetric_algebra(rng)
@@ -332,15 +333,15 @@ def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind)
     for name, module in list(sys.modules.items()):
         if name.startswith("hqds3") and getattr(module, "find_real_ssnd", None) is original:
             monkeypatch.setattr(module, "find_real_ssnd", counted)
-    code, out, _ = run(capsys, ["classify", write_algebra(tmp_path, alg), "--seed", "3"])
+    code, out, _ = run(capsys, ["classify", write_algebra(tmp_path, alg)])
     assert code in (0, 2)
-    assert len(calls) == 1
+    assert len(calls) == (kind != "zero")
     ssnd = json.loads(out)["derivation_space"]["ssnd"]
-    found = original(alg, 3)
-    assert ssnd["present"] == (found is not None)
-    if found is not None:
-        assert ssnd["matrix"] == found[0].tolist()
-        assert ssnd["spectrum"] == sorted(float(v.real) for v in found[1].eigenvalues)
+    d = np.eye(3) if kind == "zero" else original(alg)
+    assert ssnd["present"] == (d is not None)
+    if d is not None:
+        assert ssnd["matrix"] == d.tolist()
+        assert ssnd["spectrum"] == sorted(float(v.real) for v in analyze_spectrum(d).eigenvalues)
 
 
 def test_verify_first_integral_drift_is_relative(tmp_path, capsys):
@@ -613,6 +614,21 @@ def test_spectrum_generic_point(capsys):
     assert report["representative"]["family"] == "off-arrangement"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--lambda", "nan", "--mu", "2"], "--lambda"),
+        (["--lambda", "inf", "--mu", "2"], "--lambda"),
+        (["--lambda", "2", "--mu=-inf"], "--mu"),
+    ],
+)
+def test_spectrum_refuses_non_finite_input(capsys, argv, flag):
+    # NaN is not JSON, and an infinite lambda is not a singular spectrum
+    code, out, err = run(capsys, ["spectrum", *argv])
+    assert (code, out) == (1, "")
+    assert f"error: {flag} must be finite" in err
+
+
 def test_spectrum_rejects_singular(capsys):
     code, _, err = run(capsys, ["spectrum", "--lambda", "0", "--mu", "2"])
     assert code == 1
@@ -666,10 +682,14 @@ def test_unknown_command_is_usage_error():
     [
         ["simulate", "alg.json", "--x0", "1,0,0", "--t-end", "1", "--seed", "1"],
         ["spectrum", "--lambda", "-1", "--mu", "2", "--seed", "1"],
+        ["classify", "alg.json", "--seed", "0"],
+        ["derivations", "alg.json", "--seed", "0"],
+        ["verify", "alg.json", "--seed", "0"],
     ],
 )
 def test_seed_is_refused_where_nothing_is_random(argv):
-    # simulate and spectrum draw no random numbers, so they take no --seed
+    # no command takes a --seed: the SSND search tries fixed sign patterns,
+    # and verify always draws its starts from default_rng(0)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1

@@ -230,8 +230,9 @@ def test_real_part_matrix_frozen():
 
 
 def test_find_real_ssnd_analyses_each_candidate_once(monkeypatch):
-    # canonical A4's first candidate has a complex pair and its real part is
-    # an SSND: one analysis for each of the two
+    # the first sign pattern of this A4 conjugate has a complex pair and its
+    # real part is an SSND: one analysis for each of the two
+    alg, _ = conjugated_canonical("A4", np.random.default_rng(0))
     calls = []
     original = derivations.analyze_spectrum
 
@@ -240,7 +241,7 @@ def test_find_real_ssnd_analyses_each_candidate_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(derivations, "analyze_spectrum", counted)
-    assert find_real_ssnd(canonical_algebra("A4")) is not None
+    assert find_real_ssnd(alg) is not None
     assert len(calls) == 2
 
 
@@ -359,9 +360,9 @@ def test_normalize_spectrum_rejects_zero_entry():
 def test_find_real_ssnd_on_canonicals():
     for tag in TAGS:
         alg = canonical_algebra(tag)
-        found = find_real_ssnd(alg)
-        assert found is not None, tag
-        d, rep = found
+        d = find_real_ssnd(alg)
+        assert d is not None, tag
+        rep = analyze_spectrum(d)
         assert rep.all_real and rep.semisimple and rep.nonsingular
         assert derivation_residual(alg, d) < LEIBNIZ_TOL
 
