@@ -120,15 +120,15 @@ def from_named(**constants: float) -> Algebra:
 
 
 def product(alg: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear product u * v.
+    """Bilinear product u * v, broadcast over leading axes: stacks of
+    vectors give the stack of their products, each row bit-identical to
+    the product of that row alone.
 
     The outer product is symmetrized before contraction so that
     product(alg, u, v) and product(alg, v, u) are bit-identical.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    s = 0.5 * (np.outer(u, v) + np.outer(v, u))
-    return np.einsum("ij,ijk->k", s, alg.c)
+    s = np.asarray(u, dtype=float)[..., :, None] * np.asarray(v, dtype=float)[..., None, :]
+    return np.einsum("...ij,ijk->...k", 0.5 * (s + s.swapaxes(-1, -2)), alg.c)
 
 
 def square_map(alg: Algebra, x: np.ndarray) -> np.ndarray:

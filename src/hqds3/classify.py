@@ -34,7 +34,6 @@ from .algebra import (
     Subspace,
     change_of_basis,
     ideal_structure,
-    left_mult_matrix,
     nilpotent_cone,
     product,
     rewritten_constants,
@@ -42,6 +41,7 @@ from .algebra import (
 )
 from .catalog import CANONICAL_TAGS, canonical_algebra
 from .derivations import (
+    PAIRS,
     RELATIONS,
     SLOT_ARRAY,
     IllConditioned,
@@ -115,9 +115,8 @@ def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndar
     """
     w = sign_canonical(w)
     lifts = orthonormal_complement(w[None, :])
-    b = np.array(
-        [[float(product(norm, lifts[i], lifts[j]) @ w) for j in range(2)] for i in range(2)]
-    )
+    p = product(norm, lifts[:, None], lifts[None, :])
+    b = np.array([[float(p[i, j] @ w) for j in range(2)] for i in range(2)])
     vals, vecs = np.linalg.eigh(b)
     tol = 1e-9 * float(np.max(np.abs(vals)))
     if vals[0] < -tol and vals[1] > tol:
@@ -214,7 +213,7 @@ def certificate_residual(alg: Algebra, tag: str, m: np.ndarray) -> float:
 
 def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(18, 9) Jacobian of m -> m t[i, j] - m_i * m_j in the entries of m."""
-    return leibniz_operator(t, np.array([left_mult_matrix(alg, col) for col in m.T]))
+    return leibniz_operator(t, np.einsum("ai,akb->ibk", m, alg.c))
 
 
 def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
@@ -226,9 +225,10 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
     """
     t = canonical_algebra(tag).c
     m = np.asarray(m, dtype=float).copy()
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    i, j = PAIRS.T
     for _ in range(8):
-        g = np.concatenate([m @ t[i, j] - product(alg, m[:, i], m[:, j]) for i, j in pairs])
+        # rows in PAIRS order, the row order of the Jacobian
+        g = (t[i, j] @ m.T - product(alg, m[:, i].T, m[:, j].T)).ravel()
         if float(np.max(np.abs(g))) <= 1e-15 * max(1.0, alg.scale):
             break
         step, *_ = np.linalg.lstsq(_certificate_jacobian(alg, t, m), g, rcond=1e-12)

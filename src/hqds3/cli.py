@@ -442,11 +442,8 @@ def cmd_spectrum(args) -> int:
             return 1
     try:
         mask = admissible_mask(args.lam, args.mu)
-    except SingularSpectrum:
-        print(
-            "error: an invertible diagonal derivation requires lambda * mu != 0",
-            file=sys.stderr,
-        )
+    except SingularSpectrum as exc:
+        print(f"error: no invertible diagonal derivation: {exc}", file=sys.stderr)
         return 1
     case = normalize_spectrum(np.array([1.0, args.lam, args.mu]))
     report = {

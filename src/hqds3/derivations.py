@@ -24,6 +24,18 @@ class SingularSpectrum(ValueError):
     """A diagonal derivation needs all three eigenvalues nonzero."""
 
 
+def _require_nonsingular(d) -> None:
+    """Raise SingularSpectrum, stating the rule and the values, when the real
+    spectrum d has min |d| <= TAU_RANK max(1, max |d|); nothing overflows."""
+    d = np.asarray(d, dtype=float)
+    low, cut = float(np.min(np.abs(d))), TAU_RANK * max(1.0, float(np.max(np.abs(d))))
+    if low <= cut:
+        raise SingularSpectrum(
+            f"spectrum d = {tuple(d.tolist())} is singular: "
+            f"min |d| = {low!r} <= TAU_RANK * max(1, max |d|) = {cut!r}"
+        )
+
+
 class IllConditioned(ArithmeticError):
     """Spectral projectors could not be assembled at acceptable accuracy."""
 
@@ -48,7 +60,8 @@ class DerivationSpace:
     basis: list  # list[np.ndarray (3,3)], orthonormal as 9-vectors
 
 
-_PAIRS = np.array([(i, j) for i in range(3) for j in range(i, 3)])
+# the six basis pairs i <= j, the row order of every per-pair stack
+PAIRS = np.array([(i, j) for i in range(3) for j in range(i, 3)])
 
 
 def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -60,7 +73,7 @@ def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
     it is the Jacobian of the conjugation residual m t[i, j] - m_i * m_j.
     Each entry is accumulated as ((0 + t) - L_j) - L_i.
     """
-    i, j = _PAIRS.T
+    i, j = PAIRS.T
     ar = np.arange(3)
     rows = np.zeros((6, 3, 3, 3))  # (pair, k, a, b): coefficient of X[a, b]
     rows[:, ar, ar, :] += t[i, j][:, None, :]
@@ -202,22 +215,23 @@ def jordan_chevalley(
 def real_eigenbasis(m: np.ndarray, rep: SpectralReport | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector columns of an all-real semisimple matrix.
 
-    Each distinct eigenvalue of the report is served by an orthonormal
-    basis of its eigenspace; raises IllConditioned when the numerical
-    eigenspace dimensions disagree with the root multiplicities.
+    Each distinct eigenvalue lam of the report is served by an orthonormal
+    basis of its eigenspace: the right singular vectors of m - lam I past
+    the singular values above 1e-7 max(1, s0), from one stacked SVD.
+    Raises IllConditioned when the numerical eigenspace dimensions disagree
+    with the root multiplicities.
     """
     m = np.asarray(m, dtype=float)
     rep = rep or analyze_spectrum(m)
     if not (rep.all_real and rep.semisimple):
         raise IllConditioned("matrix is not real-diagonalizable")
     values, counts = np.unique(rep.eigenvalues.real, return_counts=True)
-    columns = []
-    for lam, count in zip(values, counts):
-        basis = nullspace(m - lam * np.eye(3), rtol=1e-7)
-        if basis.shape[0] != count:
-            raise IllConditioned("eigenspace dimension does not match multiplicity")
-        columns.extend(basis)
-    return np.repeat(values, counts), np.array(columns).T
+    _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
+    ranks = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1)
+    if np.any(ranks != 3 - counts):
+        raise IllConditioned("eigenspace dimension does not match multiplicity")
+    columns = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)])
+    return np.repeat(values, counts), columns.T
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +360,9 @@ def admissible_mask(lam: float, mu: float) -> ConstantMask:
     A constant c[i, j, k] survives the Leibniz condition exactly when
     d_k = d_i + d_j for the diagonal weights d = (1, lam, mu) (see
     MASK_LINES); each equality is decided up to TAU_RES (1 + |lam| + |mu|).
+    Raises SingularSpectrum when d is singular (_require_nonsingular).
     """
-    if abs(lam * mu) <= TAU_RANK * max(1.0, lam * lam + mu * mu):
-        raise SingularSpectrum("diagonal derivation requires lambda * mu != 0")
+    _require_nonsingular((1.0, lam, mu))
     on = _letters_on(lam, mu)
     return ConstantMask(lam=lam, mu=mu, allowed={letter: letter in on for letter in MASK_SLOTS})
 
@@ -413,9 +427,7 @@ def normalize_spectrum(spec) -> SpectrumCase:
     spec = np.asarray(spec, dtype=float)
     if spec.shape != (3,):
         raise ValueError("spectrum must be a real triple")
-    top = float(np.max(np.abs(spec)))
-    if top == 0.0 or float(np.min(np.abs(spec))) <= TAU_RANK * max(1.0, top):
-        raise SingularSpectrum("spectrum entries must all be nonzero")
+    _require_nonsingular(spec)
 
     candidates = []
     for i in range(3):

@@ -579,6 +579,24 @@ def test_product_symmetric_and_bilinear(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def test_stacked_product_matches_the_row_by_row_product():
+    # a stack's rows are the products of the rows alone, bit for bit, for
+    # an (n, 3) stack and for a broadcast (2, 1, 3) x (1, 4, 3) grid, and
+    # commutativity stays bit-exact on stacks
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        alg = random_symmetric_algebra(rng)
+        us = rng.standard_normal((7, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (7, 1))
+        vs = rng.standard_normal((7, 3))
+        vs[rng.random((7, 3)) < 0.3] = 0.0
+        stacked = product(alg, us, vs)
+        assert np.array_equal(stacked, [product(alg, u, v) for u, v in zip(us, vs)])
+        assert np.array_equal(stacked, product(alg, vs, us))
+        grid = product(alg, us[:2, None], vs[None, :4])
+        assert grid.shape == (2, 4, 3)
+        assert np.array_equal(grid, [[product(alg, u, v) for v in vs[:4]] for u in us[:2]])
+
+
 @settings(deadline=None, max_examples=16)
 @given(st.sampled_from(TAGS), st.integers(min_value=0, max_value=10**6))
 def test_subspace_dims_invariant_under_conjugation(tag, seed):

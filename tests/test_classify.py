@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3.algebra import Algebra, change_of_basis, from_named, left_mult_matrix, zero_algebra
+from hqds3.algebra import (
+    Algebra,
+    change_of_basis,
+    from_named,
+    left_mult_matrix,
+    product,
+    zero_algebra,
+)
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -298,6 +305,35 @@ def test_certificate_jacobian_matches_the_loop_build():
             cases.append((random_symmetric_algebra(rng), rng.standard_normal((3, 3))))
         for alg, m in cases:
             assert np.array_equal(_certificate_jacobian(alg, t, m), _certificate_jacobian_loop(alg, t, m))
+
+
+def test_polish_residual_matches_the_per_pair_loop(monkeypatch):
+    # every residual the polish solves for equals the per-pair build at the
+    # iterate its Jacobian was built at, bit for bit
+    module = sys.modules["hqds3.classify"]
+    jacobian, lstsq = module._certificate_jacobian, np.linalg.lstsq
+    iterates, residuals = [], []
+
+    def recording_jacobian(alg, t, m):
+        iterates.append((alg, t, m.copy()))
+        return jacobian(alg, t, m)
+
+    def recording_lstsq(a, b, rcond):
+        residuals.append(b.copy())
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(module, "_certificate_jacobian", recording_jacobian)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    rng = np.random.default_rng(9)
+    for tag in TAGS:
+        for _ in range(5):
+            alg, m = conjugated_canonical(tag, rng)
+            polish_certificate(alg, tag, np.linalg.inv(m) * (1.0 + 1e-6) + 1e-7)
+            polish_certificate(random_symmetric_algebra(rng), tag, rng.standard_normal((3, 3)))
+    assert len(iterates) == len(residuals) > 40
+    for (alg, t, m), g in zip(iterates, residuals):
+        loop = [m @ t[i, j] - product(alg, m[:, i], m[:, j]) for i in range(3) for j in range(i, 3)]
+        assert np.array_equal(g, np.concatenate(loop))
 
 
 # --- explicit reductions along a diagonal derivation ---

@@ -632,7 +632,25 @@ def test_spectrum_refuses_non_finite_input(capsys, argv, flag):
 def test_spectrum_rejects_singular(capsys):
     code, _, err = run(capsys, ["spectrum", "--lambda", "0", "--mu", "2"])
     assert code == 1
-    assert "lambda * mu != 0" in err
+    assert "min |d| = 0.0 <= TAU_RANK * max(1, max |d|) = 2e-09" in err
+
+
+@pytest.mark.parametrize(
+    "lam, mu, rule",
+    [
+        # lambda * mu overflowed to inf, and inf <= inf read as singular
+        ("1e200", "1e200", "min |d| = 1.0 <= TAU_RANK * max(1, max |d|) = 1e+191"),
+        # nonzero values whose spread alone makes d singular to working precision
+        ("1e-8", "1e8", "min |d| = 1e-08 <= TAU_RANK * max(1, max |d|) = 0.1"),
+        # the mask accepted this and normalize_spectrum then raised uncaught
+        ("1e10", "1e10", "min |d| = 1.0 <= TAU_RANK * max(1, max |d|) = 10.0"),
+    ],
+    ids=["overflow", "spread", "mask-accepted"],
+)
+def test_spectrum_states_the_singularity_rule(capsys, lam, mu, rule):
+    code, out, err = run(capsys, ["spectrum", "--lambda", lam, "--mu", mu])
+    assert (code, out) == (1, "")
+    assert f"spectrum d = (1.0, {float(lam)!r}, {float(mu)!r}) is singular: {rule}" in err
 
 
 # --- derivations ---

@@ -35,6 +35,7 @@ from hqds3.derivations import (
     real_semisimple_part,
     slot_defects,
 )
+from hqds3.linalg import nullspace
 
 LEIBNIZ_TOL = 1e-9
 SPLIT_TOL = 1e-8
@@ -260,6 +261,52 @@ def test_real_eigenbasis_rejects_defective():
         real_eigenbasis(m)
 
 
+def _real_eigenbasis_loop(m):
+    # the per-eigenvalue nullspace build the stacked SVD replaced
+    rep = analyze_spectrum(m)
+    if not (rep.all_real and rep.semisimple):
+        raise IllConditioned("matrix is not real-diagonalizable")
+    values, counts = np.unique(rep.eigenvalues.real, return_counts=True)
+    columns = []
+    for lam, count in zip(values, counts):
+        basis = nullspace(m - lam * np.eye(3), rtol=1e-7)
+        if basis.shape[0] != count:
+            raise IllConditioned("eigenspace dimension does not match multiplicity")
+        columns.extend(basis)
+    return np.repeat(values, counts), np.array(columns).T
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [(1.0, -2.0, 3.5), (1.0, 1.0, 2.0), (-0.5, 3.0, 3.0), (0.7, 0.7, 0.7), (3.0, 3.0, 3.0)],
+    ids=["distinct", "double-high", "double-low", "triple", "triple-integer"],
+)
+def test_real_eigenbasis_matches_the_nullspace_build(spectrum):
+    rng = np.random.default_rng(13)
+    cases = [np.diag(spectrum)]
+    for _ in range(30):
+        p = rng.standard_normal((3, 3))
+        cases.append(p @ np.diag(spectrum) @ np.linalg.inv(p))
+    for m in cases:
+        try:
+            want = _real_eigenbasis_loop(m)
+        except IllConditioned:
+            with pytest.raises(IllConditioned):
+                real_eigenbasis(m)
+            continue
+        got = real_eigenbasis(m)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_real_eigenbasis_matches_the_nullspace_build_on_ssnds():
+    rng = np.random.default_rng(14)
+    for tag in TAGS:
+        for _ in range(10):
+            d = find_real_ssnd(conjugated_canonical(tag, rng)[0])
+            got, want = real_eigenbasis(d), _real_eigenbasis_loop(d)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_admissible_mask_frozen_examples():
     assert admissible_mask(-1.0, 2.0).allowed_letters() == ("c", "s")
     assert admissible_mask(1.0, 2.0).allowed_letters() == ("c", "f", "n")
@@ -273,6 +320,27 @@ def test_admissible_mask_singular_raises():
         admissible_mask(0.0, 2.0)
     with pytest.raises(SingularSpectrum):
         admissible_mask(1.0, 0.0)
+
+
+def test_admissible_mask_and_normalize_spectrum_share_one_rule():
+    # min |d| <= TAU_RANK max(1, max |d|) on d = (1, lam, mu), overflow-free:
+    # the mask refuses exactly the spectra that normalize_spectrum refuses
+    grid = [0.0, 1e-12, -1e-9, 2e-9, 1e-8, 1e-5, 0.5, -3.0, 1e8, 1e9, -2e9, 1e10, 1e200, 1e308]
+    refused = 0
+    for lam in grid:
+        for mu in grid:
+            try:
+                admissible_mask(lam, mu)
+            except SingularSpectrum as exc:
+                refused += 1
+                assert "min |d| = " in str(exc) and "<= TAU_RANK * max(1, max |d|)" in str(exc)
+                with pytest.raises(SingularSpectrum):
+                    normalize_spectrum([1.0, lam, mu])
+            else:
+                normalize_spectrum([1.0, lam, mu])
+    assert 0 < refused < len(grid) ** 2
+    with pytest.raises(SingularSpectrum, match=r"min \|d\| = 1\.0 <= .* = 1e\+191"):
+        admissible_mask(1e200, 1e200)
 
 
 def test_diag_derivation_matches_mask():
