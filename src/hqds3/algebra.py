@@ -132,32 +132,15 @@ def product(alg: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def square_map(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """x * x, the quadratic vector field of the associated system."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("i,j,ijk->k", x, x, alg.c)
-
-
-def products_batch(alg: Algebra, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Row-wise u * v for two (n, 3) stacks: each row's outer product u (x) v,
-    flattened, times the tensor as a (9, 3) matrix.
-
-    The rows are multiplied as a stack of (1, 9) matrices, not as one (n, 9)
-    matrix: a 2-D product may round a row differently for different n, and
-    this way a row's product does not depend on the rows beside it.
-    """
-    outer = us[:, :, None] * vs[:, None, :]
-    return (outer.reshape(len(us), 1, 9) @ alg.c.reshape(9, 3))[:, 0]
-
-
-def squares_batch(alg: Algebra, xs: np.ndarray) -> np.ndarray:
-    """Row-wise x * x for a stack of vectors."""
-    xs = np.asarray(xs, dtype=float)
-    return products_batch(alg, xs, xs)
+    """x * x, the quadratic vector field of the associated system, broadcast
+    over leading axes like ``product``."""
+    return product(alg, x, x)
 
 
 def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:
-    """Matrix of w -> v * w in the standard basis."""
-    return np.einsum("i,ijk->kj", np.asarray(v, dtype=float), alg.c)
+    """Matrix of w -> v * w in the standard basis, broadcast over leading
+    axes: a stack of vectors gives the stack of their matrices."""
+    return np.einsum("...i,ijk->...kj", np.asarray(v, dtype=float), alg.c)
 
 
 def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
@@ -259,8 +242,8 @@ def subspace_check(alg: Algebra, sub: Subspace) -> SubspaceCheck:
         off = prods - prods @ sub.basis.T @ sub.basis
         return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
 
-    closure = escape(np.einsum("ai,bj,ijk->abk", sub.basis, sub.basis, norm.c))
-    ideal = max(closure, escape(np.einsum("bj,ijk->ibk", sub.basis, norm.c)))
+    closure = escape(product(norm, sub.basis[:, None], sub.basis[None, :]))
+    ideal = max(closure, escape(product(norm, np.eye(3)[:, None], sub.basis[None, :])))
     return SubspaceCheck(
         closed=closure <= TAU_RES,
         ideal=ideal <= TAU_RES,
@@ -282,7 +265,7 @@ class StructureFlags:
 
 
 def _span_products(alg: Algebra, left: Subspace, right: Subspace) -> Subspace:
-    return span_of(np.einsum("ai,bj,ijk->abk", left.basis, right.basis, alg.c).reshape(-1, 3))
+    return span_of(product(alg, left.basis[:, None], right.basis[None, :]).reshape(-1, 3))
 
 
 def _series_vanishes(start: Subspace, step) -> bool:
@@ -550,11 +533,11 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
     x, t = _projective_roots(norm)
     finite = np.abs(t) > np.finfo(float).eps * np.linalg.norm(x, axis=1)
     v = (x[finite] / t[finite, None]).real
-    f = squares_batch(norm, v) - v
+    f = square_map(norm, v) - v
     for _ in range(3):
-        jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - np.eye(3)
+        jac = 2.0 * left_mult_matrix(norm, v) - np.eye(3)
         step = v - (np.linalg.pinv(jac) @ f[:, :, None])[:, :, 0]
-        f_step = squares_batch(norm, step) - step
+        f_step = square_map(norm, step) - step
         better = np.abs(f_step).max(axis=1) < np.abs(f).max(axis=1)
         v[better], f[better] = step[better], f_step[better]
     size = np.linalg.norm(v, axis=1)

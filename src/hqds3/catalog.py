@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, change_of_basis, from_products
-from .derivations import MASK_SLOTS, admissible_mask, slot_defects
+from .algebra import NAMED_SLOTS, Algebra, change_of_basis, from_named, from_products
+from .derivations import MASK_LINES, admissible_mask, slot_defects
 from .linalg import random_well_conditioned
 
 # built once: an Algebra is immutable, so every caller shares one instance
@@ -186,7 +186,8 @@ def random_mask_spectrum(rng: np.random.Generator) -> tuple[float, float]:
             return False
         return all(abs(v) >= 1.0 for letter, v in slot_defects(lam, mu).items() if letter != skip)
 
-    letters = list(MASK_SLOTS)
+    # in NAMED_SLOTS order, which seeded corpora depend on
+    letters = [letter for letter in NAMED_SLOTS if letter in MASK_LINES]
     while True:
         if rng.uniform() < 0.5:
             letter = letters[rng.integers(len(letters))]
@@ -216,10 +217,7 @@ def random_mask_algebra(
 ) -> Algebra:
     """An algebra whose constants respect the diag(1, lam, mu) mask, with
     every allowed constant drawn nonzero in [-1, -0.1] u [0.1, 1]."""
-    mask = admissible_mask(lam, mu)
-    c = np.zeros((3, 3, 3))
-    for (i, j, k) in mask.allowed_slots():
-        val = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
-        c[i, j, k] = val
-        c[j, i, k] = val
-    return Algebra(c)
+    return from_named(**{
+        letter: rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
+        for letter in admissible_mask(lam, mu)
+    })

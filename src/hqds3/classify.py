@@ -34,6 +34,7 @@ from .algebra import (
     Subspace,
     change_of_basis,
     ideal_structure,
+    left_mult_matrix,
     nilpotent_cone,
     product,
     rewritten_constants,
@@ -213,7 +214,7 @@ def certificate_residual(alg: Algebra, tag: str, m: np.ndarray) -> float:
 
 def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(18, 9) Jacobian of m -> m t[i, j] - m_i * m_j in the entries of m."""
-    return leibniz_operator(t, np.einsum("ai,akb->ibk", m, alg.c))
+    return leibniz_operator(t, left_mult_matrix(alg, m.T))
 
 
 def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:

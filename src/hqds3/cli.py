@@ -21,11 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Algebra, NonIsolatedIdempotents, idempotents, is_solvable
-from .algebra import left_mult_matrix, squares_batch
+from .algebra import left_mult_matrix, square_map
 from .catalog import CANONICAL_TAGS
 from .classify import _cone_cached, classify, classify_via_derivation, fingerprint
 from .derivations import (
     ALWAYS_ZERO_LETTERS,
+    MASK_LINES,
     SingularSpectrum,
     admissible_mask,
     analyze_spectrum,
@@ -76,16 +77,28 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _require_numbers(raw, where: str = "") -> None:
+    """Raise ValueError at the first leaf of nested lists that is not a JSON
+    number: numpy would read the string "1" and true as 1.0."""
+    if isinstance(raw, list):
+        for i, entry in enumerate(raw, start=1):
+            _require_numbers(entry, f"{where}[{i}]")
+    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"structure constant c{where} must be a JSON number, got {json.dumps(raw)}")
+
+
 def load_algebra(path: str) -> tuple[Algebra, str | None]:
     """Parse an input document; raises ValueError on bad input.
 
-    Only the JSON layout is checked here; ``Algebra`` validates the tensor.
+    Only the JSON layout is checked here, and that every entry is a JSON
+    number; ``Algebra`` validates the tensor.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "structure_constants" not in doc:
         raise ValueError("document must be an object with 'structure_constants'")
     raw = doc["structure_constants"]
+    _require_numbers(raw)
     try:
         c = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -245,7 +258,7 @@ def _check_steady_states(alg, rng, res):
     norm, _ = alg.normalized()
     cone = _cone_cached(norm)
     if cone.samples.shape[0]:
-        on_res = float(np.max(np.abs(squares_batch(norm, cone.samples))))
+        on_res = float(np.max(np.abs(square_map(norm, cone.samples))))
     else:
         on_res = 0.0
     if on_res > TAU_RES:
@@ -254,7 +267,7 @@ def _check_steady_states(alg, rng, res):
         return "PASS", f"cone samples steady (residual {on_res:.2e}); cone is everything"
     off = rng.standard_normal((50, 3))
     off /= np.linalg.norm(off, axis=1, keepdims=True)
-    off_res = np.max(np.abs(squares_batch(norm, off)), axis=1)
+    off_res = np.max(np.abs(square_map(norm, off)), axis=1)
     clear = off_res[off_res > 10.0 * TAU_RES]
     if clear.shape[0] < 40:
         return "FAIL", "random sphere points look steady too often"
@@ -441,7 +454,7 @@ def cmd_spectrum(args) -> int:
             print(f"error: {flag} must be finite, got {value!r}", file=sys.stderr)
             return 1
     try:
-        mask = admissible_mask(args.lam, args.mu)
+        allowed = admissible_mask(args.lam, args.mu)
     except SingularSpectrum as exc:
         print(f"error: no invertible diagonal derivation: {exc}", file=sys.stderr)
         return 1
@@ -450,8 +463,8 @@ def cmd_spectrum(args) -> int:
         "lambda": args.lam,
         "mu": args.mu,
         "mask": {
-            "allowed": list(mask.allowed_letters()),
-            "forbidden": list(mask.forbidden_letters()),
+            "allowed": list(allowed),
+            "forbidden": sorted(set(MASK_LINES).difference(allowed)),
             "always_zero": list(ALWAYS_ZERO_LETTERS),
         },
         "arrangement_lines": arrangement_lines(args.lam, args.mu),

@@ -302,9 +302,6 @@ MASK_LINES: dict[str, str] = {
     "s": "lambda+mu=1",
 }
 
-# the conditional constants, letter -> tensor slot, in NAMED_SLOTS order
-MASK_SLOTS = {letter: slot for letter, slot in NAMED_SLOTS.items() if letter in MASK_LINES}
-
 # constants that vanish for every diagonal derivation with nonzero spectrum
 ALWAYS_ZERO_LETTERS = tuple(letter for letter in NAMED_SLOTS if letter not in MASK_LINES)
 
@@ -335,27 +332,12 @@ def slot_defects(lam: float, mu: float) -> dict[str, float]:
     """d_k - (d_i + d_j) at d = (1, lam, mu) for each conditional letter; its
     constant survives diag(d) where this is zero."""
     defects = RELATIONS @ np.array([1.0, lam, mu])
-    return {letter: float(v) for letter, v in zip(NAMED_SLOTS, defects) if letter in MASK_SLOTS}
+    return {letter: float(v) for letter, v in zip(NAMED_SLOTS, defects) if letter in MASK_LINES}
 
 
-@dataclass
-class ConstantMask:
-    lam: float
-    mu: float
-    allowed: dict  # letter -> bool for the nine conditional constants
-
-    def allowed_letters(self) -> tuple[str, ...]:
-        return tuple(sorted(k for k, v in self.allowed.items() if v))
-
-    def allowed_slots(self) -> list[tuple[int, int, int]]:
-        return [MASK_SLOTS[k] for k in self.allowed_letters()]
-
-    def forbidden_letters(self) -> tuple[str, ...]:
-        return tuple(sorted(k for k, v in self.allowed.items() if not v))
-
-
-def admissible_mask(lam: float, mu: float) -> ConstantMask:
-    """Which structure constants diag(1, lam, mu) permits to be nonzero.
+def admissible_mask(lam: float, mu: float) -> tuple[str, ...]:
+    """The letters of the structure constants diag(1, lam, mu) permits to be
+    nonzero, in NAMED_SLOTS order, which is alphabetical.
 
     A constant c[i, j, k] survives the Leibniz condition exactly when
     d_k = d_i + d_j for the diagonal weights d = (1, lam, mu) (see
@@ -363,20 +345,7 @@ def admissible_mask(lam: float, mu: float) -> ConstantMask:
     Raises SingularSpectrum when d is singular (_require_nonsingular).
     """
     _require_nonsingular((1.0, lam, mu))
-    on = _letters_on(lam, mu)
-    return ConstantMask(lam=lam, mu=mu, allowed={letter: letter in on for letter in MASK_SLOTS})
-
-
-def mask_residual(alg: Algebra, mask: ConstantMask) -> float:
-    """Largest forbidden constant, relative to the overall magnitude."""
-    scale = max(1.0, alg.scale)
-    worst = 0.0
-    allowed = set(mask.allowed_slots())
-    for letter, slot in NAMED_SLOTS.items():
-        if slot in allowed:
-            continue
-        worst = max(worst, abs(float(alg.c[slot])))
-    return worst / scale
+    return _letters_on(lam, mu)
 
 
 def arrangement_lines(lam: float, mu: float) -> list[str]:

@@ -5,7 +5,10 @@ mirror algebraic ones: square-zero vectors are steady states, idempotents
 ride blow-up rays, covectors vanishing on A*A are linear first integrals,
 and when A*A lies in the annihilator every solution is an affine line.
 
-The integrator is Taylor's method: the solution through a state is a
+Every product of two states here is ``algebra.product``, or its square
+case ``square_map``, called once on a whole stack of states; only the
+integrator's Cauchy-product sums contract the tensor directly.  The
+integrator is Taylor's method: the solution through a state is a
 power series whose coefficients follow from the product by one exact
 recurrence, so each step sums the series to order TAYLOR_ORDER over a step
 read off its last coefficients, and no step is rejected.  It runs an
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, ideal_structure, products_batch, square_ideal, square_map
+from .algebra import Algebra, ideal_structure, product, square_ideal, square_map
 from .linalg import orthonormal_complement
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
@@ -50,10 +53,12 @@ class PreconditionFailed(RuntimeError):
 
 
 def _derivatives(alg: Algebra, xs: np.ndarray) -> np.ndarray:
-    """x', x'', x''' at every row of the (n, 3) stack xs, as shape (3, n, 3)."""
-    d1 = products_batch(alg, xs, xs)
-    d2 = 2.0 * products_batch(alg, xs, d1)
-    d3 = 2.0 * (products_batch(alg, d1, d1) + products_batch(alg, xs, d2))
+    """x', x'', x''' at every row of the (n, 3) stack xs, as shape (3, n, 3),
+    from four stacked calls of ``product``; each row's derivatives have the
+    same bits as those of that row alone."""
+    d1 = product(alg, xs, xs)
+    d2 = 2.0 * product(alg, xs, d1)
+    d3 = 2.0 * (product(alg, d1, d1) + product(alg, xs, d2))
     return np.stack([d1, d2, d3])
 
 

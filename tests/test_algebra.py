@@ -25,7 +25,6 @@ from hqds3.algebra import (
     product,
     square_ideal,
     square_map,
-    squares_batch,
     structure_flags,
     subspace_check,
     zero_algebra,
@@ -111,15 +110,6 @@ def test_product_oracle_a3():
     x = np.array([1.0, 1.0, 0.0])
     np.testing.assert_allclose(product(alg, x, x), [0.0, 0.0, 2.0], atol=ATOL)
     np.testing.assert_allclose(square_map(alg, x), [0.0, 0.0, 2.0], atol=ATOL)
-
-
-def test_squares_batch_matches_square_map():
-    rng = np.random.default_rng(0)
-    alg = random_symmetric_algebra(rng)
-    xs = rng.standard_normal((7, 3))
-    batch = squares_batch(alg, xs)
-    for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], square_map(alg, x), atol=ATOL)
 
 
 def test_left_mult_matrix_oracle_a1():
@@ -237,7 +227,7 @@ def test_nilcone_samples_are_steady():
         alg = canonical_algebra(tag)
         cone = nilpotent_cone(alg)
         assert cone.samples.shape[0] > 0
-        res = np.max(np.abs(squares_batch(alg, cone.samples)))
+        res = np.max(np.abs(square_map(alg, cone.samples)))
         assert res < 1e-12
 
 
@@ -312,7 +302,7 @@ def test_nilcone_kinds_are_basis_free(constants, kind):
         assert cone.kind == kind
         assert (cone.samples.shape[0] > 0) == (kind != "origin-only")
         norm, _ = conj.normalized()
-        assert np.max(np.abs(squares_batch(norm, cone.samples)), initial=0.0) < 1e-12
+        assert np.max(np.abs(square_map(norm, cone.samples)), initial=0.0) < 1e-12
 
 
 def test_structure_flags_are_basis_free():
@@ -359,7 +349,7 @@ def _full_batch_idempotents(alg):
     v = np.array(list(itertools.product(axis, axis, axis)))
     eye = np.eye(3)
     for _ in range(40):
-        f = squares_batch(norm, v) - v
+        f = square_map(norm, v) - v
         if float(np.max(np.abs(f))) <= 1e-14:
             break
         jac = 2.0 * np.einsum("ni,ijk->nkj", v, norm.c) - eye
@@ -369,7 +359,7 @@ def _full_batch_idempotents(alg):
         rhs = jac.transpose(0, 2, 1) @ f[:, :, None]
         v = v - np.linalg.solve(jtj, rhs)[:, :, 0]
         v[np.linalg.norm(v, axis=1) > 1e3] = 0.0
-    res = np.max(np.abs(squares_batch(norm, v) - v), axis=1)
+    res = np.max(np.abs(square_map(norm, v) - v), axis=1)
     ok = (res <= TAU_RES) & (np.linalg.norm(v, axis=1) > TAU_DEDUP)
     found = []
     for cand in v[ok]:
@@ -582,7 +572,9 @@ def test_product_symmetric_and_bilinear(seed):
 def test_stacked_product_matches_the_row_by_row_product():
     # a stack's rows are the products of the rows alone, bit for bit, for
     # an (n, 3) stack and for a broadcast (2, 1, 3) x (1, 4, 3) grid, and
-    # commutativity stays bit-exact on stacks
+    # commutativity stays bit-exact on stacks; so are square_map and
+    # left_mult_matrix, whose stacked matrices are also the einsum builds
+    # they replaced
     rng = np.random.default_rng(12)
     for _ in range(50):
         alg = random_symmetric_algebra(rng)
@@ -595,6 +587,19 @@ def test_stacked_product_matches_the_row_by_row_product():
         grid = product(alg, us[:2, None], vs[None, :4])
         assert grid.shape == (2, 4, 3)
         assert np.array_equal(grid, [[product(alg, u, v) for v in vs[:4]] for u in us[:2]])
+        squares = square_map(alg, us)
+        assert np.array_equal(squares, [product(alg, u, u) for u in us])
+        assert np.array_equal(squares, [square_map(alg, u) for u in us])
+        mats = left_mult_matrix(alg, us)
+        assert mats.shape == (7, 3, 3)
+        assert np.array_equal(mats, [left_mult_matrix(alg, u) for u in us])
+        assert np.array_equal(mats, np.einsum("ni,ijk->nkj", us, alg.c))
+        assert np.array_equal(left_mult_matrix(alg, us[:3].T), np.einsum("ai,akb->ibk", us[:3], alg.c))
+        mat_grid = left_mult_matrix(alg, us.reshape(7, 1, 3)[:2] + vs[None, :4])
+        assert mat_grid.shape == (2, 4, 3, 3)
+        assert np.array_equal(
+            mat_grid, [[left_mult_matrix(alg, u + v) for v in vs[:4]] for u in us[:2]]
+        )
 
 
 @settings(deadline=None, max_examples=16)

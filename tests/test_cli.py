@@ -105,6 +105,19 @@ def test_classify_rejects_wrong_shape(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("entry, shown", [("1", '"1"'), (True, "true")], ids=["string", "boolean"])
+def test_classify_rejects_a_constant_that_is_not_a_number(tmp_path, capsys, entry, shown):
+    # numpy reads both as 1.0, which made this file the A2 table
+    c = np.zeros((3, 3, 3)).tolist()
+    c[2][2][1] = entry
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"structure_constants": c}))
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 1
+    assert out == ""
+    assert f"error: structure constant c[3][3][2] must be a JSON number, got {shown}" in err
+
+
 # --- simulate ---
 
 
@@ -591,7 +604,7 @@ def test_spectrum_reflection_pair(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["mask"]["allowed"] == ["c", "s"]
-    assert len(report["mask"]["forbidden"]) == 7
+    assert report["mask"]["forbidden"] == ["b", "d", "f", "g", "h", "n", "q"]
     assert len(report["mask"]["always_zero"]) == 9
     assert report["representative"]["family"] == 1
     assert report["representative"]["triple"] == [1.0, -1.0, 2.0]
