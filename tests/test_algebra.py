@@ -112,6 +112,17 @@ def test_product_oracle_a3():
     np.testing.assert_allclose(square_map(alg, x), [0.0, 0.0, 2.0], atol=ATOL)
 
 
+def test_squares_batch_matches_square_map():
+    # square_map on an (n, 3) stack squares each row as it would alone
+    rng = np.random.default_rng(0)
+    alg = random_symmetric_algebra(rng)
+    xs = rng.standard_normal((7, 3))
+    batch = square_map(alg, xs)
+    assert batch.shape == (7, 3)
+    for i, x in enumerate(xs):
+        np.testing.assert_allclose(batch[i], square_map(alg, x), atol=ATOL)
+
+
 def test_left_mult_matrix_oracle_a1():
     # in A1 the only products through e2 are e2*e3 = e1
     alg = canonical_algebra("A1")
