@@ -92,6 +92,31 @@ class Algebra:
             return self, 1.0
         return Algebra(self.c / s), s
 
+    @functools.cached_property
+    def _invariants(self) -> dict:
+        """Results of the ``invariant`` functions, keyed by function."""
+        return {}
+
+
+def invariant(fn):
+    """Memoize ``fn(alg)``, a function of the normalized tensor alone, on the
+    normalized instance: an algebra and its normalized form share one
+    result, and ``fn`` is only ever called on the normalized form.  The
+    result is shared, so ``fn`` returns it immutable (frozen dataclasses,
+    read-only arrays).  The body is looked up as ``__wrapped__`` on each
+    call, so it can be instrumented without changing the memo's key.
+    """
+
+    @functools.wraps(fn)
+    def shared(alg: Algebra):
+        norm, _ = alg.normalized()
+        memo = norm._invariants
+        if shared not in memo:
+            memo[shared] = shared.__wrapped__(norm)
+        return memo[shared]
+
+    return shared
+
 
 def zero_algebra() -> Algebra:
     return Algebra(np.zeros((3, 3, 3)))
@@ -176,11 +201,17 @@ def change_of_basis(alg: Algebra, m: np.ndarray) -> Algebra:
 # subspaces
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of R^3 stored as orthonormal rows."""
+    """A linear subspace of R^3 stored as orthonormal rows, in a read-only
+    private copy."""
 
     basis: np.ndarray  # (dim, 3)
+
+    def __post_init__(self) -> None:
+        basis = np.array(self.basis, dtype=float)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -198,21 +229,22 @@ def span_of(vectors: np.ndarray) -> Subspace:
     return Subspace(rows)
 
 
+@invariant
 def annihilator(alg: Algebra) -> Subspace:
     """Ann = {v : v * w = 0 for all w}, the kernel of v -> L_v."""
-    norm, _ = alg.normalized()
     # stack the nine linear conditions (v * e_i)_k = 0 over i, k
-    rows = norm.c.transpose(1, 2, 0).reshape(9, 3)  # row (i, k): coeffs of v_j
+    rows = alg.c.transpose(1, 2, 0).reshape(9, 3)  # row (i, k): coeffs of v_j
     return Subspace(nullspace(rows))
 
 
+@invariant
 def square_ideal(alg: Algebra) -> Subspace:
     """A * A, the span of all basis products."""
-    norm, _ = alg.normalized()
-    prods = [norm.c[i, j] for i in range(3) for j in range(i, 3)]
+    prods = [alg.c[i, j] for i in range(3) for j in range(i, 3)]
     return span_of(np.array(prods))
 
 
+@invariant
 def ideal_structure(alg: Algebra) -> tuple[Subspace, Subspace, bool]:
     """(Ann, A*A, whether A*A is a nonzero subspace of Ann).
 
@@ -256,7 +288,7 @@ def subspace_check(alg: Algebra, sub: Subspace) -> SubspaceCheck:
 # structural flags
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureFlags:
     solvable: bool
     nilpotent: bool
@@ -278,23 +310,23 @@ def _series_vanishes(start: Subspace, step) -> bool:
     return term.dim == 0
 
 
+@invariant
 def is_solvable(alg: Algebra) -> bool:
     """Whether the derived series A*A, (A*A)*(A*A), ... vanishes (depth 4)."""
-    norm, _ = alg.normalized()
-    return _series_vanishes(square_ideal(norm), lambda t: _span_products(norm, t, t))
+    return _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, t, t))
 
 
+@invariant
 def structure_flags(alg: Algebra) -> StructureFlags:
     """Solvability, nilpotency (series cut off at depth 4), associativity and
     the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x, the last two
     decided on coefficients up to TAU_RES, not on sampled points."""
-    norm, _ = alg.normalized()
     whole = Subspace(np.eye(3))
-    solvable = is_solvable(norm)
-    nilpotent = _series_vanishes(square_ideal(norm), lambda t: _span_products(norm, whole, t))
+    solvable = is_solvable(alg)
+    nilpotent = _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, whole, t))
 
     # (e_i e_j) e_k against e_i (e_j e_k) on all 27 triples at once
-    c = norm.c
+    c = alg.c
     assoc = float(np.max(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c))))
 
     # (x*x)*(x*x) - ((x*x)*x)*x is a quartic map; it vanishes identically iff
@@ -324,22 +356,20 @@ class NilconeDescriptor:
     samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
+# sample coordinates t on a cone line, and (a, b) on a cone plane: the 5 x 5
+# grid of [-1.5, 1.5]^2 without its centre
+_LINE_T = np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])[:, None]
+_GRID = np.linspace(-1.5, 1.5, 5)
+_PLANE_AB = np.array([(a, b) for a in _GRID for b in _GRID if abs(a) + abs(b) >= 1e-12])
+
+
 def _component_samples(lines: list, planes: list) -> np.ndarray:
-    """Steady-state samples generated from verified cone components."""
-    pts: list[np.ndarray] = []
-    ts = np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
-    for line in lines:
-        pts.extend(t * line.basis[0] for t in ts)
-    grid = np.linspace(-1.5, 1.5, 5)
-    for plane in planes:
-        for a in grid:
-            for b in grid:
-                if abs(a) + abs(b) < 1e-12:
-                    continue
-                pts.append(a * plane.basis[0] + b * plane.basis[1])
-    if not pts:
-        return np.zeros((0, 3))
-    return np.array(pts)
+    """Steady-state samples generated from verified cone components: eight
+    points on each line, then 24 on each plane."""
+    pts = [_LINE_T * line.basis[0] for line in lines]
+    pts += [_PLANE_AB[:, :1] * plane.basis[0] + _PLANE_AB[:, 1:] * plane.basis[1]
+            for plane in planes]
+    return np.concatenate(pts) if pts else np.zeros((0, 3))
 
 
 # cone kind by (number of lines, number of planes); any other mix is "other"
@@ -452,8 +482,8 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     """
     norm, _ = alg.normalized()
 
-    def residual(u: np.ndarray) -> float:
-        return float(np.max(np.abs(square_map(norm, u))))
+    def residuals(us: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(square_map(norm, us)), axis=1)
 
     r, rows = rank_and_rowspace(norm.c.transpose(2, 0, 1).reshape(3, 9))
     if r == 0:
@@ -468,17 +498,21 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     else:
         w, v = np.linalg.eigh(_degenerate_member(forms[0], forms[1]))
         w[np.argmin(np.abs(w))] = 0.0  # singular by construction
-        parts = []
+        parts, candidates = [], []
         for sub in _zero_set(w, v):
             zeros = [sub[0]] if sub.shape[0] == 1 else _restricted_zeros(forms, sub)
             if zeros is None:
                 parts.append(sub)
-                continue
-            parts.extend(u[None, :] for u in zeros if residual(u) <= TAU_RES)
+            else:
+                candidates.extend(zeros)
+        candidates = np.reshape(candidates, (-1, 3))
+        parts.extend(candidates[residuals(candidates) <= TAU_RES, None])
 
     planes = [Subspace(s) for s in parts if s.shape[0] == 2]
     lines: list[Subspace] = []
-    for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
+    units = np.reshape([s[0] for s in parts if s.shape[0] == 1], (-1, 3))
+    # lowest residual first; the stable sort keeps ties in order
+    for u in units[np.argsort(residuals(units), kind="stable")]:
         if not any(k.contains(u, _SAME_LINE) for k in planes + lines):
             lines.append(Subspace(sign_canonical(u)[None, :]))
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")

@@ -101,7 +101,9 @@ def _cone_cached(norm: Algebra) -> NilconeDescriptor:
     """Nilpotent cone keyed on the instance: callers pass the normalized
     form, which is one object per algebra, so all routes share one cone.
     The cone is exact: its lines and planes come from the steady-state
-    forms' signature or a singular member of their pencil."""
+    forms' signature or a singular member of their pencil.  This and
+    ``fingerprint`` stay lru_caches, not ``algebra.invariant``s, because the
+    benchmark harness reports their ``cache_info()``."""
     return nilpotent_cone(norm)
 
 
@@ -141,7 +143,13 @@ _INDUCED_FORM = {"A2": "degenerate", "A3": "indefinite", "A4": "definite"}
 
 @functools.lru_cache(maxsize=256)
 def fingerprint(alg: Algebra) -> InvariantFingerprint:
-    """All invariants at once; cached per algebra instance."""
+    """All invariants at once; cached per algebra instance.
+
+    The ideal structure, structure flags and derivation space it reads are
+    memoized on the normalized algebra (``algebra.invariant``), and the cone
+    is ``_cone_cached``'s, so both routes, ``verify`` and ``simulate`` read
+    the same results; only the induced quotient form is computed here.
+    """
     norm, _ = alg.normalized()
     ann, sq, sq_in_ann = ideal_structure(norm)
     cone = _cone_cached(norm)

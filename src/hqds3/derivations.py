@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NAMED_SLOTS, Algebra
+from .algebra import NAMED_SLOTS, Algebra, invariant
 from .linalg import nullspace
 from .tolerances import ILL_CONDITIONED_LIMIT, TAU_RANK, TAU_RES
 
@@ -54,10 +54,10 @@ def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - (left + left.transpose(1, 0, 2))))) / scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivationSpace:
     dim: int
-    basis: list  # list[np.ndarray (3,3)], orthonormal as 9-vectors
+    basis: tuple  # tuple[np.ndarray (3,3)], read-only, orthonormal as 9-vectors
 
 
 # the six basis pairs i <= j, the row order of every per-pair stack
@@ -87,12 +87,12 @@ def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
     return leibniz_operator(c, c.transpose(0, 2, 1))
 
 
+@invariant
 def derivation_space(alg: Algebra) -> DerivationSpace:
     """Orthonormal basis of all derivations, by SVD of the Leibniz conditions."""
-    norm, _ = alg.normalized()
-    null = nullspace(_leibniz_matrix(norm.c), rtol=TAU_RANK)
-    basis = [row.reshape(3, 3) for row in null]
-    return DerivationSpace(dim=len(basis), basis=basis)
+    null = nullspace(_leibniz_matrix(alg.c), rtol=TAU_RANK)
+    null.setflags(write=False)  # so is every matrix of the basis, a view of it
+    return DerivationSpace(dim=len(null), basis=tuple(null.reshape(-1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------

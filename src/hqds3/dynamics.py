@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, ideal_structure, product, square_ideal, square_map
+from .algebra import Algebra, ideal_structure, invariant, product, square_ideal, square_map
 from .linalg import orthonormal_complement
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
@@ -144,14 +144,17 @@ def affine_flow(alg: Algebra, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return x0[None, :] + ts[:, None] * square_map(alg, x0)[None, :]
 
 
+@invariant
 def linear_first_integrals(alg: Algebra) -> np.ndarray:
-    """Orthonormal rows spanning {L : L(x * x) = 0 for all x}.
+    """Orthonormal rows spanning {L : L(x * x) = 0 for all x}, read-only.
 
     Each row is a covector whose pairing with the state is constant along
     every solution; they exist exactly when A*A is a proper subspace, and
     they span its orthogonal complement.
     """
-    return orthonormal_complement(square_ideal(alg).basis)
+    ints = orthonormal_complement(square_ideal(alg).basis)
+    ints.setflags(write=False)
+    return ints
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Structure-constant plumbing: products, subspaces, flags, cone, idempotents."""
+import dataclasses
 import inspect
 import itertools
+import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqds3 import algebra
+from hqds3 import algebra, cli
 from hqds3.algebra import (
     NAMED_SLOTS,
     Algebra,
+    NilconeDescriptor,
     NonIsolatedIdempotents,
     SingularBasis,
+    Subspace,
     annihilator,
     automorphism_residual,
     change_of_basis,
@@ -30,7 +35,9 @@ from hqds3.algebra import (
     zero_algebra,
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
-from hqds3.linalg import random_well_conditioned
+from hqds3.derivations import derivation_space
+from hqds3.dynamics import linear_first_integrals
+from hqds3.linalg import rank_and_rowspace, random_well_conditioned, sign_canonical
 from hqds3.tolerances import TAU_DEDUP, TAU_RES
 
 ATOL = 1e-12
@@ -294,17 +301,17 @@ def test_nilcone_kind_sweep():
     assert misses == {tag: [] for tag in TAGS}
 
 
-@pytest.mark.parametrize(
-    "constants, kind",
-    [
-        ({"c": 1.0, "f": 1.0, "j": -1.0}, "other"),  # one indefinite form: a quadric cone
-        ({"c": 1.0, "f": 1.0, "j": 1.0}, "origin-only"),  # one definite form
-        ({"a": 1.0, "m": 1.0}, "plane"),  # x1^2 and x1 x2 share the plane x1 = 0
-        ({"r": 2.0, "k": -0.5, "t": -0.5}, "other"),  # the three coordinate axes
-        ({"s": 2.0, "m": -1.0, "h": -1.0, "t": 1.0}, "two-lines"),  # e1 is a triple zero
-        ({"b": -1.0, "t": 2.0, "g": -1.0}, "one-line"),  # det of the pencil has a triple root
-    ],
-)
+NAMED_CONE_TABLES = [
+    ({"c": 1.0, "f": 1.0, "j": -1.0}, "other"),  # one indefinite form: a quadric cone
+    ({"c": 1.0, "f": 1.0, "j": 1.0}, "origin-only"),  # one definite form
+    ({"a": 1.0, "m": 1.0}, "plane"),  # x1^2 and x1 x2 share the plane x1 = 0
+    ({"r": 2.0, "k": -0.5, "t": -0.5}, "other"),  # the three coordinate axes
+    ({"s": 2.0, "m": -1.0, "h": -1.0, "t": 1.0}, "two-lines"),  # e1 is a triple zero
+    ({"b": -1.0, "t": 2.0, "g": -1.0}, "one-line"),  # det of the pencil has a triple root
+]
+
+
+@pytest.mark.parametrize("constants, kind", NAMED_CONE_TABLES)
 def test_nilcone_kinds_are_basis_free(constants, kind):
     alg = from_named(**constants)
     rng = np.random.default_rng(7)
@@ -314,6 +321,72 @@ def test_nilcone_kinds_are_basis_free(constants, kind):
         assert (cone.samples.shape[0] > 0) == (kind != "origin-only")
         norm, _ = conj.normalized()
         assert np.max(np.abs(square_map(norm, cone.samples)), initial=0.0) < 1e-12
+
+
+def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
+    """nilpotent_cone as written with one residual call per vector and the
+    samples built point by point."""
+    norm, _ = alg.normalized()
+
+    def residual(u):
+        return float(np.max(np.abs(square_map(norm, u))))
+
+    r, rows = rank_and_rowspace(norm.c.transpose(2, 0, 1).reshape(3, 9))
+    if r == 0:
+        return nilpotent_cone(alg)
+    forms = rows.reshape(r, 3, 3)
+    if r == 1:
+        w, v = np.linalg.eigh(forms[0])
+        parts = algebra._zero_set(w, v)
+        if parts is None:
+            return NilconeDescriptor("other", samples=algebra._quadric_cone_samples(w, v))
+    else:
+        w, v = np.linalg.eigh(algebra._degenerate_member(forms[0], forms[1]))
+        w[np.argmin(np.abs(w))] = 0.0
+        parts = []
+        for sub in algebra._zero_set(w, v):
+            zeros = [sub[0]] if sub.shape[0] == 1 else algebra._restricted_zeros(forms, sub)
+            if zeros is None:
+                parts.append(sub)
+                continue
+            parts.extend(u[None, :] for u in zeros if residual(u) <= TAU_RES)
+    planes = [Subspace(s) for s in parts if s.shape[0] == 2]
+    lines = []
+    for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
+        if not any(k.contains(u, algebra._SAME_LINE) for k in planes + lines):
+            lines.append(Subspace(sign_canonical(u)[None, :]))
+    pts = []
+    for line in lines:
+        pts.extend(t * line.basis[0] for t in np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
+    grid = np.linspace(-1.5, 1.5, 5)
+    for plane in planes:
+        for a in grid:
+            for b in grid:
+                if abs(a) + abs(b) >= 1e-12:
+                    pts.append(a * plane.basis[0] + b * plane.basis[1])
+    kind = algebra._KIND_BY_PARTS.get((len(lines), len(planes)), "other")
+    return NilconeDescriptor(kind, lines, planes, np.array(pts) if pts else np.zeros((0, 3)))
+
+
+def test_nilcone_matches_the_loop_reference_bit_for_bit():
+    # stacked residuals (filter and stable sort key) and array-built samples
+    # give the descriptor of one residual call per line and one point per
+    # loop step: the named tables, the canonical ones, conjugates of both
+    # and 50 random tensors
+    rng = np.random.default_rng(21)
+    tables = [from_named(**constants) for constants, _ in NAMED_CONE_TABLES]
+    tables += [canonical_algebra(tag) for tag in TAGS]
+    algs = tables + [change_of_basis(t, random_well_conditioned(rng)) for t in tables for _ in range(3)]
+    algs += [conjugated_canonical("A1", np.random.default_rng(seed))[0] for seed in (474, 1529, 2560)]
+    algs += [random_symmetric_algebra(rng) for _ in range(50)]
+    for alg in algs:
+        got, want = nilpotent_cone(alg), _cone_loop_reference(alg)
+        assert got.kind == want.kind
+        for ours, theirs in ((got.lines, want.lines), (got.planes, want.planes)):
+            assert len(ours) == len(theirs)
+            assert all(np.array_equal(a.basis, b.basis) for a, b in zip(ours, theirs))
+        assert got.samples.shape == want.samples.shape
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_structure_flags_are_basis_free():
@@ -621,3 +694,90 @@ def test_subspace_dims_invariant_under_conjugation(tag, seed):
     base = canonical_algebra(tag)
     assert annihilator(alg).dim == annihilator(base).dim
     assert square_ideal(alg).dim == square_ideal(base).dim
+
+
+# the invariants memoized on the normalized algebra, by module
+MEMOIZED = {
+    "algebra": ("annihilator", "square_ideal", "ideal_structure", "is_solvable", "structure_flags"),
+    "derivations": ("derivation_space",),
+    "dynamics": ("linear_first_integrals",),
+}
+
+
+def _memoized_functions():
+    return [getattr(sys.modules[f"hqds3.{mod}"], name) for mod, names in MEMOIZED.items() for name in names]
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, through tuples, dataclasses and arrays."""
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return a == b
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "random", "zero"])
+def test_memoized_invariants_equal_fresh_ones(kind):
+    # a memoized result is the one object an algebra and its normalized form
+    # share, and equals the result computed on a new Algebra of the same tensor
+    rng = np.random.default_rng(4)
+    if kind == "random":
+        alg = random_symmetric_algebra(rng)
+    elif kind == "zero":
+        alg = zero_algebra()
+    else:
+        alg = Algebra(3.0 * conjugated_canonical(kind, rng)[0].c)
+    for fn in _memoized_functions():
+        got = fn(alg)
+        assert fn(alg) is got
+        assert fn(alg.normalized()[0]) is got
+        assert _same(got, fn(Algebra(alg.c))), fn.__name__
+        assert _same(got, fn.__wrapped__(Algebra(alg.c).normalized()[0])), fn.__name__
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "simulate"])
+@pytest.mark.parametrize("kind", ["A1", "A3", "random"])
+def test_cli_command_computes_each_invariant_once_per_algebra(tmp_path, capsys, monkeypatch, command, kind):
+    # the body of each memoized invariant runs at most once per tensor in
+    # one command, however many callers read it
+    rng = np.random.default_rng(5)
+    alg = random_symmetric_algebra(rng) if kind == "random" else conjugated_canonical(kind, rng)[0]
+    runs = {}
+    for fn in _memoized_functions():
+
+        def counted(norm, body=fn.__wrapped__, name=fn.__name__):
+            runs[name, norm.c.tobytes()] = runs.get((name, norm.c.tobytes()), 0) + 1
+            return body(norm)
+
+        monkeypatch.setattr(fn, "__wrapped__", counted)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"structure_constants": alg.c.tolist()}))
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--x0", "0.1,0.2,0.3", "--t-end", "0.1"]
+    assert cli.main(argv) in (0, 2)
+    capsys.readouterr()
+    assert {name for name, _ in runs} >= {"annihilator", "square_ideal", "ideal_structure"}
+    assert max(runs.values()) == 1, runs
+
+
+def test_memoized_invariants_are_read_only():
+    alg, _ = conjugated_canonical("A1", np.random.default_rng(6))
+    with pytest.raises(ValueError):
+        square_ideal(alg).basis[0, 0] = 1.0
+    space = derivation_space(alg)
+    with pytest.raises(ValueError):
+        space.basis[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        linear_first_integrals(alg)[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.dim = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        structure_flags(alg).solvable = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        annihilator(alg).basis = np.eye(3)

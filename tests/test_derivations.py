@@ -353,6 +353,16 @@ def test_forbidden_constant_breaks_the_derivation():
     assert derivation_residual(bad, np.diag([1.0, -1.0, 2.0])) > 0.1
 
 
+def test_mask_residual_flags_forbidden_constant():
+    # the same behaviour from the admitted side: c and s are admitted at
+    # (lam, mu) = (-1, 2) and keep diag(1, -1, 2) a derivation; b is not,
+    # and adding it puts the Leibniz residual above 0.1
+    d = np.diag([1.0, -1.0, 2.0])
+    assert admissible_mask(-1.0, 2.0) == ("c", "s")
+    assert derivation_residual(from_named(c=0.7, s=-0.4), d) == 0.0
+    assert derivation_residual(from_named(c=0.7, s=-0.4, b=1.0), d) > 0.1
+
+
 def test_arrangement_lines_frozen():
     assert set(arrangement_lines(2.0, 3.0)) == {"lambda=2", "mu=lambda+1"}
     assert arrangement_lines(7.0, 11.0) == []
