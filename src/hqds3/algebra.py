@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,23 +99,31 @@ class Algebra:
         return {}
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
 def invariant(fn):
     """Memoize ``fn(alg)``, a function of the normalized tensor alone, on the
-    normalized instance: an algebra and its normalized form share one
-    result, and ``fn`` is only ever called on the normalized form.  The
-    result is shared, so ``fn`` returns it immutable (frozen dataclasses,
-    read-only arrays).  The body is looked up as ``__wrapped__`` on each
-    call, so it can be instrumented without changing the memo's key.
+    normalized instance, so the memo dies with the algebra.  An algebra and
+    its normalized form share one result, so ``fn`` returns it immutable
+    (frozen dataclasses, read-only arrays).  The body runs only on the
+    normalized form, looked up as ``__wrapped__`` on each call so it can be
+    instrumented; ``cache_info()`` gives the calls that skipped it (hits)
+    and the calls that ran it (misses).
     """
+    counts = [0, 0]  # calls, misses
 
     @functools.wraps(fn)
     def shared(alg: Algebra):
         norm, _ = alg.normalized()
         memo = norm._invariants
+        counts[0] += 1
         if shared not in memo:
+            counts[1] += 1
             memo[shared] = shared.__wrapped__(norm)
         return memo[shared]
 
+    shared.cache_info = lambda: CacheInfo(counts[0] - counts[1], counts[1])
     return shared
 
 
@@ -347,13 +356,17 @@ def structure_flags(alg: Algebra) -> StructureFlags:
 # nilpotent cone
 
 
-@dataclass
+@dataclass(frozen=True)
 class NilconeDescriptor:
     # origin-only | one-line | two-lines | plane | two-planes | whole-space | other
     kind: str
-    lines: list = field(default_factory=list)     # list[Subspace], dim 1
-    planes: list = field(default_factory=list)    # list[Subspace], dim 2
-    samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    lines: tuple[Subspace, ...] = ()    # dim 1
+    planes: tuple[Subspace, ...] = ()   # dim 2
+    samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # read-only copy
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=float))
+        self.samples.setflags(write=False)
 
 
 # sample coordinates t on a cone line, and (a, b) on a cone plane: the 5 x 5
@@ -462,6 +475,7 @@ def _restricted_zeros(forms: np.ndarray, plane: np.ndarray) -> list[np.ndarray] 
     return [sub[0] @ plane for sub in _zero_set(*np.linalg.eigh(res[k]))]
 
 
+@invariant
 def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     """Describe the steady states {v : v*v = 0} exactly, as lines and planes.
 
@@ -478,14 +492,14 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
       lines inside a kept plane, are merged.
 
     Nothing is sampled or seeded: ``samples`` are points generated on the
-    components, for the steady-state checks.
+    components, for the steady-state checks.  One memoized cone serves
+    both routes, the fingerprint, ``idempotents`` and ``verify``.
     """
-    norm, _ = alg.normalized()
 
     def residuals(us: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(square_map(norm, us)), axis=1)
+        return np.max(np.abs(square_map(alg, us)), axis=1)
 
-    r, rows = rank_and_rowspace(norm.c.transpose(2, 0, 1).reshape(3, 9))
+    r, rows = rank_and_rowspace(alg.c.transpose(2, 0, 1).reshape(3, 9))
     if r == 0:
         return NilconeDescriptor(kind="whole-space", samples=np.vstack([np.eye(3), -np.eye(3)]))
     forms = rows.reshape(r, 3, 3)
@@ -517,7 +531,7 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
             lines.append(Subspace(sign_canonical(u)[None, :]))
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
     return NilconeDescriptor(
-        kind=kind, lines=lines, planes=planes, samples=_component_samples(lines, planes)
+        kind, tuple(lines), tuple(planes), _component_samples(lines, planes)
     )
 
 

@@ -21,7 +21,6 @@ reproduces the canonical table entrywise within TAU_CERT.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .algebra import (
     Subspace,
     change_of_basis,
     ideal_structure,
+    invariant,
     left_mult_matrix,
     nilpotent_cone,
     product,
@@ -96,15 +96,7 @@ _WITNESS_FIELDS = (
 )
 
 
-@functools.lru_cache(maxsize=256)
-def _cone_cached(norm: Algebra) -> NilconeDescriptor:
-    """Nilpotent cone keyed on the instance: callers pass the normalized
-    form, which is one object per algebra, so all routes share one cone.
-    The cone is exact: its lines and planes come from the steady-state
-    forms' signature or a singular member of their pencil.  This and
-    ``fingerprint`` stay lru_caches, not ``algebra.invariant``s, because the
-    benchmark harness reports their ``cache_info()``."""
-    return nilpotent_cone(norm)
+_cone_cached = nilpotent_cone  # bench/run.py reads its cache_info(); ROADMAP item 1 deletes it
 
 
 def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndarray]:
@@ -141,32 +133,27 @@ def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndar
 _INDUCED_FORM = {"A2": "degenerate", "A3": "indefinite", "A4": "definite"}
 
 
-@functools.lru_cache(maxsize=256)
+@invariant
 def fingerprint(alg: Algebra) -> InvariantFingerprint:
-    """All invariants at once; cached per algebra instance.
-
-    The ideal structure, structure flags and derivation space it reads are
-    memoized on the normalized algebra (``algebra.invariant``), and the cone
-    is ``_cone_cached``'s, so both routes, ``verify`` and ``simulate`` read
-    the same results; only the induced quotient form is computed here.
+    """All invariants at once, memoized on the normalized algebra like the
+    ideal structure, cone, structure flags and derivation space it reads
+    (``algebra.invariant``), so both routes, ``verify`` and ``simulate``
+    read the same results; only the induced quotient form is computed here.
     """
-    norm, _ = alg.normalized()
-    ann, sq, sq_in_ann = ideal_structure(norm)
-    cone = _cone_cached(norm)
-    flags = structure_flags(norm)
-    der = derivation_space(norm)
+    ann, sq, sq_in_ann = ideal_structure(alg)
+    flags = structure_flags(alg)
 
     induced = "n/a"
     if ann.dim == 1 and sq.dim == 1 and sq_in_ann:
-        induced = _INDUCED_FORM[_square_line_normal_form(norm, sq.basis[0])[0]]
+        induced = _INDUCED_FORM[_square_line_normal_form(alg, sq.basis[0])[0]]
 
     return InvariantFingerprint(
         dim_ann=ann.dim,
         dim_sq=sq.dim,
         sq_in_ann=sq_in_ann,
-        nilcone_kind=cone.kind,
+        nilcone_kind=nilpotent_cone(alg).kind,
         induced_form=induced,
-        dim_der=der.dim,
+        dim_der=derivation_space(alg).dim,
         solvable=flags.solvable,
         nilpotent=flags.nilpotent,
         associative=flags.associative,
@@ -316,10 +303,7 @@ def classify(alg: Algebra) -> ClassificationResult:
     if sq.dim == 1 and sq_in_ann:
         candidates.append(_square_line_normal_form(norm, sq.basis[0]))
     elif ann.dim == 0 and sq.dim == 2:
-        cone = _cone_cached(norm)
-        if cone.kind == "two-lines":
-            for m in _recipe_a1(norm, sq, cone):
-                candidates.append(("A1", m))
+        candidates += [("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm))]
 
     for tag, m_norm in candidates:
         m = polish_certificate(alg, tag, m_norm / factor)

@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Algebra, NonIsolatedIdempotents, idempotents, is_solvable
-from .algebra import left_mult_matrix, square_map
+from .algebra import left_mult_matrix, nilpotent_cone, square_map
 from .catalog import CANONICAL_TAGS
-from .classify import _cone_cached, classify, classify_via_derivation, fingerprint
+from .classify import classify, classify_via_derivation, fingerprint
 from .derivations import (
     ALWAYS_ZERO_LETTERS,
     MASK_LINES,
@@ -256,7 +256,7 @@ def _unit_ball_start(rng):
 
 def _check_steady_states(alg, rng, res):
     norm, _ = alg.normalized()
-    cone = _cone_cached(norm)
+    cone = nilpotent_cone(alg)
     if cone.samples.shape[0]:
         on_res = float(np.max(np.abs(square_map(norm, cone.samples))))
     else:
@@ -383,7 +383,7 @@ def _check_ray_solutions(alg, rng, res):
     if not ids:
         if is_solvable(alg):
             return "SKIP", "solvable: no nonzero idempotent exists"
-        kind = _cone_cached(alg.normalized()[0]).kind
+        kind = nilpotent_cone(alg).kind
         if kind == "origin-only":  # Kaplan-Yorke: a nonzero idempotent or a nonzero v*v = 0
             return "FAIL", "no real idempotent and an origin-only cone contradict Kaplan-Yorke"
         return "SKIP", f"no real idempotent; the cone is {kind}"

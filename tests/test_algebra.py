@@ -698,9 +698,11 @@ def test_subspace_dims_invariant_under_conjugation(tag, seed):
 
 # the invariants memoized on the normalized algebra, by module
 MEMOIZED = {
-    "algebra": ("annihilator", "square_ideal", "ideal_structure", "is_solvable", "structure_flags"),
+    "algebra": ("annihilator", "square_ideal", "ideal_structure", "is_solvable", "structure_flags",
+                "nilpotent_cone"),
     "derivations": ("derivation_space",),
     "dynamics": ("linear_first_integrals",),
+    "classify": ("fingerprint",),
 }
 
 
@@ -781,3 +783,22 @@ def test_memoized_invariants_are_read_only():
         structure_flags(alg).solvable = False
     with pytest.raises(dataclasses.FrozenInstanceError):
         annihilator(alg).basis = np.eye(3)
+    cone = nilpotent_cone(alg)
+    with pytest.raises(ValueError):
+        cone.samples[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cone.kind = "other"
+
+
+def test_memo_counts_hits_and_misses():
+    # the first call on a fresh algebra runs the body; later calls through
+    # the algebra or its normalized form find the result
+    c = 3.0 * conjugated_canonical("A3", np.random.default_rng(8))[0].c
+    for fn in _memoized_functions():
+        alg = Algebra(c)
+        hits, misses = fn.cache_info()
+        fn(alg)
+        assert fn.cache_info() == (hits, misses + 1), fn.__name__
+        fn(alg)
+        fn(alg.normalized()[0])
+        assert fn.cache_info() == (hits + 2, misses + 1), fn.__name__

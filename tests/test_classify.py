@@ -1,6 +1,8 @@
 """Classification: fingerprints, certificates, and derivation-eigenbasis reduction."""
+import gc
 import runpy
 import sys
+import weakref
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -566,6 +568,24 @@ def test_canonical_tables_are_built_once():
         assert fingerprint.cache_info().hits > before
     with pytest.raises(ValueError, match="unknown canonical tag"):
         canonical_algebra("A5")
+
+
+def test_no_algebra_outlives_its_use():
+    # the invariants are memoized on the algebra itself, so once a caller
+    # drops an algebra nothing keeps it or its normalized form alive
+    rng = np.random.default_rng(9)
+    random_alg = random_symmetric_algebra(rng)
+    a1_alg, _ = conjugated_canonical("A1", rng)
+    refs = []
+    for alg in (random_alg, a1_alg):
+        classify(alg)
+        classify_via_derivation(alg)
+        fingerprint(alg)
+        assert alg.normalized()[0] is not alg
+        refs += [weakref.ref(alg), weakref.ref(alg.normalized()[0])]
+    del random_alg, a1_alg, alg
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
 
 
 ATLAS = Path(__file__).resolve().parents[1] / "scripts" / "spectrum_atlas.py"
