@@ -17,7 +17,8 @@ line w that spans every product and annihilates the algebra.
 
 Every positive answer carries a certificate matrix m whose columns express
 the canonical basis in the input coordinates: change_of_basis(alg, m)
-reproduces the canonical table entrywise within TAU_CERT.
+reproduces the canonical table entrywise within TAU_CERT.  Both routes check
+each candidate as built and polish it only when it misses that bound.
 """
 from __future__ import annotations
 
@@ -215,6 +216,7 @@ def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndar
 def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
     """Gauss-Newton refinement of a near-certificate, at most eight steps.
 
+    Only a candidate that misses TAU_CERT as built is polished (``_certify``).
     Solves m @ T[i, j] = m_i * m_j (the inverse-free form of the conjugation
     condition) by min-norm least squares; rank deficiency from the continuous
     automorphism group of the target is harmless to the step.
@@ -232,6 +234,19 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
             break
         m = m - step.reshape(3, 3)
     return m
+
+
+def _certify(alg: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """A candidate certificate and its residual, polished only on a miss.
+
+    A raw candidate within TAU_CERT is returned as it is; otherwise the
+    polished one is returned, with its residual, whether or not it passes.
+    """
+    res = certificate_residual(alg, tag, m)
+    if res <= TAU_CERT:
+        return m, res
+    m = polish_certificate(alg, tag, m)
+    return m, certificate_residual(alg, tag, m)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +302,7 @@ def classify(alg: Algebra) -> ClassificationResult:
     zero tensor reports NullAlgebra; anything the recipes cannot certify
     within TAU_CERT reports NotInFamily together with its full fingerprint
     (positive answers carry the certificate instead, which is stronger).
+    A recipe's candidate is polished only when it misses TAU_CERT as built.
     """
     if alg.scale <= TAU_NULL:
         return ClassificationResult("NullAlgebra", np.eye(3), alg.scale, "null")
@@ -306,8 +322,7 @@ def classify(alg: Algebra) -> ClassificationResult:
         candidates += [("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm))]
 
     for tag, m_norm in candidates:
-        m = polish_certificate(alg, tag, m_norm / factor)
-        res = certificate_residual(alg, tag, m)
+        m, res = _certify(alg, tag, m_norm / factor)
         if res <= TAU_CERT:
             return ClassificationResult(tag, m, res, "invariant-recipe")
 
@@ -367,7 +382,9 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     A2, A3 or A4; any other pattern is NotInFamily.  NullAlgebra is read off
     the algebra's own scale (TAU_NULL), never off the eigenbasis rewrite,
     whose scale an ill-conditioned eigenbasis can shrink.  The spectrum's
-    family (normalize_spectrum) is only reported.  Never returns None.
+    family (normalize_spectrum) is only reported.  The certificate is
+    polished only when it misses TAU_CERT as built; one that misses after
+    the polish too raises IllConditioned.  Never returns None.
     """
     d = np.asarray(d, dtype=float)
     norm, factor = alg.normalized()
@@ -404,8 +421,7 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
         tag, m = _square_line_normal_form(norm, unit(v @ rows[0]))
         m = m / factor
 
-    m = polish_certificate(alg, tag, m)
-    res = certificate_residual(alg, tag, m)
+    m, res = _certify(alg, tag, m)
     if res > TAU_CERT:
         raise IllConditioned(f"reduction certificate residual {res:.2e}")
     return result(tag, m, res)

@@ -28,6 +28,7 @@ from hqds3.catalog import (
 from hqds3.classify import (
     ClassificationResult,
     _certificate_jacobian,
+    _certify,
     canonical_fingerprint,
     certificate_residual,
     classify,
@@ -46,6 +47,7 @@ from hqds3.derivations import (
     normalize_spectrum,
     real_semisimple_part,
 )
+from hqds3.tolerances import TAU_CERT
 
 CERT_TOL = 1e-8
 REDUCTION_TOL = 1e-12
@@ -151,16 +153,37 @@ def _kappa_sweep():
 
 # tag -> the largest kappa of the sweep up to which the (invariant,
 # derivation) route classifies every input; above it some or all miss
-SWEEP_LIMITS = {"A1": (1e2, 1.0), "A2": (1e6, 1e6), "A3": (1e6, 1e6), "A4": (1e6, 1e6)}
+SWEEP_LIMITS = {"A1": (1e3, 1.0), "A2": (1e6, 1e6), "A3": (1e6, 1e6), "A4": (1e6, 1e6)}
+
+# (tag, route) -> inputs of the 15 per kappa that get their tag, in
+# SWEEP_KAPPAS order; A1 is the one class whose routes miss below 1e8
+SWEEP_HITS = {
+    ("A1", "invariant"): (15, 15, 15, 2, 0, 0, 0),
+    ("A1", "derivation"): (15, 10, 0, 0, 0, 0, 0),
+}
 
 
 def test_kappa_sweep_classifies_up_to_the_pinned_limits():
+    hits = Counter()
     for kappa, tag, alg in _kappa_sweep():
-        inv_limit, der_limit = SWEEP_LIMITS[tag]
-        if kappa <= inv_limit:
-            assert classify(alg).tag == tag, (tag, kappa)
-        if kappa <= der_limit:
-            assert classify_via_derivation(alg).tag == tag, (tag, kappa)
+        for route, limit, run in zip(
+            ("invariant", "derivation"), SWEEP_LIMITS[tag], (classify, classify_via_derivation)
+        ):
+            if kappa <= limit or (tag, route) in SWEEP_HITS:
+                hit = run(alg).tag == tag
+                assert hit or kappa > limit, (tag, route, kappa)
+                hits[tag, route, kappa] += hit
+    for (tag, route), want in SWEEP_HITS.items():
+        assert tuple(hits[tag, route, kappa] for kappa in SWEEP_KAPPAS) == want, (tag, route)
+
+
+def test_kappa_1e3_a1_draw_the_polish_pushed_over_the_bound_tags_a1():
+    # the tenth A1 draw at kappa = 1e3 has a raw invariant-route certificate
+    # at 5.7e-9, which eight polish steps took to 1.2e-8, above TAU_CERT
+    draws = [alg for kappa, tag, alg in _kappa_sweep() if (tag, kappa) == ("A1", 1e3)]
+    res = classify(draws[9])
+    assert res.tag == "A1"
+    assert res.residual == certificate_residual(draws[9], "A1", res.certificate) <= TAU_CERT
 
 
 def test_futile_ssnd_searches_try_each_sign_pattern_at_most_once(monkeypatch):
@@ -277,6 +300,50 @@ def test_polish_recovers_perturbed_certificate():
     noisy = cert * (1.0 + 1e-6) + 1e-7
     polished = polish_certificate(alg, "A3", noisy)
     assert certificate_residual(alg, "A3", polished) < 1e-11
+
+
+def _counting_polish(monkeypatch):
+    module = sys.modules["hqds3.classify"]
+    calls, original = [], module.polish_certificate
+
+    def counting(alg, tag, m):
+        calls.append(tag)
+        return original(alg, tag, m)
+
+    monkeypatch.setattr(module, "polish_certificate", counting)
+    return calls
+
+
+def test_passing_candidates_are_not_polished(monkeypatch):
+    # well-conditioned conjugates pass TAU_CERT raw on both routes, so no
+    # certificate is polished and each result reports its own residual
+    calls = _counting_polish(monkeypatch)
+    rng = np.random.default_rng(12)
+    for tag in TAGS:
+        for _ in range(5):
+            alg, _ = conjugated_canonical(tag, rng)
+            for res in (classify(alg), classify_via_derivation(alg)):
+                assert res.tag == tag, res.method
+                assert res.residual == certificate_residual(alg, tag, res.certificate)
+    assert calls == []
+
+
+def test_a_missing_candidate_is_polished_once(monkeypatch):
+    # the planted near-certificate misses TAU_CERT raw; the result is the
+    # polish's, bit for bit, and a candidate beyond repair stays a miss
+    rng = np.random.default_rng(8)
+    alg, m = conjugated_canonical("A3", rng)
+    noisy = np.linalg.inv(m) * (1.0 + 1e-6) + 1e-7
+    assert certificate_residual(alg, "A3", noisy) > TAU_CERT
+    want = polish_certificate(alg, "A3", noisy)
+    calls = _counting_polish(monkeypatch)
+    got, res = _certify(alg, "A3", noisy)
+    assert calls == ["A3"]
+    assert np.array_equal(got, want)
+    assert res == certificate_residual(alg, "A3", want) <= TAU_CERT
+    got, res = _certify(alg, "A3", rng.standard_normal((3, 3)))
+    assert calls == ["A3", "A3"]
+    assert res > TAU_CERT
 
 
 def _certificate_jacobian_loop(alg, t, m):
