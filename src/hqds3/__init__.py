@@ -4,141 +4,13 @@ The quadratic system x' = x * x on R^3 and the commutative algebra with
 structure tensor c are two views of one object; this package classifies the
 algebras that admit an invertible real-diagonalizable derivation into four
 canonical classes, reports the two such algebras outside them as
-NotInFamily, and verifies the matching dynamical dictionary.
+NotInFamily, and verifies the matching dynamical dictionary.  Everything
+else is imported from its module.
 """
-from .algebra import (
-    Algebra,
-    NAMED_SLOTS,
-    NonIsolatedIdempotents,
-    SingularBasis,
-    annihilator,
-    automorphism_residual,
-    change_of_basis,
-    from_named,
-    from_products,
-    idempotents,
-    left_mult_matrix,
-    nilpotent_cone,
-    product,
-    square_ideal,
-    square_map,
-    structure_flags,
-    subspace_check,
-    zero_algebra,
-)
-from .catalog import (
-    CANONICAL_TAGS,
-    automorphism_family,
-    automorphism_swap,
-    canonical_algebra,
-    canonical_system,
-    derivation_family,
-)
-from .classify import (
-    ClassificationResult,
-    InvariantFingerprint,
-    certificate_residual,
-    classify,
-    classify_via_derivation,
-    fingerprint,
-    pairwise_noniso_witness,
-    reduce_with_derivation,
-)
-from .derivations import (
-    IllConditioned,
-    SingularSpectrum,
-    SpectralReport,
-    SpectrumCase,
-    admissible_mask,
-    analyze_spectrum,
-    arrangement_lines,
-    derivation_residual,
-    derivation_space,
-    find_real_ssnd,
-    jordan_chevalley,
-    normalize_spectrum,
-)
-from .dynamics import (
-    CellId,
-    DegenerateVelocity,
-    PreconditionFailed,
-    Trajectory,
-    affine_flow,
-    analytic_derivatives,
-    cell_of,
-    curvature_torsion,
-    curve_geometry,
-    integrate,
-    integrate_batch,
-    linear_first_integrals,
-    ray_solution,
-    save_csv,
-    steady_state_residual,
-    trajectory_to_csv,
-)
+from .algebra import Algebra, change_of_basis, from_named, idempotents, nilpotent_cone
+from .catalog import canonical_algebra
+from .classify import classify, classify_via_derivation
+from .derivations import admissible_mask, derivation_space, find_real_ssnd
+from .dynamics import affine_flow, integrate, integrate_batch, ray_solution
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Algebra",
-    "NAMED_SLOTS",
-    "NonIsolatedIdempotents",
-    "SingularBasis",
-    "annihilator",
-    "automorphism_residual",
-    "change_of_basis",
-    "from_named",
-    "from_products",
-    "idempotents",
-    "left_mult_matrix",
-    "nilpotent_cone",
-    "product",
-    "square_ideal",
-    "square_map",
-    "structure_flags",
-    "subspace_check",
-    "zero_algebra",
-    "CANONICAL_TAGS",
-    "automorphism_family",
-    "automorphism_swap",
-    "canonical_algebra",
-    "canonical_system",
-    "derivation_family",
-    "ClassificationResult",
-    "InvariantFingerprint",
-    "certificate_residual",
-    "classify",
-    "classify_via_derivation",
-    "fingerprint",
-    "pairwise_noniso_witness",
-    "reduce_with_derivation",
-    "IllConditioned",
-    "SingularSpectrum",
-    "SpectralReport",
-    "SpectrumCase",
-    "admissible_mask",
-    "analyze_spectrum",
-    "arrangement_lines",
-    "derivation_residual",
-    "derivation_space",
-    "find_real_ssnd",
-    "jordan_chevalley",
-    "normalize_spectrum",
-    "CellId",
-    "DegenerateVelocity",
-    "PreconditionFailed",
-    "Trajectory",
-    "affine_flow",
-    "analytic_derivatives",
-    "cell_of",
-    "curvature_torsion",
-    "curve_geometry",
-    "integrate",
-    "integrate_batch",
-    "linear_first_integrals",
-    "ray_solution",
-    "save_csv",
-    "steady_state_residual",
-    "trajectory_to_csv",
-    "__version__",
-]

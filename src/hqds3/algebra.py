@@ -127,10 +127,6 @@ def invariant(fn):
     return shared
 
 
-def zero_algebra() -> Algebra:
-    return Algebra(np.zeros((3, 3, 3)))
-
-
 def from_products(products: dict[tuple[int, int], object]) -> Algebra:
     """Build an algebra from 1-based basis products, e.g. {(2, 3): (1, 0, 0)}."""
     c = np.zeros((3, 3, 3))

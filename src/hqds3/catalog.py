@@ -1,4 +1,4 @@
-"""Canonical algebras, their symmetry families, and test-corpus generators.
+"""Canonical algebras, their symmetry families, and random conjugates.
 
 The paper classifies the three-dimensional commutative algebras that admit
 a real-diagonalizable invertible derivation into four canonical
@@ -11,14 +11,14 @@ multiplication tables (two more such algebras, with spectra (1, 2, 4) and
     A4: e1*e1 = e3, e2*e2 = e3
 
 Each table comes with an explicit parametric family of derivations and of
-automorphisms, plus the matching canonical quadratic dynamical system.
+automorphisms.  ``conjugated_canonical`` and ``random_symmetric_algebra``
+draw the seeded inputs of the tests and the benchmark.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import NAMED_SLOTS, Algebra, change_of_basis, from_named, from_products
-from .derivations import MASK_LINES, admissible_mask, slot_defects
+from .algebra import Algebra, change_of_basis, from_products
 from .linalg import random_well_conditioned
 
 # built once: an Algebra is immutable, so every caller shares one instance
@@ -37,25 +37,6 @@ def canonical_algebra(tag: str) -> Algebra:
     if tag not in _TABLES:
         raise ValueError(f"unknown canonical tag {tag!r}")
     return _TABLES[tag]
-
-
-def canonical_system(k: int) -> Algebra:
-    """Structure tensor of the k-th representative quadratic system (1..4).
-
-    1: x1' = 2 x2 x3, x2' = 0, x3' = x1^2      (the A1 table itself)
-    2: x1' = 0, x2' = 0, x3' = x1^2            (isomorphic to A2)
-    3: x1' = 0, x2' = 0, x3' = 2 x1 x2         (the A3 table itself)
-    4: x1' = 0, x2' = 0, x3' = x1^2 + x2^2     (the A4 table itself)
-    """
-    if k == 1:
-        return canonical_algebra("A1")
-    if k == 2:
-        return from_products({(1, 1): (0.0, 0.0, 1.0)})
-    if k == 3:
-        return canonical_algebra("A3")
-    if k == 4:
-        return canonical_algebra("A4")
-    raise ValueError("canonical system index must be 1..4")
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +62,6 @@ def derivation_family(tag: str, params) -> np.ndarray:
         x, y, z, v = p
         return np.array([[x, -y, 0.0], [y, x, 0.0], [z, v, 2.0 * x]])
     raise ValueError(f"unknown canonical tag {tag!r}")
-
-
-DERIVATION_PARAM_COUNT = {"A1": 1, "A2": 5, "A3": 4, "A4": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -133,33 +111,6 @@ def automorphism_swap(tag: str) -> np.ndarray:
     return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def random_derivation_params(tag: str, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(DERIVATION_PARAM_COUNT[tag])
-
-
-def random_automorphism_params(tag: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw parameters away from the singular locus of each family."""
-    if tag == "A1":
-        x = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-        return np.array([x])
-    if tag == "A2":
-        x = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-        z = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-        y, u, v = rng.standard_normal(3)
-        return np.array([x, y, z, u, v])
-    if tag == "A3":
-        x = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-        z = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-        y, v = rng.standard_normal(2)
-        return np.array([x, y, z, v])
-    if tag == "A4":
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        rho = rng.uniform(0.3, 3.0)
-        z, v = rng.standard_normal(2)
-        return np.array([theta, rho, z, v])
-    raise ValueError(f"unknown canonical tag {tag!r}")
-
-
 # ---------------------------------------------------------------------------
 # corpus generators
 
@@ -175,49 +126,3 @@ def random_symmetric_algebra(rng: np.random.Generator) -> Algebra:
     """Gaussian structure tensor, symmetrized in the first two slots."""
     raw = rng.standard_normal((3, 3, 3))
     return Algebra(0.5 * (raw + raw.transpose(1, 0, 2)))
-
-
-def random_mask_spectrum(rng: np.random.Generator) -> tuple[float, float]:
-    """Draw (lam, mu), |.| <= 5, either on a constraint line with margin 1
-    from the excluded points, or fully generic with margin 1 from all lines."""
-
-    def margin_ok(lam: float, mu: float, skip: str | None) -> bool:
-        if min(abs(lam), abs(mu)) < 0.2:
-            return False
-        return all(abs(v) >= 1.0 for letter, v in slot_defects(lam, mu).items() if letter != skip)
-
-    # in NAMED_SLOTS order, which seeded corpora depend on
-    letters = [letter for letter in NAMED_SLOTS if letter in MASK_LINES]
-    while True:
-        if rng.uniform() < 0.5:
-            letter = letters[rng.integers(len(letters))]
-            t = rng.uniform(-5.0, 5.0)
-            # the point at parameter t on the line of the letter's constant
-            lam, mu = {
-                "b": (2.0, t),
-                "c": (t, 2.0),
-                "d": (0.5, t),
-                "g": (t, 0.5),
-                "f": (t, 2.0 * t),
-                "h": (2.0 * t, t),
-                "n": (t, t + 1.0),
-                "q": (t + 1.0, t),
-                "s": (t, 1.0 - t),
-            }[letter]
-            if max(abs(lam), abs(mu)) <= 5.0 and margin_ok(lam, mu, skip=letter):
-                return lam, mu
-        else:
-            lam, mu = rng.uniform(-5.0, 5.0, size=2)
-            if margin_ok(lam, mu, skip=None):
-                return lam, mu
-
-
-def random_mask_algebra(
-    lam: float, mu: float, rng: np.random.Generator
-) -> Algebra:
-    """An algebra whose constants respect the diag(1, lam, mu) mask, with
-    every allowed constant drawn nonzero in [-1, -0.1] u [0.1, 1]."""
-    return from_named(**{
-        letter: rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
-        for letter in admissible_mask(lam, mu)
-    })

@@ -162,14 +162,10 @@ def fingerprint(alg: Algebra) -> InvariantFingerprint:
     )
 
 
-def canonical_fingerprint(tag: str) -> InvariantFingerprint:
-    return fingerprint(canonical_algebra(tag))
-
-
 def pairwise_noniso_witness(tag_a: str, tag_b: str) -> tuple[str, object, object]:
     """First invariant separating two canonical classes, with both values."""
-    fa = canonical_fingerprint(tag_a)
-    fb = canonical_fingerprint(tag_b)
+    fa = fingerprint(canonical_algebra(tag_a))
+    fb = fingerprint(canonical_algebra(tag_b))
     for name in _WITNESS_FIELDS:
         va, vb = getattr(fa, name), getattr(fb, name)
         if va != vb:

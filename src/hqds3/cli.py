@@ -37,9 +37,9 @@ from .derivations import (
 )
 from .dynamics import (
     CellId,
-    _cells,
     affine_flow,
     affine_flow_applies,
+    cells,
     curve_geometry,
     integrate,
     integrate_batch,
@@ -127,7 +127,8 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     der = _derivation_report(alg, via.derivation)
 
     warnings = []
-    if res.is_definite and via.is_definite and res.tag != via.tag:
+    disagree = res.is_definite and via.is_definite and res.tag != via.tag
+    if disagree:
         warnings.append(
             f"cross-path disagreement: invariant route says {res.tag}, "
             f"derivation route says {via.tag}"
@@ -154,7 +155,7 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
         "warnings": warnings,
     }
     _emit(report)
-    if warnings and res.is_definite and via.is_definite and res.tag != via.tag:
+    if disagree:
         return 3
     return 0 if res.tag in CANONICAL_TAGS else 2
 
@@ -176,7 +177,7 @@ def canonical_cells(tag: str, certificate: np.ndarray, states: np.ndarray) -> li
     canonical one, reached through the inverse of the classification
     certificate.  ``simulate`` and verify's cell check both decide cells here.
     """
-    return _cells(tag, states @ np.linalg.inv(certificate).T)
+    return cells(tag, states @ np.linalg.inv(certificate).T)
 
 
 def _parse_vec3(text: str) -> np.ndarray:

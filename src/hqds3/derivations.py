@@ -328,13 +328,6 @@ def _letters_on(lam: float, mu: float) -> tuple[str, ...]:
     return tuple(itertools.compress(NAMED_SLOTS, spectrum_admits((1.0, lam, mu))))
 
 
-def slot_defects(lam: float, mu: float) -> dict[str, float]:
-    """d_k - (d_i + d_j) at d = (1, lam, mu) for each conditional letter; its
-    constant survives diag(d) where this is zero."""
-    defects = RELATIONS @ np.array([1.0, lam, mu])
-    return {letter: float(v) for letter, v in zip(NAMED_SLOTS, defects) if letter in MASK_LINES}
-
-
 def admissible_mask(lam: float, mu: float) -> tuple[str, ...]:
     """The letters of the structure constants diag(1, lam, mu) permits to be
     nonzero, in NAMED_SLOTS order, which is alphabetical.

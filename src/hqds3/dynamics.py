@@ -21,11 +21,11 @@ curvature and torsion come from ``curve_geometry``, which differentiates
 the field analytically rather than by finite differences, and of which
 ``curvature_torsion`` is the one-sample case; the CSV writer and the
 ``verify`` checks that judge curvature and torsion call it.  Partition
-cells come from ``_cells``, of which ``cell_of`` is the one-sample case,
-and ``cli.canonical_cells`` decides them for ``simulate`` and ``verify``
-alike.  The integrator computes neither.  It takes no settings: it reads
-the module constants TAYLOR_ORDER, INT_RTOL, INT_H_MIN, BLOWUP_GUARD and
-MAX_STEPS when it is called.
+cells come from ``cells``, one pass over a stack of points in canonical
+coordinates, and ``cli.canonical_cells`` decides them for ``simulate`` and
+``verify`` alike.  The integrator computes neither.  It takes no settings:
+it reads the module constants TAYLOR_ORDER, INT_RTOL, INT_H_MIN,
+BLOWUP_GUARD and MAX_STEPS when it is called.
 """
 from __future__ import annotations
 
@@ -55,7 +55,12 @@ class PreconditionFailed(RuntimeError):
 def _derivatives(alg: Algebra, xs: np.ndarray) -> np.ndarray:
     """x', x'', x''' at every row of the (n, 3) stack xs, as shape (3, n, 3),
     from four stacked calls of ``product``; each row's derivatives have the
-    same bits as those of that row alone."""
+    same bits as those of that row alone.
+
+    Differentiating x' = x * x along the flow:
+        x''  = 2 x * x'
+        x''' = 2 (x' * x' + x * x'')
+    """
     d1 = product(alg, xs, xs)
     d2 = 2.0 * product(alg, xs, d1)
     d3 = 2.0 * (product(alg, d1, d1) + product(alg, xs, d2))
@@ -92,16 +97,6 @@ def curve_geometry(alg: Algebra, xs: np.ndarray):
     return speed, curvature, torsion
 
 
-def analytic_derivatives(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """Rows are x', x'', x''' of the solution through x, at x.
-
-    Differentiating x' = x * x along the flow:
-        x''  = 2 x * x'
-        x''' = 2 (x' * x' + x * x'')
-    """
-    return _derivatives(alg, np.asarray(x, dtype=float)[None, :])[:, 0]
-
-
 def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]:
     """(curvature, torsion) of the trajectory arc through x.
 
@@ -117,10 +112,6 @@ def curvature_torsion(alg: Algebra, x: np.ndarray) -> tuple[float, float | None]
 
 # ---------------------------------------------------------------------------
 # closed-form solution families
-
-
-def steady_state_residual(alg: Algebra, v: np.ndarray) -> float:
-    return float(np.max(np.abs(square_map(alg, v))))
 
 
 def ray_solution(v: np.ndarray, ts: np.ndarray, alpha0: float = 1.0) -> np.ndarray:
@@ -192,13 +183,16 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.where(norm > 0.0, norm, 1.0)
 
 
-def _cells(tag: str, ys: np.ndarray) -> list[CellId]:
+def cells(tag: str, ys: np.ndarray) -> list[CellId]:
     """The partition cell of every row of the (n, 3) stack ys for a canonical
-    class, decided in one pass over the array.
+    class, decided in one pass over the array; a single point counts as one
+    row.
 
     Each class lists its cells from the lowest-dimensional one up; a row
     belongs to the first cell whose test it meets, so lower-dimensional
-    cells win ties, and the last cell takes every remaining row.  Rows a
+    cells win ties (a coordinate within TAU_GEO of zero counts as zero), and
+    the last cell takes every remaining row.  Signs and directions
+    parameterize the open half-plane and half-space cells.  Rows a
     half-plane cell takes never have a zero direction, so the zero rows
     ``_unit_rows`` passes through are never read.
     """
@@ -236,16 +230,6 @@ def _cells(tag: str, ys: np.ndarray) -> list[CellId]:
     first = np.argmax(np.stack(takes), axis=0).tolist()
     params = [p.tolist() for p in params]
     return [CellId(tag, labels[r], tuple(params[r][i])) for i, r in enumerate(first)]
-
-
-def cell_of(tag: str, x: np.ndarray) -> CellId:
-    """Assign a point to its partition cell for a canonical class.
-
-    Lower-dimensional cells win ties: points within TAU_GEO of an axis or
-    coordinate plane belong to it.  Signs and directions parameterize the
-    open half-plane / half-space cells.  The one-sample case of ``_cells``.
-    """
-    return _cells(tag, np.asarray(x, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

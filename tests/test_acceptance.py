@@ -19,15 +19,11 @@ from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
     derivation_family,
-    random_automorphism_params,
-    random_derivation_params,
-    random_mask_algebra,
-    random_mask_spectrum,
     random_symmetric_algebra,
 )
 from hqds3.classify import (
-    canonical_fingerprint,
     classify,
+    fingerprint,
     classify_via_derivation,
     pairwise_noniso_witness,
     reduce_with_derivation,
@@ -42,6 +38,13 @@ from hqds3.derivations import (
 )
 from hqds3.cli import canonical_cells
 from hqds3.dynamics import affine_flow, curve_geometry, integrate, ray_solution
+
+from corpora import (
+    random_automorphism_params,
+    random_derivation_params,
+    random_mask_algebra,
+    random_mask_spectrum,
+)
 
 TAGS = ("A1", "A2", "A3", "A4")
 
@@ -125,7 +128,7 @@ def test_criterion_3_conjugation_round_trip():
 
 
 def test_criterion_4_pairwise_non_isomorphism():
-    prints = {tag: canonical_fingerprint(tag) for tag in TAGS}
+    prints = {tag: fingerprint(canonical_algebra(tag)) for tag in TAGS}
     distinct = len({tuple(vars(fp).items()) for fp in prints.values()}) == 4
     witnessed = 0
     for i, a in enumerate(TAGS):

@@ -32,7 +32,6 @@ from hqds3.algebra import (
     square_map,
     structure_flags,
     subspace_check,
-    zero_algebra,
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
 from hqds3.derivations import derivation_space
@@ -228,7 +227,7 @@ def test_nilcone_kinds_canonical():
 
 
 def test_nilcone_whole_space_and_plane():
-    assert nilpotent_cone(zero_algebra()).kind == "whole-space"
+    assert nilpotent_cone(Algebra(np.zeros((3, 3, 3)))).kind == "whole-space"
     # x*x = x1^2 e1 vanishes exactly on the plane x1 = 0
     assert nilpotent_cone(from_named(a=1.0)).kind == "plane"
 
@@ -731,7 +730,7 @@ def test_memoized_invariants_equal_fresh_ones(kind):
     if kind == "random":
         alg = random_symmetric_algebra(rng)
     elif kind == "zero":
-        alg = zero_algebra()
+        alg = Algebra(np.zeros((3, 3, 3)))
     else:
         alg = Algebra(3.0 * conjugated_canonical(kind, rng)[0].c)
     for fn in _memoized_functions():

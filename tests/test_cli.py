@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from hqds3 import cli
-from hqds3.algebra import from_named, from_products, idempotents, zero_algebra
+from hqds3.algebra import Algebra, from_named, from_products, idempotents
 from hqds3.catalog import (
     canonical_algebra,
-    canonical_system,
     conjugated_canonical,
     random_symmetric_algebra,
 )
@@ -122,7 +121,7 @@ def test_classify_rejects_a_constant_that_is_not_a_number(tmp_path, capsys, entr
 
 
 def test_simulate_affine_table_final_value(tmp_path, capsys):
-    path = write_algebra(tmp_path, canonical_system(2))
+    path = write_algebra(tmp_path, from_products({(1, 1): (0.0, 0.0, 1.0)}))
     code, out, err = run(
         capsys, ["simulate", path, "--x0", "1,1,0", "--t-end", "2"]
     )
@@ -333,7 +332,7 @@ def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind)
     if kind == "random":
         alg = random_symmetric_algebra(rng)
     elif kind == "zero":
-        alg = zero_algebra()
+        alg = Algebra(np.zeros((3, 3, 3)))
     else:
         alg, _ = conjugated_canonical(kind, rng)
     calls = []

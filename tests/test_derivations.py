@@ -10,9 +10,6 @@ from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
     derivation_family,
-    random_derivation_params,
-    random_mask_algebra,
-    random_mask_spectrum,
     random_symmetric_algebra,
 )
 from hqds3.derivations import (
@@ -31,9 +28,15 @@ from hqds3.derivations import (
     normalize_spectrum,
     real_eigenbasis,
     real_semisimple_part,
-    slot_defects,
 )
 from hqds3.linalg import nullspace
+
+from corpora import (
+    random_derivation_params,
+    random_mask_algebra,
+    random_mask_spectrum,
+    slot_defects,
+)
 
 LEIBNIZ_TOL = 1e-9
 SPLIT_TOL = 1e-8
