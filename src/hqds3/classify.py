@@ -47,13 +47,11 @@ from .derivations import (
     RELATIONS,
     SLOT_ARRAY,
     IllConditioned,
-    SpectrumCase,
     analyze_spectrum,
     derivation_residual,
     derivation_space,
     find_real_ssnd,
     leibniz_operator,
-    normalize_spectrum,
     real_eigenbasis,
     spectrum_admits,
 )
@@ -61,9 +59,6 @@ from .linalg import orthonormal_complement, rank_and_rowspace, sign_canonical, u
 from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
-
-# an algebra is the zero algebra when no constant exceeds this
-TAU_NULL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,6 @@ class ClassificationResult:
     method: str
     fingerprint: InvariantFingerprint | None = None
     derivation: np.ndarray | None = None
-    spectrum_case: SpectrumCase | None = None
 
     @property
     def is_definite(self) -> bool:
@@ -295,13 +289,15 @@ def classify(alg: Algebra) -> ClassificationResult:
     """Invariant-based classification with a verified certificate.
 
     Exact canonical tables short-circuit to an identity certificate; the
-    zero tensor reports NullAlgebra; anything the recipes cannot certify
-    within TAU_CERT reports NotInFamily together with its full fingerprint
-    (positive answers carry the certificate instead, which is stronger).
+    zero tensor, and only it, reports NullAlgebra, since any other tensor
+    is its normalized table in the basis (1/scale) * Id; anything the
+    recipes cannot certify within TAU_CERT reports NotInFamily together
+    with its full fingerprint (positive answers carry the certificate
+    instead, which is stronger).
     A recipe's candidate is polished only when it misses TAU_CERT as built.
     """
-    if alg.scale <= TAU_NULL:
-        return ClassificationResult("NullAlgebra", np.eye(3), alg.scale, "null")
+    if alg.scale == 0.0:
+        return ClassificationResult("NullAlgebra", np.eye(3), 0.0, "null")
     for tag in CANONICAL_TAGS:
         if np.array_equal(alg.c, canonical_algebra(tag).c):
             return ClassificationResult(tag, np.eye(3), 0.0, "exact-table")
@@ -375,12 +371,11 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     are kept and the rest, eigenbasis noise, are zeroed.  The class is read
     off the kept ones: e_i e_i = p e_k with e_j e_k = q e_i is A1; products
     that are all multiples of one vector w that annihilates the algebra are
-    A2, A3 or A4; any other pattern is NotInFamily.  NullAlgebra is read off
-    the algebra's own scale (TAU_NULL), never off the eigenbasis rewrite,
-    whose scale an ill-conditioned eigenbasis can shrink.  The spectrum's
-    family (normalize_spectrum) is only reported.  The certificate is
-    polished only when it misses TAU_CERT as built; one that misses after
-    the polish too raises IllConditioned.  Never returns None.
+    A2, A3 or A4; any other pattern is NotInFamily.  NullAlgebra is the
+    exact zero tensor, read off the algebra itself, never off the eigenbasis
+    rewrite, whose scale an ill-conditioned eigenbasis can shrink.  The
+    certificate is polished only when it misses TAU_CERT as built; one that
+    misses after the polish too raises IllConditioned.  Never returns None.
     """
     d = np.asarray(d, dtype=float)
     norm, factor = alg.normalized()
@@ -393,15 +388,12 @@ def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
     w, v = real_eigenbasis(d, rep)
     eig = change_of_basis(norm, v)
     w = _snapped_spectrum(w, eig)
-    case = normalize_spectrum(w)
 
     def result(tag, m=None, res=None):
-        return ClassificationResult(
-            tag, m, res, "derivation-reduction", derivation=d, spectrum_case=case
-        )
+        return ClassificationResult(tag, m, res, "derivation-reduction", derivation=d)
 
-    if alg.scale <= TAU_NULL:
-        return result("NullAlgebra", np.eye(3), alg.scale)
+    if alg.scale == 0.0:
+        return result("NullAlgebra", np.eye(3), 0.0)
 
     c = np.zeros((3, 3, 3))
     for i, j, k in SLOT_ARRAY[spectrum_admits(w)]:
@@ -431,12 +423,10 @@ def classify_via_derivation(alg: Algebra) -> ClassificationResult:
     proof of absence).  Otherwise the answer is the reduction's, and a
     reduction that raises is NotInFamily too; the invariant route is never
     consulted.  Every other result carries an SSND: the one found, or on the
-    zero algebra the identity, which needs no search.
+    zero tensor the identity, which needs no search.
     """
-    if alg.scale <= TAU_NULL:
-        return ClassificationResult(
-            "NullAlgebra", np.eye(3), alg.scale, "null", derivation=np.eye(3)
-        )
+    if alg.scale == 0.0:
+        return ClassificationResult("NullAlgebra", np.eye(3), 0.0, "null", derivation=np.eye(3))
     d = find_real_ssnd(alg)
     if d is None:
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")

@@ -60,20 +60,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(doc: dict) -> None:
-    json.dump(_jsonable(doc), sys.stdout, indent=2, allow_nan=False)
+    # json calls the hook only on what it cannot write itself: arrays and
+    # numpy scalars other than np.float64, which is a float
+    json.dump(
+        doc,
+        sys.stdout,
+        indent=2,
+        allow_nan=False,
+        default=lambda o: o.tolist() if isinstance(o, np.ndarray) else o.item(),
+    )
     sys.stdout.write("\n")
 
 
@@ -222,7 +218,11 @@ def cmd_simulate(args, alg: Algebra, label: str | None) -> int:
         f"first integrals: {ints.shape[0]}, max drift {drift:.3e}"
     )
     if args.out:
-        save_csv(alg, traj, cells, args.out)
+        try:
+            save_csv(alg, traj, cells, args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(summary)
     else:
         sys.stdout.write(trajectory_to_csv(alg, traj, cells))

@@ -105,7 +105,6 @@ class SpectralReport:
     all_real: bool
     semisimple: bool
     nonsingular: bool
-    spectrum: np.ndarray | None    # real eigenvalues sorted ascending
     multiplicity: str              # 'distinct' | 'double' | 'triple' | 'complex-pair'
 
 
@@ -153,13 +152,11 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     roots = sigma * np.array(roots, dtype=complex)
     det = float(np.linalg.det(m))
 
-    all_real = kind != "complex-pair"
     return SpectralReport(
         eigenvalues=roots,
-        all_real=all_real,
+        all_real=kind != "complex-pair",
         semisimple=semisimple,
         nonsingular=abs(det) > TAU_RANK,
-        spectrum=np.sort(roots.real) if all_real else None,
         multiplicity=kind,
     )
 
@@ -246,10 +243,13 @@ def find_real_ssnd(alg: Algebra) -> np.ndarray | None:
     before its negative.  Each candidate is scaled to largest entry 1 and
     analysed once.  One that misses with a defective or complex spectrum is
     replaced by its real_semisimple_part, again a derivation, kept only when
-    its Leibniz residual is at most 1e-8.  The first candidate passing all
-    three spectral tests is returned; the search is not exhaustive, so None
-    is a miss, not a proof of absence.
+    its Leibniz residual on the normalized algebra is at most 1e-8, where
+    the reduction judges it too: the residual is absolute below scale 1, so
+    on a tiny algebra's own constants any matrix would pass.  The first
+    candidate passing all three spectral tests is returned; the search is
+    not exhaustive, so None is a miss, not a proof of absence.
     """
+    norm, _ = alg.normalized()
     space = derivation_space(alg)
     flat = np.reshape(space.basis, (space.dim, 9))
 
@@ -272,7 +272,7 @@ def find_real_ssnd(alg: Algebra) -> np.ndarray | None:
                 part = real_semisimple_part(cand, rep)
             except IllConditioned:
                 continue
-            found = scaled(part) if derivation_residual(alg, part) <= 1e-8 else None
+            found = scaled(part) if derivation_residual(norm, part) <= 1e-8 else None
             if found is None:
                 continue
             cand, rep = found

@@ -299,15 +299,16 @@ def integrate_batch(alg: Algebra, x0s, t_ends) -> list[Trajectory]:
     conserved to roundoff.
 
     All rows step together, but each keeps its own time, step and stop:
-    t_end reached, |x| above BLOWUP_GUARD after a step, or a step below
-    INT_H_MIN, which includes coefficients that are not finite.  A row that
-    stops leaves the active arrays, and a batch that takes MAX_STEPS steps
-    raises RuntimeError.  No row's arithmetic reads another row, so a row
-    agrees with its one-row run; the tests ask for agreement to roundoff,
-    since how a stacked matrix product rounds is up to the numpy build.
-    Each step logs one sample per row it advanced.  States stay in the
-    input frame; the integrator computes no curve geometry and decides no
-    partition cells.
+    t_end reached, |x| above BLOWUP_GUARD or not finite after a step, or a
+    step below INT_H_MIN, which includes coefficients that are not finite.
+    A row that stops leaves the active arrays, and a batch that takes
+    MAX_STEPS steps raises RuntimeError.  No row's arithmetic reads another
+    row, so a row agrees with its one-row run; the tests ask for agreement
+    to roundoff, since how a stacked matrix product rounds is up to the
+    numpy build.  Each step logs one sample per row it advanced to a finite
+    state, so a row whose step overflows ends at its last finite sample.
+    States stay in the input frame; the integrator computes no curve
+    geometry and decides no partition cells.
     """
     x = np.array(x0s, dtype=float).reshape(-1, 3)
     n = len(x)
@@ -340,8 +341,13 @@ def integrate_batch(alg: Algebra, x0s, t_ends) -> list[Trajectory]:
             y = ((h[:, None] ** np.arange(TAYLOR_ORDER + 1))[:, None] @ coef)[:, 0]
             t = np.where(moved, np.where(reach, t_end, t + h), t)
             x = np.where(moved[:, None], y, x)
-            log.append((rows[moved], t[moved], x[moved]))
-            blown = moved & (np.abs(x).max(axis=1) > BLOWUP_GUARD)
+            # a step far past the guard may overflow the powers of h, and inf
+            # times a zero coefficient is NaN: a state that is not finite is
+            # blown too, and is not logged
+            top = np.abs(x).max(axis=1)
+            logged = moved & np.isfinite(top)
+            log.append((rows[logged], t[logged], x[logged]))
+            blown = moved & ~(top <= BLOWUP_GUARD)
             stop = ~moved | blown | reach
             if stop.any():
                 terminated[rows[~moved]] = "step_underflow"

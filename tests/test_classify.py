@@ -120,11 +120,15 @@ def test_scaled_table_still_classifies():
 @pytest.mark.parametrize("tag", TAGS)
 def test_scale_sweep_classifies_on_both_routes(tag):
     # s * table is the table in the basis (1/s) * Id, so every scale that
-    # floating point represents well has the same tag, on both routes; a
-    # fixed orthogonal conjugation keeps the exact-table shortcut out of it
+    # floating point represents well has the same tag, on both routes: only
+    # the zero tensor is the zero algebra, and 1e-150 * table is not it; a
+    # fixed orthogonal conjugation keeps the exact-table shortcut out of it.
+    # At 1e-105 the SSND search of A2 meets a defective candidate whose
+    # semisimple part is no derivation, and must judge it on the normalized
+    # constants
     q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
     base = change_of_basis(canonical_algebra(tag), q)
-    for e in range(-8, 9):
+    for e in (-150, -105, -100, -50, -13, *range(-8, 9)):
         alg = Algebra(10.0 ** e * base.c)
         for res in (classify(alg), classify_via_derivation(alg)):
             assert res.tag == tag, (e, res.method)
@@ -248,7 +252,7 @@ def test_ssnd_algebras_outside_the_four_tables(constants, spectrum, family):
     assert d is not None
     rep = analyze_spectrum(d)
     assert rep.all_real and rep.semisimple and rep.nonsingular
-    case = normalize_spectrum(rep.spectrum)
+    case = normalize_spectrum(np.sort(rep.eigenvalues.real))
     assert case.family == family
     np.testing.assert_allclose(case.representative, spectrum, atol=1e-12)
     assert classify(alg).tag == "NotInFamily"
@@ -503,8 +507,9 @@ SURVIVING_CONSTANTS = [
 def test_reduction_reads_the_class_off_the_surviving_constants():
     for family, constants, spectrum, want in SURVIVING_CONSTANTS:
         alg = from_named(**constants)
+        assert normalize_spectrum(spectrum).family == family, constants
         res = reduce_with_derivation(alg, np.diag(spectrum))
-        assert (res.spectrum_case.family, res.tag) == (family, want), constants
+        assert res.tag == want, constants
         assert res.method == "derivation-reduction"
         if want == "NotInFamily":
             assert res.certificate is None
@@ -519,7 +524,7 @@ def test_reduction_snaps_the_spectrum_onto_its_constants():
     # the relations of the constants that are clearly there pin it back
     alg = from_named(c=1.0, f=-1.0, n=1.0)
     res = reduce_with_derivation(alg, np.diag([1.0, 1.0 + 5e-9, 2.0]))
-    assert (res.spectrum_case.family, res.tag) == (3, "A3")
+    assert res.tag == "A3"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A3").c)) < REDUCTION_TOL
 

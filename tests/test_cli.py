@@ -149,6 +149,19 @@ def test_simulate_writes_csv_file(tmp_path, capsys):
     assert text.strip().split("\n")[1].split(",")[7] != ""
 
 
+def test_simulate_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    path = write_algebra(tmp_path, canonical_algebra("A3"))
+    out_path = tmp_path / "missing" / "traj.csv"
+    code, out, err = run(
+        capsys,
+        ["simulate", path, "--x0", "0.3,-0.2,0.1", "--t-end", "1", "--out", str(out_path)],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(out_path) in err
+    assert not out_path.parent.exists()
+
+
 def test_simulate_blowup_guard(tmp_path, capsys):
     path = write_algebra(tmp_path, from_named(a=1.0))
     code, out, err = run(

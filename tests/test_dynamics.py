@@ -352,6 +352,23 @@ def test_blowup_guard_triggers_near_pole():
     assert 0.6 < traj.times[-1] < 2.0 / 3.0
 
 
+@pytest.mark.parametrize("tag", ["A2", "A3", "A4"])
+def test_affine_step_that_overflows_stops_at_the_guard(tag):
+    # on an affine table the first step is all of t_end; past about 2.5e15
+    # its powers h^n overflow and inf * 0 is NaN.  Such a step is a blow-up,
+    # and the row ends at its last finite state; a step short of the
+    # overflow still logs its state past the guard
+    alg, x0 = canonical_algebra(tag), np.array([1.0, 1.0, 1.0])
+    far = integrate(alg, x0, 3e15)
+    assert far.terminated == "blowup_guard"
+    assert np.all(np.isfinite(far.states))
+    np.testing.assert_array_equal(far.states, x0[None, :])
+    near = integrate(alg, x0, 1e15)
+    assert near.terminated == "blowup_guard"
+    assert near.times.tolist() == [0.0, 1e15]
+    np.testing.assert_array_equal(near.states[-1], affine_flow(alg, x0, [1e15])[0])
+
+
 def test_times_monotone_and_end_reached():
     alg = canonical_algebra("A3")
     traj = integrate(alg, np.array([0.3, -0.2, 0.1]), 1.0)
