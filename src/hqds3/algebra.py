@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import (
     contains_vector,
     nullspace,
-    orthonormal_complement,
     project_onto,
     rank_and_rowspace,
     sign_canonical,
@@ -609,7 +608,7 @@ def _projective_roots(norm: Algebra) -> tuple[np.ndarray, np.ndarray]:
         return w[None, :], np.array([w @ rows[0].reshape(3, 3) @ w])
     planes = nilpotent_cone(norm).planes
     if planes:  # x*x = l(x) Mx: a curve when l is not zero on an eigenspace of dim > 1
-        ell = orthonormal_complement(planes[0].basis)[0]
+        ell = nullspace(planes[0].basis)[0]
         m = 2.0 * left_mult_matrix(norm, ell) - np.outer(square_map(norm, ell), ell)
         mu, u = np.linalg.eig(m)
         spaces = [nullspace(m - lam * np.eye(3)) for lam in mu.real[(mu.imag == 0) & (mu != 0)]]

@@ -7,10 +7,12 @@ Two independent routes produce the same answer on the classified family:
   explicit recipe that builds a certificate basis for one of the four
   canonical tables.
 * ``classify_via_derivation`` first searches for an invertible
-  real-diagonalizable derivation, rewrites the algebra in its eigenbasis,
-  keeps the structure constants its spectrum allows and reads the class off
-  the pattern they form.  It never calls the invariant route, so the two
-  routes check each other.
+  real-diagonalizable derivation, whose spectral report carries its
+  eigenvalues and eigenbasis; the reduction rewrites the algebra in that
+  eigenbasis without analysing the derivation again, keeps the structure
+  constants its spectrum allows and reads the class off the pattern they
+  form.  It never calls the invariant route, so the two routes check each
+  other.
 
 Both routes build the certificate of A2, A3 and A4 with one helper, from the
 line w that spans every product and annihilates the algebra.
@@ -47,15 +49,14 @@ from .derivations import (
     RELATIONS,
     SLOT_ARRAY,
     IllConditioned,
-    analyze_spectrum,
+    SpectralReport,
     derivation_residual,
     derivation_space,
     find_real_ssnd,
     leibniz_operator,
-    real_eigenbasis,
     spectrum_admits,
 )
-from .linalg import orthonormal_complement, rank_and_rowspace, sign_canonical, unit
+from .linalg import nullspace, rank_and_rowspace, sign_canonical, unit
 from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
@@ -105,7 +106,7 @@ def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndar
     columns are as well conditioned as the algebra allows.
     """
     w = sign_canonical(w)
-    lifts = orthonormal_complement(w[None, :])
+    lifts = nullspace(w[None, :])
     p = product(norm, lifts[:, None], lifts[None, :])
     b = np.array([[float(p[i, j] @ w) for j in range(2)] for i in range(2)])
     vals, vecs = np.linalg.eigh(b)
@@ -246,10 +247,7 @@ def _certify(alg: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
 def _balance_a1(m: np.ndarray) -> np.ndarray:
     """Equalize column magnitudes using the scaling automorphisms of the
     first canonical table, diag(x, 1/x, x^2); pure conditioning aid."""
-    norms = np.linalg.norm(m, axis=0)
-    if np.any(norms == 0.0):
-        return m
-    logs = np.log(norms)
+    logs = np.log(np.linalg.norm(m, axis=0))
     a = np.array([1.0, -1.0, 2.0])
     ac = a - a.mean()
     t = -float(ac @ (logs - logs.mean())) / float(ac @ ac)
@@ -362,32 +360,35 @@ def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
     return snapped
 
 
-def reduce_with_derivation(alg: Algebra, d: np.ndarray) -> ClassificationResult:
+def reduce_with_derivation(alg: Algebra, ssnd: SpectralReport) -> ClassificationResult:
     """Classify by rewriting in the eigenbasis of a given derivation.
 
-    ``d`` must be a real-diagonalizable invertible derivation of ``alg``;
-    raises on inconsistent input.  In the eigenbasis, after the spectrum
-    snap, the constants whose relation d_k = d_i + d_j the spectrum meets
-    are kept and the rest, eigenbasis noise, are zeroed.  The class is read
-    off the kept ones: e_i e_i = p e_k with e_j e_k = q e_i is A1; products
-    that are all multiples of one vector w that annihilates the algebra are
-    A2, A3 or A4; any other pattern is NotInFamily.  NullAlgebra is the
+    ``ssnd`` is the report of a real-diagonalizable invertible derivation
+    d = ssnd.matrix of ``alg``, as find_real_ssnd returns it; a hand-picked
+    d goes in as analyze_spectrum(d).  The eigenbasis is the report's, and
+    nothing is analysed again here; raises ValueError when the report is
+    not real, semisimple and nonsingular, or d is not a derivation.  In the
+    eigenbasis, after the spectrum snap, the constants whose relation
+    d_k = d_i + d_j the spectrum meets are kept and the rest, eigenbasis
+    noise, are zeroed.  The class is read off the kept ones: e_i e_i = p e_k
+    with e_j e_k = q e_i is A1; products that are all multiples of one
+    vector w that annihilates the algebra are A2, A3 or A4; any other
+    pattern is NotInFamily.  NullAlgebra is the
     exact zero tensor, read off the algebra itself, never off the eigenbasis
     rewrite, whose scale an ill-conditioned eigenbasis can shrink.  The
     certificate is polished only when it misses TAU_CERT as built; one that
     misses after the polish too raises IllConditioned.  Never returns None.
     """
-    d = np.asarray(d, dtype=float)
+    d = ssnd.matrix
     norm, factor = alg.normalized()
-    rep = analyze_spectrum(d)
-    if not (rep.all_real and rep.semisimple and rep.nonsingular):
+    if not (ssnd.all_real and ssnd.semisimple and ssnd.nonsingular):
         raise ValueError("derivation must have a real nonzero semisimple spectrum")
     if derivation_residual(norm, d) > 1e-7:
         raise ValueError("matrix is not a derivation of the algebra")
 
-    w, v = real_eigenbasis(d, rep)
+    v = ssnd.eigenvectors
     eig = change_of_basis(norm, v)
-    w = _snapped_spectrum(w, eig)
+    w = _snapped_spectrum(ssnd.eigenvalues, eig)
 
     def result(tag, m=None, res=None):
         return ClassificationResult(tag, m, res, "derivation-reduction", derivation=d)
@@ -427,12 +428,12 @@ def classify_via_derivation(alg: Algebra) -> ClassificationResult:
     """
     if alg.scale == 0.0:
         return ClassificationResult("NullAlgebra", np.eye(3), 0.0, "null", derivation=np.eye(3))
-    d = find_real_ssnd(alg)
-    if d is None:
+    ssnd = find_real_ssnd(alg)
+    if ssnd is None:
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")
     try:
-        return reduce_with_derivation(alg, d)
+        return reduce_with_derivation(alg, ssnd)
     except (ValueError, IllConditioned):
         return ClassificationResult(
-            "NotInFamily", None, None, "derivation-reduction", derivation=d
+            "NotInFamily", None, None, "derivation-reduction", derivation=ssnd.matrix
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -48,12 +49,18 @@ from .dynamics import (
     save_csv,
     trajectory_to_csv,
 )
-from .linalg import orthonormal_complement
+from .linalg import nullspace
 from .tolerances import TAU_RES
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but every usage error exits with code 1."""
+    """argparse, but every usage error exits with code 1, and every token
+    that starts with '-' and then a digit or '.digit' is a value, such as
+    --x0 -0.5,1,0 or --mu -2.5e-1, never an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):  # noqa: D401
         self.print_usage(sys.stderr)
@@ -157,8 +164,9 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
 
 
 def cmd_derivations(args, alg: Algebra, label: str | None) -> int:
+    ssnd = find_real_ssnd(alg)
     report = {"label": label}
-    report.update(_derivation_report(alg, find_real_ssnd(alg)))
+    report.update(_derivation_report(alg, None if ssnd is None else ssnd.matrix))
     _emit(report)
     return 0
 
@@ -364,7 +372,7 @@ def _check_affine_form(alg, rng, res):
 def _transverse_eigenvalue(alg, v):
     """Largest real part mu of the eigenvalues of 2L_v off the ray direction:
     near the ray solution v/(1-t), roundoff grows like (1-t)^(-mu)."""
-    q = orthonormal_complement(v[None, :])
+    q = nullspace(v[None, :])
     return float(np.max(np.linalg.eigvals(q @ (2.0 * left_mult_matrix(alg, v)) @ q.T).real))
 
 

@@ -1,12 +1,14 @@
 """Derivations of a commutative algebra and their spectral structure.
 
 A derivation is a matrix D with D(u*v) = (Du)*v + u*(Dv).  The key objects
-are the full derivation space, the eigenvalue analysis of a 3x3 matrix
-from one eigvals call, one spectral projector for its Jordan-Chevalley
-split and real part, the search for a real-diagonalizable invertible
-derivation, and the bookkeeping for diagonal derivations
-diag(1, lambda, mu): which structure constants they allow and how a spectrum
-normalizes to a standard representative.
+are the full derivation space; the spectral report of a 3x3 matrix, which
+holds the matrix, its eigenvalues from one eigvals call and, for a real
+spectrum, its eigenbasis from one stacked SVD, whose ranks alone decide
+semisimplicity; one spectral projector for its Jordan-Chevalley split and
+real part; the search for a real-diagonalizable invertible derivation,
+which returns that derivation's report; and the bookkeeping for diagonal
+derivations diag(1, lambda, mu): which structure constants they allow and
+how a spectrum normalizes to a standard representative.
 """
 from __future__ import annotations
 
@@ -101,7 +103,9 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
 
 @dataclass
 class SpectralReport:
-    eigenvalues: np.ndarray        # complex, length 3; a simple root before a pair
+    matrix: np.ndarray             # the matrix analysed
+    eigenvalues: np.ndarray        # real ascending, or complex: real root, pair
+    eigenvectors: np.ndarray | None  # column i for eigenvalue i; real, semisimple
     all_real: bool
     semisimple: bool
     nonsingular: bool
@@ -109,19 +113,22 @@ class SpectralReport:
 
 
 def analyze_spectrum(m: np.ndarray) -> SpectralReport:
-    """Eigenvalues of a real 3x3 matrix, plus the all-real / semisimple /
-    nonsingular verdicts used by the classifier.
+    """Eigenvalues of a real 3x3 matrix, its eigenbasis when it has one, and
+    the all-real / semisimple / nonsingular verdicts used by the classifier.
 
     The roots come from one ``np.linalg.eigvals`` call in units of
     sigma = max(1, max |m_ij|), centred at their mean: y = roots - mean,
     p = e2(y), q = -e3(y) and s0 = max(1, |p|^(1/2), |q|^(1/3)).  A root is
     repeated when the discriminant prod (y_i - y_j)^2 is within TAU_RES * s0^6
     of zero, and triple when also |p| <= 1e-6 * s0^2; otherwise a negative
-    discriminant is a complex pair.  A repeated root lam is reported as its
-    cluster's mean, after the simple root.  A double one is semisimple when
-    m - lam I has rank at most 1 (singular values cut at 1e-7 * max(1,
-    s_max)), a triple one when max |m - lam I| <= 1e-7 * sigma; nonsingular
-    is |det m| > TAU_RANK.
+    discriminant is a complex pair.  A repeated root is reported as its
+    cluster's mean.  A real spectrum is semisimple when, for each distinct
+    root lam of multiplicity k, m - lam I has rank 3 - k, the singular
+    values of one stacked SVD cut at 1e-7 * max(1, s_max); the right
+    singular vectors past each rank are then orthonormal bases of the
+    eigenspaces, and their columns the eigenvectors.  A complex pair is
+    simple, so semisimple, with no real eigenbasis.  nonsingular is
+    |det m| > TAU_RANK.
     """
     m = np.asarray(m, dtype=float)
     sigma = max(1.0, float(np.max(np.abs(m))))
@@ -133,36 +140,43 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     s0 = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
     disc = (((y[0] - y[1]) * (y[0] - y[2]) * (y[1] - y[2])) ** 2).real / s0 ** 6
 
-    semisimple = True
     if abs(disc) > TAU_RES:
         kind = "distinct" if disc > 0.0 else "complex-pair"
         roots.sort(key=lambda r: abs(r.imag))  # a complex pair's real root first
     elif abs(p) <= 1e-6 * s0 ** 2:
         kind = "triple"
         roots = [centre.real] * 3
-        semisimple = float(np.max(np.abs(m - sigma * centre.real * np.eye(3)))) <= 1e-7 * sigma
     else:
         kind = "double"
         # the simple root lies twice as far from the centre as the pair
         odd = max(range(3), key=lambda i: abs(y[i]))
         lam = sum(roots[k] for k in range(3) if k != odd).real / 2.0
         roots = [roots[odd].real, lam, lam]
-        sv = np.linalg.svd(m - sigma * lam * np.eye(3), compute_uv=False)
-        semisimple = bool(sv[1] <= 1e-7 * max(1.0, sv[0]))
     roots = sigma * np.array(roots, dtype=complex)
-    det = float(np.linalg.det(m))
+
+    vectors = None
+    if kind != "complex-pair":
+        values, counts = np.unique(roots.real, return_counts=True)
+        roots = np.repeat(values, counts)
+        _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
+        ranks = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1)
+        if np.all(ranks == 3 - counts):
+            vectors = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)]).T
 
     return SpectralReport(
+        matrix=m,
         eigenvalues=roots,
+        eigenvectors=vectors,
         all_real=kind != "complex-pair",
-        semisimple=semisimple,
-        nonsingular=abs(det) > TAU_RANK,
+        semisimple=kind == "complex-pair" or vectors is not None,
+        nonsingular=abs(float(np.linalg.det(m))) > TAU_RANK,
         multiplicity=kind,
     )
 
 
-def real_semisimple_part(m: np.ndarray, rep: SpectralReport | None = None) -> np.ndarray:
-    """The matrix acting by Re(lambda) on each generalized eigenspace of m.
+def real_semisimple_part(rep: SpectralReport) -> np.ndarray:
+    """The matrix acting by Re(lambda) on each generalized eigenspace of
+    m = rep.matrix, read off its report.
 
     With a real spectrum this is the semisimple part of m, and with a
     complex pair its real part.  Either is a polynomial in m, so it commutes
@@ -170,17 +184,17 @@ def real_semisimple_part(m: np.ndarray, rep: SpectralReport | None = None) -> np
     gamma whose two companions are the roots of the monic quadratic
     q(t) = (t - alpha)^2 + beta^2 (a repeated root alpha, or alpha +- i beta),
     q(m) / q(gamma) projects onto gamma's line.  Raises IllConditioned when
-    |q(m)| / q(gamma) exceeds ILL_CONDITIONED_LIMIT.  ``rep``, when given,
-    is analyze_spectrum(m).
+    |q(m)| / q(gamma) exceeds ILL_CONDITIONED_LIMIT.
     """
-    m = np.asarray(m, dtype=float)
-    rep = rep or analyze_spectrum(m)
+    m, ev = rep.matrix, rep.eigenvalues
     if rep.multiplicity == "distinct":
         return m.copy()
-    gamma = float(rep.eigenvalues[0].real)
+    # ascending real roots put a repeated one in the middle, and a complex
+    # pair follows its real root
+    gamma = float((ev[2] if ev[0] == ev[1] else ev[0]).real)
     if rep.multiplicity == "triple":
         return gamma * np.eye(3)
-    alpha, beta = float(rep.eigenvalues[1].real), float(rep.eigenvalues[1].imag)
+    alpha, beta = float(ev[1].real), float(ev[1].imag)
     eye = np.eye(3)
     qm = (m - alpha * eye) @ (m - alpha * eye) + beta ** 2 * eye
     qg = (gamma - alpha) ** 2 + beta ** 2
@@ -191,52 +205,27 @@ def real_semisimple_part(m: np.ndarray, rep: SpectralReport | None = None) -> np
     return gamma * proj + alpha * (eye - proj)
 
 
-def jordan_chevalley(
-    m: np.ndarray, rep: SpectralReport | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def jordan_chevalley(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split m = S + N with S semisimple, N nilpotent, [S, N] = 0.
 
-    S is real_semisimple_part(m), a polynomial in m, so the commutator
-    vanishes identically.  A complex conjugate pair in 3x3 is automatically
-    simple, hence m itself is semisimple in that branch.  ``rep``, when
-    given, is analyze_spectrum(m).
+    S is real_semisimple_part of m's report, a polynomial in m, so the
+    commutator vanishes identically.  A complex conjugate pair in 3x3 is
+    automatically simple, hence m itself is semisimple in that branch.
     """
-    m = np.asarray(m, dtype=float)
-    rep = rep or analyze_spectrum(m)
+    rep = analyze_spectrum(m)
     if rep.multiplicity == "complex-pair":
-        return m.copy(), np.zeros((3, 3))
-    s = real_semisimple_part(m, rep)
-    return s, m - s
-
-
-def real_eigenbasis(m: np.ndarray, rep: SpectralReport | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvector columns of an all-real semisimple matrix.
-
-    Each distinct eigenvalue lam of the report is served by an orthonormal
-    basis of its eigenspace: the right singular vectors of m - lam I past
-    the singular values above 1e-7 max(1, s0), from one stacked SVD.
-    Raises IllConditioned when the numerical eigenspace dimensions disagree
-    with the root multiplicities.
-    """
-    m = np.asarray(m, dtype=float)
-    rep = rep or analyze_spectrum(m)
-    if not (rep.all_real and rep.semisimple):
-        raise IllConditioned("matrix is not real-diagonalizable")
-    values, counts = np.unique(rep.eigenvalues.real, return_counts=True)
-    _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
-    ranks = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1)
-    if np.any(ranks != 3 - counts):
-        raise IllConditioned("eigenspace dimension does not match multiplicity")
-    columns = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)])
-    return np.repeat(values, counts), columns.T
+        return rep.matrix.copy(), np.zeros((3, 3))
+    s = real_semisimple_part(rep)
+    return s, rep.matrix - s
 
 
 # ---------------------------------------------------------------------------
 # search for a real-diagonalizable invertible derivation
 
 
-def find_real_ssnd(alg: Algebra) -> np.ndarray | None:
-    """Look for a derivation that is semisimple with real nonzero eigenvalues.
+def find_real_ssnd(alg: Algebra) -> SpectralReport | None:
+    """Look for a derivation that is semisimple with real nonzero
+    eigenvalues, and return its report: the SSND is the report's matrix.
 
     Candidates: the 3^dim - 1 nonzero +-1/0 sign patterns of the basis, in
     itertools.product order over (0, 1, -1), so a line's generator comes
@@ -253,31 +242,22 @@ def find_real_ssnd(alg: Algebra) -> np.ndarray | None:
     space = derivation_space(alg)
     flat = np.reshape(space.basis, (space.dim, 9))
 
-    def scaled(cand: np.ndarray) -> tuple[np.ndarray, SpectralReport] | None:
+    def analysed(cand: np.ndarray) -> SpectralReport | None:
         top = float(np.max(np.abs(cand)))
-        if top <= TAU_RANK:
-            return None
-        cand = cand / top
-        return cand, analyze_spectrum(cand)
+        return analyze_spectrum(cand / top) if top > TAU_RANK else None
 
     for coeffs in itertools.product((0.0, 1.0, -1.0), repeat=space.dim):
-        found = scaled(np.dot(coeffs, flat).reshape(3, 3))
-        if found is None:
-            continue
-        cand, rep = found
-        if not (rep.all_real and rep.semisimple):
+        rep = analysed(np.dot(coeffs, flat).reshape(3, 3))
+        if rep is not None and not (rep.all_real and rep.semisimple):
             # the part is a derivation in exact arithmetic, but its projector
             # loses accuracy near a repeated root, so it is checked
             try:
-                part = real_semisimple_part(cand, rep)
+                part = real_semisimple_part(rep)
             except IllConditioned:
                 continue
-            found = scaled(part) if derivation_residual(norm, part) <= 1e-8 else None
-            if found is None:
-                continue
-            cand, rep = found
-        if rep.all_real and rep.semisimple and rep.nonsingular:
-            return cand
+            rep = analysed(part) if derivation_residual(norm, part) <= 1e-8 else None
+        if rep is not None and rep.all_real and rep.semisimple and rep.nonsingular:
+            return rep
     return None
 
 

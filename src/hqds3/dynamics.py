@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, ideal_structure, invariant, product, square_ideal, square_map
-from .linalg import orthonormal_complement
+from .linalg import nullspace
 from .tolerances import BLOWUP_GUARD, INT_H_MIN, INT_RTOL, TAU_GEO
 
 
@@ -143,7 +143,7 @@ def linear_first_integrals(alg: Algebra) -> np.ndarray:
     every solution; they exist exactly when A*A is a proper subspace, and
     they span its orthogonal complement.
     """
-    ints = orthonormal_complement(square_ideal(alg).basis)
+    ints = nullspace(square_ideal(alg).basis)
     ints.setflags(write=False)
     return ints
 

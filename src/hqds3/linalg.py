@@ -35,14 +35,6 @@ def nullspace(mat: np.ndarray, rtol: float = TAU_RANK) -> np.ndarray:
     return vh[nz:]
 
 
-def orthonormal_complement(basis_rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the orthogonal complement in R^3."""
-    basis_rows = np.atleast_2d(np.asarray(basis_rows, dtype=float))
-    if basis_rows.size == 0:
-        return np.eye(3)
-    return nullspace(basis_rows)
-
-
 def project_onto(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of v onto the row space of an orthonormal basis."""
     if rows.size == 0:

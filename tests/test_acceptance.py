@@ -32,6 +32,7 @@ from hqds3.derivations import (
     MASK_LINES,
     IllConditioned,
     admissible_mask,
+    analyze_spectrum,
     derivation_residual,
     derivation_space,
     jordan_chevalley,
@@ -152,7 +153,7 @@ def test_criterion_5_explicit_reductions():
     worst = 0.0
     bad = []
     for name, alg, d, want in cases:
-        res = reduce_with_derivation(alg, d)
+        res = reduce_with_derivation(alg, analyze_spectrum(d))
         if res.tag != want:
             bad.append(name)
             continue

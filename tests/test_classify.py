@@ -1,4 +1,5 @@
 """Classification: fingerprints, certificates, and derivation-eigenbasis reduction."""
+import dataclasses
 import gc
 import runpy
 import sys
@@ -248,9 +249,8 @@ def test_ssnd_algebras_outside_the_four_tables(constants, spectrum, family):
     # both admit an invertible real-diagonalizable derivation, yet neither
     # is one of A1-A4: both routes say NotInFamily
     alg = from_named(**constants)
-    d = find_real_ssnd(alg)
-    assert d is not None
-    rep = analyze_spectrum(d)
+    rep = find_real_ssnd(alg)
+    assert rep is not None
     assert rep.all_real and rep.semisimple and rep.nonsingular
     case = normalize_spectrum(np.sort(rep.eigenvalues.real))
     assert case.family == family
@@ -414,7 +414,7 @@ def test_reduction_scaling_case_p2_q3():
     # spectrum (1,-1,2) leaves e1*e1 = p e3 and e2*e3 = q e1; p=2, q=3
     alg = from_named(c=2.0, s=3.0)
     d = np.diag([1.0, -1.0, 2.0])
-    res = reduce_with_derivation(alg, d)
+    res = reduce_with_derivation(alg, analyze_spectrum(d))
     assert res.tag == "A1"
     assert res.method == "derivation-reduction"
     got = change_of_basis(alg, res.certificate)
@@ -427,7 +427,7 @@ def test_reduction_scaling_case_p2_q3():
 def test_reduction_spectrum_1_1_2_degenerate_to_a2():
     # only p survives: a single square feeds e3
     alg = from_named(c=1.0)
-    res = reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A2"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A2").c)) < REDUCTION_TOL
@@ -436,7 +436,7 @@ def test_reduction_spectrum_1_1_2_degenerate_to_a2():
 def test_reduction_indefinite_form_lambda_minus_one():
     # p = r = 1, q = -1: the quotient form has signature (+, -)
     alg = from_named(c=1.0, f=-1.0, n=1.0)
-    res = reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A3"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A3").c)) < REDUCTION_TOL
@@ -445,7 +445,7 @@ def test_reduction_indefinite_form_lambda_minus_one():
 def test_reduction_definite_form_lambda_five():
     # p = r = 1, q = 5: definite quotient form
     alg = from_named(c=1.0, f=5.0, n=1.0)
-    res = reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A4"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A4").c)) < REDUCTION_TOL
@@ -454,7 +454,7 @@ def test_reduction_definite_form_lambda_five():
 def test_reduction_case_five_double_change():
     # q = 0, p and r nonzero: two chained basis changes land on A3
     alg = from_named(c=1.0, n=1.0)
-    res = reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A3"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A3").c)) < REDUCTION_TOL
@@ -463,12 +463,12 @@ def test_reduction_case_five_double_change():
 def test_reduction_case_six_signs():
     # r = 0: same-sign squares are definite, opposite signs indefinite
     plus = from_named(c=1.0, f=1.0)
-    res = reduce_with_derivation(plus, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(plus, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A4"
     assert np.max(np.abs(change_of_basis(plus, res.certificate).c
                          - canonical_algebra("A4").c)) < REDUCTION_TOL
     minus = from_named(c=1.0, f=-1.0)
-    res = reduce_with_derivation(minus, np.diag([1.0, 1.0, 2.0]))
+    res = reduce_with_derivation(minus, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
     assert res.tag == "A3"
     assert np.max(np.abs(change_of_basis(minus, res.certificate).c
                          - canonical_algebra("A3").c)) < REDUCTION_TOL
@@ -476,7 +476,7 @@ def test_reduction_case_six_signs():
 
 def test_reduce_rejects_non_derivation():
     with pytest.raises(ValueError):
-        reduce_with_derivation(canonical_algebra("A1"), np.diag([1.0, 1.0, 2.0]))
+        reduce_with_derivation(canonical_algebra("A1"), analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
 
 
 def test_reduce_rejects_defective_matrix():
@@ -484,7 +484,7 @@ def test_reduce_rejects_defective_matrix():
     d = np.diag([1.0, 1.0, 2.0])
     d[0, 1] = 1e-3  # not a derivation and not semisimple for this algebra
     with pytest.raises(ValueError):
-        reduce_with_derivation(alg, d)
+        reduce_with_derivation(alg, analyze_spectrum(d))
 
 
 # family, constants, diagonal derivation, class: the constants each spectrum
@@ -508,7 +508,7 @@ def test_reduction_reads_the_class_off_the_surviving_constants():
     for family, constants, spectrum, want in SURVIVING_CONSTANTS:
         alg = from_named(**constants)
         assert normalize_spectrum(spectrum).family == family, constants
-        res = reduce_with_derivation(alg, np.diag(spectrum))
+        res = reduce_with_derivation(alg, analyze_spectrum(np.diag(spectrum)))
         assert res.tag == want, constants
         assert res.method == "derivation-reduction"
         if want == "NotInFamily":
@@ -523,7 +523,7 @@ def test_reduction_snaps_the_spectrum_onto_its_constants():
     # the line mu = 2 lambda of the constant f, beyond the mask's TAU_RES;
     # the relations of the constants that are clearly there pin it back
     alg = from_named(c=1.0, f=-1.0, n=1.0)
-    res = reduce_with_derivation(alg, np.diag([1.0, 1.0 + 5e-9, 2.0]))
+    res = reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0 + 5e-9, 2.0])))
     assert res.tag == "A3"
     got = change_of_basis(alg, res.certificate)
     assert np.max(np.abs(got.c - canonical_algebra("A3").c)) < REDUCTION_TOL
@@ -534,26 +534,23 @@ def test_reduction_refuses_a_spectrum_its_constants_contradict():
     # needs d2 = 2 d1, which with c and f leaves only the zero spectrum
     alg = from_named(c=1.0, f=1.0, b=1.5e-7)
     with pytest.raises(ValueError, match="relations"):
-        reduce_with_derivation(alg, np.diag([1.0, 1.0, 2.0]))
+        reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
 
 
 def test_reduction_of_the_zero_algebra_is_null():
-    res = reduce_with_derivation(Algebra(np.zeros((3, 3, 3))), np.diag([1.0, 2.0, 3.0]))
+    res = reduce_with_derivation(Algebra(np.zeros((3, 3, 3))), analyze_spectrum(np.diag([1.0, 2.0, 3.0])))
     assert (res.tag, res.method) == ("NullAlgebra", "derivation-reduction")
 
 
-def test_reduction_reads_null_off_the_algebra_not_its_eigenbasis(monkeypatch):
+def test_reduction_reads_null_off_the_algebra_not_its_eigenbasis():
     # the eigenbasis e3 + eps e1, e3 + eps e2, e3 of diag(1, 2, 3) on A3 is
     # nearly singular and rewrites the constants to about eps^2 = 1e-10; the
     # algebra is not null, and the certificate is built in the input frame
     eps = 1e-5
     e = np.eye(3)
     basis = np.column_stack([e[2] + eps * e[0], e[2] + eps * e[1], e[2]])
-    monkeypatch.setattr(
-        sys.modules["hqds3.classify"], "real_eigenbasis",
-        lambda m, rep=None: (np.array([1.0, 2.0, 3.0]), basis),
-    )
-    res = reduce_with_derivation(canonical_algebra("A3"), np.diag([1.0, 2.0, 3.0]))
+    ssnd = dataclasses.replace(analyze_spectrum(np.diag([1.0, 2.0, 3.0])), eigenvectors=basis)
+    res = reduce_with_derivation(canonical_algebra("A3"), ssnd)
     assert (res.tag, res.method) == ("A3", "derivation-reduction")
     assert res.residual <= CERT_TOL
 
@@ -568,10 +565,10 @@ def test_reduction_of_a_candidate_with_nearly_equal_eigenvalues():
     algs = [conjugated_canonical(tag, rng)[0] for _ in range(45) for tag in ("A2", "A3", "A4")]
     space = derivation_space(algs[133])
     m = np.tensordot(np.random.default_rng(0).standard_normal(space.dim), space.basis, 1)
-    d = real_semisimple_part(m / np.max(np.abs(m)))
+    d = real_semisimple_part(analyze_spectrum(m / np.max(np.abs(m))))
     d /= np.max(np.abs(d))
     assert 1e-10 < derivation_residual(algs[133], d) <= 1e-8
-    res = reduce_with_derivation(algs[133], d)
+    res = reduce_with_derivation(algs[133], analyze_spectrum(d))
     assert (res.tag, res.method) == ("A3", "derivation-reduction")
     assert res.residual <= CERT_TOL
 
@@ -582,7 +579,7 @@ def test_semisimple_part_must_be_a_derivation():
     # Leibniz residual 3.0e-5, so the search must pass it over
     rng = np.random.default_rng(0)
     algs = [conjugated_canonical(tag, rng)[0] for _ in range(70) for tag in ("A2", "A3", "A4")]
-    d = find_real_ssnd(algs[-1])
+    d = find_real_ssnd(algs[-1]).matrix
     assert derivation_residual(algs[-1], d) <= 1e-8
     res = classify_via_derivation(algs[-1])
     assert (res.tag, res.method) == ("A4", "derivation-reduction")

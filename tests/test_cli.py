@@ -16,7 +16,7 @@ from hqds3.catalog import (
 )
 from hqds3.derivations import analyze_spectrum
 from hqds3.dynamics import ray_solution
-from hqds3.linalg import orthonormal_complement
+from hqds3.linalg import nullspace
 
 FINAL_TOL = 1e-9
 
@@ -241,6 +241,15 @@ def test_simulate_refuses_h0(tmp_path, capsys, value):
     assert "unrecognized arguments: --h0" in err
 
 
+def test_simulate_takes_a_negative_start_after_a_space(tmp_path, capsys):
+    # argparse alone reads "-0.5,1,0" as an option, not as the value of --x0
+    path = write_algebra(tmp_path, canonical_algebra("A4"))
+    spaced = run(capsys, ["simulate", path, "--x0", "-0.5,1,0", "--t-end", "1"])
+    assert spaced[0] == 0
+    assert spaced[1].split("\n")[1].startswith("0,-0.5,1,0,")
+    assert spaced == run(capsys, ["simulate", path, "--x0=-0.5,1,0", "--t-end", "1"])
+
+
 def test_simulate_rejects_non_numeric_t_end(tmp_path, capsys):
     path = write_algebra(tmp_path, canonical_algebra("A1"))
     with pytest.raises(SystemExit) as exc:
@@ -362,7 +371,8 @@ def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind)
     assert code in (0, 2)
     assert len(calls) == (kind != "zero")
     ssnd = json.loads(out)["derivation_space"]["ssnd"]
-    d = np.eye(3) if kind == "zero" else original(alg)
+    found = original(alg)
+    d = np.eye(3) if kind == "zero" else None if found is None else found.matrix
     assert ssnd["present"] == (d is not None)
     if d is not None:
         assert ssnd["matrix"] == d.tolist()
@@ -539,7 +549,7 @@ def test_verify_ray_check_ends_at_its_mu_aware_horizon(
             x0s = np.array(x0s, dtype=float)
             for x0 in x0s:
                 if x0.tobytes() in rays:
-                    x0 += 1e-3 * np.linalg.norm(x0) * orthonormal_complement(x0[None, :])[0]
+                    x0 += 1e-3 * np.linalg.norm(x0) * nullspace(x0[None, :])[0]
             return original(alg, x0s, t_ends, *args, **kwargs)
 
         monkeypatch.setattr(cli, "integrate_batch", off_start)
@@ -637,6 +647,15 @@ def test_spectrum_generic_point(capsys):
     assert report["mask"]["allowed"] == []
     assert report["arrangement_lines"] == []
     assert report["representative"]["family"] == "off-arrangement"
+
+
+def test_spectrum_takes_negative_values_in_any_float_form(capsys):
+    # argparse alone reads "-2.5e-1" as an option, not as the value of --mu
+    code, out, _ = run(capsys, ["spectrum", "--lambda", "-1", "--mu", "-2.5e-1"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["lambda"], report["mu"]) == (-1.0, -0.25)
+    assert run(capsys, ["spectrum", "--lambda", "-.5e1", "--mu", "-2.5E-1"])[0] == 0
 
 
 @pytest.mark.parametrize(

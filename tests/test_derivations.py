@@ -1,4 +1,6 @@
 """Derivations: Leibniz residuals, spectra, Jordan splits, diagonal masks."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hqds3.catalog import (
     derivation_family,
     random_symmetric_algebra,
 )
+from hqds3.classify import classify_via_derivation
 from hqds3.derivations import (
     ALWAYS_ZERO_LETTERS,
     MASK_LINES,
@@ -26,7 +29,6 @@ from hqds3.derivations import (
     find_real_ssnd,
     jordan_chevalley,
     normalize_spectrum,
-    real_eigenbasis,
     real_semisimple_part,
 )
 from hqds3.linalg import nullspace
@@ -227,13 +229,14 @@ def test_jordan_chevalley_random_properties():
 def test_real_part_matrix_frozen():
     # rotation block (eigenvalues +-i) plus real eigenvalue 3
     m = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
-    out = real_semisimple_part(m)
+    out = real_semisimple_part(analyze_spectrum(m))
     np.testing.assert_allclose(out, np.diag([0.0, 0.0, 3.0]), atol=1e-12)
 
 
 def test_find_real_ssnd_analyses_each_candidate_once(monkeypatch):
     # the first sign pattern of this A4 conjugate has a complex pair and its
-    # real part is an SSND: one analysis for each of the two
+    # real part is an SSND: one analysis for each of the two, and the
+    # reduction reads the search's report without analysing it again
     alg, _ = conjugated_canonical("A4", np.random.default_rng(0))
     calls = []
     original = derivations.analyze_spectrum
@@ -242,8 +245,13 @@ def test_find_real_ssnd_analyses_each_candidate_once(monkeypatch):
         calls.append(1)
         return original(m)
 
-    monkeypatch.setattr(derivations, "analyze_spectrum", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "analyze_spectrum", None) is original:
+            monkeypatch.setattr(module, "analyze_spectrum", counted)
     assert find_real_ssnd(alg) is not None
+    assert len(calls) == 2
+    calls.clear()
+    assert classify_via_derivation(alg).tag == "A4"
     assert len(calls) == 2
 
 
@@ -251,21 +259,21 @@ def test_real_eigenbasis_reconstructs():
     rng = np.random.default_rng(4)
     v = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
     m = v @ np.diag([1.0, -2.0, 0.5]) @ np.linalg.inv(v)
-    w, cols = real_eigenbasis(m)
+    rep = analyze_spectrum(m)
+    w, cols = rep.eigenvalues, rep.eigenvectors
     np.testing.assert_allclose(np.sort(w), [-2.0, 0.5, 1.0], atol=1e-9)
     np.testing.assert_allclose(m @ cols, cols @ np.diag(w), atol=1e-9)
 
 
 def test_real_eigenbasis_rejects_defective():
     m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    with pytest.raises(IllConditioned):
-        real_eigenbasis(m)
+    assert analyze_spectrum(m).eigenvectors is None
 
 
 def _real_eigenbasis_loop(m):
     # the per-eigenvalue nullspace build the stacked SVD replaced
     rep = analyze_spectrum(m)
-    if not (rep.all_real and rep.semisimple):
+    if not rep.all_real:
         raise IllConditioned("matrix is not real-diagonalizable")
     values, counts = np.unique(rep.eigenvalues.real, return_counts=True)
     columns = []
@@ -289,13 +297,13 @@ def test_real_eigenbasis_matches_the_nullspace_build(spectrum):
         p = rng.standard_normal((3, 3))
         cases.append(p @ np.diag(spectrum) @ np.linalg.inv(p))
     for m in cases:
+        rep = analyze_spectrum(m)
         try:
             want = _real_eigenbasis_loop(m)
         except IllConditioned:
-            with pytest.raises(IllConditioned):
-                real_eigenbasis(m)
+            assert rep.eigenvectors is None and not rep.semisimple
             continue
-        got = real_eigenbasis(m)
+        got = rep.eigenvalues, rep.eigenvectors
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -303,8 +311,8 @@ def test_real_eigenbasis_matches_the_nullspace_build_on_ssnds():
     rng = np.random.default_rng(14)
     for tag in TAGS:
         for _ in range(10):
-            d = find_real_ssnd(conjugated_canonical(tag, rng)[0])
-            got, want = real_eigenbasis(d), _real_eigenbasis_loop(d)
+            rep = find_real_ssnd(conjugated_canonical(tag, rng)[0])
+            got, want = (rep.eigenvalues, rep.eigenvectors), _real_eigenbasis_loop(rep.matrix)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -437,11 +445,10 @@ def test_normalize_spectrum_rejects_zero_entry():
 def test_find_real_ssnd_on_canonicals():
     for tag in TAGS:
         alg = canonical_algebra(tag)
-        d = find_real_ssnd(alg)
-        assert d is not None, tag
-        rep = analyze_spectrum(d)
+        rep = find_real_ssnd(alg)
+        assert rep is not None, tag
         assert rep.all_real and rep.semisimple and rep.nonsingular
-        assert derivation_residual(alg, d) < LEIBNIZ_TOL
+        assert derivation_residual(alg, rep.matrix) < LEIBNIZ_TOL
 
 
 def test_find_real_ssnd_absent_for_idempotent_algebra():
