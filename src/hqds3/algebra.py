@@ -59,7 +59,7 @@ class Algebra:
         c = np.array(self.c, dtype=float)
         if c.shape != (3, 3, 3):
             raise ValueError(f"structure constants must be 3x3x3, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("structure constants must be finite")
         asym = c != c.transpose(1, 0, 2)
         if asym.any():
@@ -74,7 +74,7 @@ class Algebra:
 
     @functools.cached_property
     def scale(self) -> float:
-        return float(np.max(np.abs(self.c)))
+        return float(np.abs(self.c).max())
 
     def normalized(self) -> tuple["Algebra", float]:
         """Rescale constants to unit max magnitude; returns (algebra, factor).
@@ -172,6 +172,10 @@ def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ijk->...kj", np.asarray(v, dtype=float), alg.c)
 
 
+# rewritten_constants' singularity cut on sv_min / sv_max
+_SINGULAR_RATIO = 8.0 * np.finfo(float).eps
+
+
 def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
     """Structure constants in the basis whose vectors are the columns of m,
     as computed: slots (i, j) and (j, i) may differ in their last bits.
@@ -184,7 +188,7 @@ def rewritten_constants(alg: Algebra, m: np.ndarray) -> np.ndarray:
     if m.shape != (3, 3):
         raise ValueError("basis change must be a 3x3 matrix")
     sv = np.linalg.svd(m, compute_uv=False)
-    if not sv[-1] > 8.0 * np.finfo(float).eps * sv[0]:
+    if not sv[-1] > _SINGULAR_RATIO * sv[0]:
         raise SingularBasis("basis change matrix is singular")
     t = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
     return np.linalg.solve(m, t.reshape(9, 3).T).T.reshape(3, 3, 3)
@@ -241,11 +245,14 @@ def annihilator(alg: Algebra) -> Subspace:
     return Subspace(nullspace(rows))
 
 
+# the pairs (i, j) with i <= j, row by row: the index arrays of np.triu_indices(3)
+_UPPER = np.triu_indices(3)
+
+
 @invariant
 def square_ideal(alg: Algebra) -> Subspace:
     """A * A, the span of all basis products."""
-    prods = [alg.c[i, j] for i in range(3) for j in range(i, 3)]
-    return span_of(np.array(prods))
+    return span_of(alg.c[_UPPER])
 
 
 @invariant
@@ -331,13 +338,13 @@ def structure_flags(alg: Algebra) -> StructureFlags:
 
     # (e_i e_j) e_k against e_i (e_j e_k) on all 27 triples at once
     c = alg.c
-    assoc = float(np.max(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c))))
+    assoc = float(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c)).max())
 
     # (x*x)*(x*x) - ((x*x)*x)*x is a quartic map; it vanishes identically iff
     # its coefficient tensor, symmetrized over the four slots of x, is zero
     quartic = np.einsum("abk,cdl,klm->abcdm", c, c, c) - np.einsum("abk,kcn,ndm->abcdm", c, c, c)
     sym = sum(quartic.transpose(*p, 4) for p in itertools.permutations(range(4))) / 24.0
-    pa = float(np.max(np.abs(sym)))
+    pa = float(np.abs(sym).max())
 
     return StructureFlags(
         solvable=solvable,
@@ -403,7 +410,7 @@ def _zero_set(w: np.ndarray, v: np.ndarray) -> list[np.ndarray] | None:
     built from unit forms, so an eigenvalue below an absolute TAU_RANK is
     zero, as in rank_and_rowspace.
     """
-    zero = np.abs(w) <= TAU_RANK * max(1.0, float(np.max(np.abs(w))))
+    zero = np.abs(w) <= TAU_RANK * max(1.0, float(np.abs(w).max()))
     kernel = v[:, zero].T
     pos = np.flatnonzero((w > 0.0) & ~zero)
     neg = np.flatnonzero((w < 0.0) & ~zero)
@@ -492,7 +499,7 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     """
 
     def residuals(us: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(square_map(alg, us)), axis=1)
+        return np.abs(square_map(alg, us)).max(axis=1)
 
     r, rows = rank_and_rowspace(alg.c.transpose(2, 0, 1).reshape(3, 9))
     if r == 0:
@@ -636,7 +643,7 @@ def _first_come_distinct(points: np.ndarray) -> list[np.ndarray]:
 def automorphism_residual(alg: Algebra, m: np.ndarray) -> float:
     """max over basis pairs of |phi(u*v) - phi(u)*phi(v)|, relative."""
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) ** 2 * max(1.0, alg.scale)
+    scale = max(1.0, float(np.abs(m).max())) ** 2 * max(1.0, alg.scale)
     lhs = np.einsum("ak,ijk->ija", m, alg.c)
     rhs = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    return float(np.abs(lhs - rhs).max()) / scale

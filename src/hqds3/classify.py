@@ -50,6 +50,7 @@ from .derivations import (
     SLOT_ARRAY,
     IllConditioned,
     SpectralReport,
+    analyze_spectrum,
     derivation_residual,
     derivation_space,
     find_real_ssnd,
@@ -108,9 +109,9 @@ def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndar
     w = sign_canonical(w)
     lifts = nullspace(w[None, :])
     p = product(norm, lifts[:, None], lifts[None, :])
-    b = np.array([[float(p[i, j] @ w) for j in range(2)] for i in range(2)])
+    b = np.dot(p, w)  # four dot products, as p[i, j] @ w computes each
     vals, vecs = np.linalg.eigh(b)
-    tol = 1e-9 * float(np.max(np.abs(vals)))
+    tol = 1e-9 * float(np.abs(vals).max())
     if vals[0] < -tol and vals[1] > tol:
         neg = vecs[:, 0] / np.sqrt(-vals[0])
         pos = vecs[:, 1] / np.sqrt(vals[1])
@@ -180,7 +181,7 @@ class ClassificationResult:
     residual: float | None
     method: str
     fingerprint: InvariantFingerprint | None = None
-    derivation: np.ndarray | None = None
+    ssnd: SpectralReport | None = None  # the report of the SSND the derivation route used
 
     @property
     def is_definite(self) -> bool:
@@ -196,7 +197,7 @@ def certificate_residual(alg: Algebra, tag: str, m: np.ndarray) -> float:
         got = rewritten_constants(alg, m)
     except SingularBasis:
         return float("inf")
-    return float(np.max(np.abs(got - table.c)))
+    return float(np.abs(got - table.c).max())
 
 
 def _certificate_jacobian(alg: Algebra, t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -218,10 +219,10 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
     for _ in range(8):
         # rows in PAIRS order, the row order of the Jacobian
         g = (t[i, j] @ m.T - product(alg, m[:, i].T, m[:, j].T)).ravel()
-        if float(np.max(np.abs(g))) <= 1e-15 * max(1.0, alg.scale):
+        if float(np.abs(g).max()) <= 1e-15 * max(1.0, alg.scale):
             break
         step, *_ = np.linalg.lstsq(_certificate_jacobian(alg, t, m), g, rcond=1e-12)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         m = m - step.reshape(3, 3)
     return m
@@ -296,9 +297,10 @@ def classify(alg: Algebra) -> ClassificationResult:
     """
     if alg.scale == 0.0:
         return ClassificationResult("NullAlgebra", np.eye(3), 0.0, "null")
-    for tag in CANONICAL_TAGS:
-        if np.array_equal(alg.c, canonical_algebra(tag).c):
-            return ClassificationResult(tag, np.eye(3), 0.0, "exact-table")
+    if alg.scale == 1.0:  # every canonical table has scale 1
+        for tag in CANONICAL_TAGS:
+            if np.array_equal(alg.c, canonical_algebra(tag).c):
+                return ClassificationResult(tag, np.eye(3), 0.0, "exact-table")
 
     norm, factor = alg.normalized()
     ann, sq, sq_in_ann = ideal_structure(norm)
@@ -325,10 +327,14 @@ def classify(alg: Algebra) -> ClassificationResult:
 # reduction along a semisimple invertible derivation
 
 
+# the index arrays i, j, k of the 18 named slots, in NAMED_SLOTS order
+_SLOTS = tuple(SLOT_ARRAY.T)
+
+
 def _a1_columns(c: np.ndarray, cut: float) -> np.ndarray | None:
     """Columns e_i/p, e_j/q, e_k/p when the only constants of c above cut
     are e_i e_i = p e_k and e_j e_k = q e_i with i, j, k distinct, else None."""
-    support = [slot for slot in NAMED_SLOTS.values() if abs(c[slot]) > cut]
+    support = [slot for slot, x in zip(NAMED_SLOTS.values(), c[_SLOTS].tolist()) if abs(x) > cut]
     if len(support) != 2:
         return None
     (i, i2, k), (a, b, i3) = sorted(support, key=lambda slot: slot[0] != slot[1])
@@ -351,11 +357,11 @@ def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
     raises.  After it every such constant meets its relation to roundoff, so
     the constants the spectrum forbids are at most 1e-7 max(1, scale).
     """
-    a = RELATIONS[np.abs(eig.c[tuple(SLOT_ARRAY.T)]) > 1e-7 * max(1.0, eig.scale)]
+    a = RELATIONS[np.abs(eig.c[_SLOTS]) > 1e-7 * max(1.0, eig.scale)]
     if not a.size:
         return w
     snapped = w - np.linalg.lstsq(a, a @ w, rcond=None)[0]
-    if float(np.max(np.abs(snapped - w))) > 1e-6 * float(np.max(np.abs(w))):
+    if float(np.abs(snapped - w).max()) > 1e-6 * float(np.abs(w).max()):
         raise ValueError("spectrum is far from the relations its constants impose")
     return snapped
 
@@ -391,21 +397,21 @@ def reduce_with_derivation(alg: Algebra, ssnd: SpectralReport) -> Classification
     w = _snapped_spectrum(ssnd.eigenvalues, eig)
 
     def result(tag, m=None, res=None):
-        return ClassificationResult(tag, m, res, "derivation-reduction", derivation=d)
+        return ClassificationResult(tag, m, res, "derivation-reduction", ssnd=ssnd)
 
     if alg.scale == 0.0:
         return result("NullAlgebra", np.eye(3), 0.0)
 
+    i, j, k = SLOT_ARRAY[spectrum_admits(w)].T
     c = np.zeros((3, 3, 3))
-    for i, j, k in SLOT_ARRAY[spectrum_admits(w)]:
-        c[i, j, k] = c[j, i, k] = eig.c[i, j, k]
+    c[i, j, k] = c[j, i, k] = eig.c[i, j, k]
     cut = TAU_RANK * eig.scale
     cols = _a1_columns(c, cut)
     if cols is not None:
         tag, m = "A1", _balance_a1((v @ cols) / factor)
     else:
         rank, rows = rank_and_rowspace(c.reshape(9, 3) / eig.scale)
-        if rank != 1 or np.max(np.abs(np.einsum("i,ijk->jk", rows[0], c))) > cut:
+        if rank != 1 or np.abs(np.einsum("i,ijk->jk", rows[0], c)).max() > cut:
             return result("NotInFamily")
         tag, m = _square_line_normal_form(norm, unit(v @ rows[0]))
         m = m / factor
@@ -423,17 +429,17 @@ def classify_via_derivation(alg: Algebra) -> ClassificationResult:
     reported as NotInFamily with method 'no-ssnd-found' (the search is not a
     proof of absence).  Otherwise the answer is the reduction's, and a
     reduction that raises is NotInFamily too; the invariant route is never
-    consulted.  Every other result carries an SSND: the one found, or on the
-    zero tensor the identity, which needs no search.
+    consulted.  Every other result carries an SSND's spectral report: the
+    search's, or on the zero tensor the identity's, which needs no search.
     """
     if alg.scale == 0.0:
-        return ClassificationResult("NullAlgebra", np.eye(3), 0.0, "null", derivation=np.eye(3))
+        return ClassificationResult(
+            "NullAlgebra", np.eye(3), 0.0, "null", ssnd=analyze_spectrum(np.eye(3))
+        )
     ssnd = find_real_ssnd(alg)
     if ssnd is None:
         return ClassificationResult("NotInFamily", None, None, "no-ssnd-found")
     try:
         return reduce_with_derivation(alg, ssnd)
     except (ValueError, IllConditioned):
-        return ClassificationResult(
-            "NotInFamily", None, None, "derivation-reduction", derivation=ssnd.matrix
-        )
+        return ClassificationResult("NotInFamily", None, None, "derivation-reduction", ssnd=ssnd)

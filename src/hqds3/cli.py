@@ -29,8 +29,8 @@ from .derivations import (
     ALWAYS_ZERO_LETTERS,
     MASK_LINES,
     SingularSpectrum,
+    SpectralReport,
     admissible_mask,
-    analyze_spectrum,
     arrangement_lines,
     derivation_space,
     find_real_ssnd,
@@ -104,6 +104,8 @@ def load_algebra(path: str) -> tuple[Algebra, str | None]:
     _require_numbers(raw)
     try:
         c = np.array(raw, dtype=float)
+    except OverflowError as exc:  # an integer beyond float range, as 1e400 reads inf
+        raise ValueError(f"structure constants must be finite: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"structure_constants must be numeric: {exc}") from exc
     return Algebra(c), doc.get("label")
@@ -113,21 +115,21 @@ def load_algebra(path: str) -> tuple[Algebra, str | None]:
 # classify / derivations
 
 
-def _derivation_report(alg: Algebra, d: np.ndarray | None) -> dict:
-    """The derivation space and the SSND ``d`` found in it, if any."""
+def _derivation_report(alg: Algebra, ssnd: SpectralReport | None) -> dict:
+    """The derivation space and the report of the SSND found in it, if any."""
     space = derivation_space(alg)
-    ssnd: dict = {"present": d is not None}
-    if d is not None:
-        ssnd["matrix"] = d
-        ssnd["spectrum"] = sorted(float(v.real) for v in analyze_spectrum(d).eigenvalues)
-    return {"dim": space.dim, "basis": space.basis, "ssnd": ssnd}
+    found: dict = {"present": ssnd is not None}
+    if ssnd is not None:
+        found["matrix"] = ssnd.matrix
+        found["spectrum"] = sorted(float(v.real) for v in ssnd.eigenvalues)
+    return {"dim": space.dim, "basis": space.basis, "ssnd": found}
 
 
 def cmd_classify(args, alg: Algebra, label: str | None) -> int:
     fp = fingerprint(alg)
     res = classify(alg)
     via = classify_via_derivation(alg)
-    der = _derivation_report(alg, via.derivation)
+    der = _derivation_report(alg, via.ssnd)
 
     warnings = []
     disagree = res.is_definite and via.is_definite and res.tag != via.tag
@@ -164,9 +166,8 @@ def cmd_classify(args, alg: Algebra, label: str | None) -> int:
 
 
 def cmd_derivations(args, alg: Algebra, label: str | None) -> int:
-    ssnd = find_real_ssnd(alg)
     report = {"label": label}
-    report.update(_derivation_report(alg, None if ssnd is None else ssnd.matrix))
+    report.update(_derivation_report(alg, find_real_ssnd(alg)))
     _emit(report)
     return 0
 

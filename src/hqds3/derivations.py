@@ -30,7 +30,7 @@ def _require_nonsingular(d) -> None:
     """Raise SingularSpectrum, stating the rule and the values, when the real
     spectrum d has min |d| <= TAU_RANK max(1, max |d|); nothing overflows."""
     d = np.asarray(d, dtype=float)
-    low, cut = float(np.min(np.abs(d))), TAU_RANK * max(1.0, float(np.max(np.abs(d))))
+    low, cut = float(np.min(np.abs(d))), TAU_RANK * max(1.0, float(np.abs(d).max()))
     if low <= cut:
         raise SingularSpectrum(
             f"spectrum d = {tuple(d.tolist())} is singular: "
@@ -49,17 +49,17 @@ class IllConditioned(ArithmeticError):
 def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
     """max over basis pairs of |D(e_i e_j) - (De_i)e_j - e_i(De_j)|, relative."""
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) * max(1.0, alg.scale)
+    scale = max(1.0, float(np.abs(m).max())) * max(1.0, alg.scale)
     lhs = np.einsum("kl,ijl->ijk", m, alg.c)  # D(e_i e_j)
     # (De_i) e_j; with c symmetric, e_i (De_j) is the same array with i, j swapped
     left = np.einsum("ai,ajk->ijk", m, alg.c)
-    return float(np.max(np.abs(lhs - (left + left.transpose(1, 0, 2))))) / scale
+    return float(np.abs(lhs - (left + left.transpose(1, 0, 2))).max()) / scale
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
     dim: int
-    basis: tuple  # tuple[np.ndarray (3,3)], read-only, orthonormal as 9-vectors
+    basis: np.ndarray  # (dim, 3, 3), read-only, orthonormal as 9-vectors
 
 
 # the six basis pairs i <= j, the row order of every per-pair stack
@@ -93,8 +93,8 @@ def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
 def derivation_space(alg: Algebra) -> DerivationSpace:
     """Orthonormal basis of all derivations, by SVD of the Leibniz conditions."""
     null = nullspace(_leibniz_matrix(alg.c), rtol=TAU_RANK)
-    null.setflags(write=False)  # so is every matrix of the basis, a view of it
-    return DerivationSpace(dim=len(null), basis=tuple(null.reshape(-1, 3, 3)))
+    null.setflags(write=False)  # so is the basis, a view of it
+    return DerivationSpace(dim=len(null), basis=null.reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     |det m| > TAU_RANK.
     """
     m = np.asarray(m, dtype=float)
-    sigma = max(1.0, float(np.max(np.abs(m))))
+    sigma = max(1.0, float(np.abs(m).max()))
     roots = np.linalg.eigvals(m / sigma).tolist()
     centre = sum(roots) / 3.0
     y = [r - centre for r in roots]
@@ -140,27 +140,31 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     s0 = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
     disc = (((y[0] - y[1]) * (y[0] - y[2]) * (y[1] - y[2])) ** 2).real / s0 ** 6
 
+    # a real spectrum as (root, multiplicity) pairs, in units of sigma
     if abs(disc) > TAU_RES:
         kind = "distinct" if disc > 0.0 else "complex-pair"
         roots.sort(key=lambda r: abs(r.imag))  # a complex pair's real root first
+        groups = [(r.real, 1) for r in roots]
     elif abs(p) <= 1e-6 * s0 ** 2:
         kind = "triple"
-        roots = [centre.real] * 3
+        groups = [(centre.real, 3)]
     else:
         kind = "double"
         # the simple root lies twice as far from the centre as the pair
         odd = max(range(3), key=lambda i: abs(y[i]))
         lam = sum(roots[k] for k in range(3) if k != odd).real / 2.0
-        roots = [roots[odd].real, lam, lam]
-    roots = sigma * np.array(roots, dtype=complex)
+        groups = [(roots[odd].real, 1), (lam, 2)]
 
     vectors = None
-    if kind != "complex-pair":
-        values, counts = np.unique(roots.real, return_counts=True)
-        roots = np.repeat(values, counts)
+    if kind == "complex-pair":
+        roots = sigma * np.array(roots, dtype=complex)
+    else:
+        groups = sorted((sigma * root, k) for root, k in groups)
+        values = np.array([root for root, _ in groups])
+        roots = values.repeat([k for _, k in groups])
         _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
-        ranks = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1)
-        if np.all(ranks == 3 - counts):
+        ranks = [sum(s > 1e-7 * max(row[0], 1.0) for s in row) for row in sv.tolist()]
+        if all(rank == 3 - k for rank, (_, k) in zip(ranks, groups)):
             vectors = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)]).T
 
     return SpectralReport(
@@ -240,10 +244,10 @@ def find_real_ssnd(alg: Algebra) -> SpectralReport | None:
     """
     norm, _ = alg.normalized()
     space = derivation_space(alg)
-    flat = np.reshape(space.basis, (space.dim, 9))
+    flat = space.basis.reshape(space.dim, 9)
 
     def analysed(cand: np.ndarray) -> SpectralReport | None:
-        top = float(np.max(np.abs(cand)))
+        top = float(np.abs(cand).max())
         return analyze_spectrum(cand / top) if top > TAU_RANK else None
 
     for coeffs in itertools.product((0.0, 1.0, -1.0), repeat=space.dim):
@@ -299,7 +303,7 @@ def spectrum_admits(w) -> np.ndarray:
     survive: the conditional ones whose relation d_k = d_i + d_j the
     spectrum w meets up to TAU_RES * sum |w|."""
     w = np.asarray(w, dtype=float)
-    return _CONDITIONAL & (np.abs(RELATIONS @ w) <= TAU_RES * float(np.sum(np.abs(w))))
+    return _CONDITIONAL & (np.abs(RELATIONS @ w) <= TAU_RES * float(np.abs(w).sum()))
 
 
 def _letters_on(lam: float, mu: float) -> tuple[str, ...]:

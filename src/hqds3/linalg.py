@@ -19,7 +19,7 @@ def rank_and_rowspace(rows: np.ndarray) -> tuple[int, np.ndarray]:
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, np.zeros((0, rows.shape[1]))
-    r = int(np.sum(s > TAU_RANK * max(1.0, s[0])))
+    r = int(np.count_nonzero(s > TAU_RANK * max(1.0, s[0])))
     return r, vh[:r]
 
 
@@ -31,7 +31,7 @@ def nullspace(mat: np.ndarray, rtol: float = TAU_RANK) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
     cut = rtol * max(1.0, s[0])
-    nz = int(np.sum(s > cut))
+    nz = int(np.count_nonzero(s > cut))
     return vh[nz:]
 
 

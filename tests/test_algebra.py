@@ -29,6 +29,7 @@ from hqds3.algebra import (
     nilpotent_cone,
     product,
     square_ideal,
+    span_of,
     square_map,
     structure_flags,
     subspace_check,
@@ -179,6 +180,20 @@ def test_annihilator_dims_canonical():
 def test_square_ideal_dims_canonical():
     dims = {tag: square_ideal(canonical_algebra(tag)).dim for tag in TAGS}
     assert dims == {"A1": 2, "A2": 1, "A3": 1, "A4": 1}
+
+
+def test_square_ideal_matches_the_list_build():
+    # the six product rows c[i, j], i <= j, built by a list comprehension
+    # before one triu_indices gather replaced it
+    rng = np.random.default_rng(16)
+    algs = [canonical_algebra(tag) for tag in TAGS] + [Algebra(np.zeros((3, 3, 3)))]
+    algs += [conjugated_canonical(tag, rng)[0] for tag in TAGS for _ in range(10)]
+    algs += [random_symmetric_algebra(rng) for _ in range(40)]
+    algs += [from_named(b=1.0), from_named(a=2.0, e=-1.0), from_named(k=1.0, q=3.0)]
+    for alg in algs:
+        c = alg.normalized()[0].c
+        rows = np.array([c[i, j] for i in range(3) for j in range(i, 3)])
+        assert np.array_equal(square_ideal(alg).basis, span_of(rows).basis)
 
 
 def test_a2_annihilator_content():

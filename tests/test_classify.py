@@ -100,12 +100,26 @@ def test_exact_tables_short_circuit():
         np.testing.assert_allclose(res.certificate, np.eye(3))
 
 
+def test_exact_table_short_circuit_needs_scale_one():
+    # the exact comparison runs only at scale 1, every canonical table's: a
+    # table written with -0.0 zeros is still that table, twice it is not
+    for tag in TAGS:
+        table = canonical_algebra(tag).c
+        signed = Algebra(np.where(table == 0.0, -0.0, table))
+        assert np.signbit(signed.c).any()
+        res = classify(signed)
+        assert (res.tag, res.method, res.residual) == (tag, "exact-table", 0.0)
+        assert np.array_equal(res.certificate, np.eye(3))
+        res = classify(Algebra(2.0 * table))
+        assert (res.tag, res.method) == (tag, "invariant-recipe")
+
+
 def test_null_algebra_both_routes():
     assert classify(Algebra(np.zeros((3, 3, 3)))).tag == "NullAlgebra"
     via = classify_via_derivation(Algebra(np.zeros((3, 3, 3))))
     assert via.tag == "NullAlgebra"
     # every invertible matrix is a derivation of the zero algebra
-    np.testing.assert_array_equal(via.derivation, np.eye(3))
+    np.testing.assert_array_equal(via.ssnd.matrix, np.eye(3))
 
 
 def test_scaled_table_still_classifies():

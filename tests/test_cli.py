@@ -117,6 +117,20 @@ def test_classify_rejects_a_constant_that_is_not_a_number(tmp_path, capsys, entr
     assert f"error: structure constant c[3][3][2] must be a JSON number, got {shown}" in err
 
 
+def test_classify_rejects_an_integer_beyond_float_range(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which Algebra refuses; the integer 10**400
+    # overflowed numpy's conversion to float and raised a traceback
+    c = np.zeros((3, 3, 3)).tolist()
+    c[2][2][1] = "BIG"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"structure_constants": c}).replace('"BIG"', "1" + "0" * 400))
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: structure constants must be finite")
+    assert err.count("\n") == 1
+
+
 # --- simulate ---
 
 
@@ -377,6 +391,28 @@ def test_classify_searches_for_an_ssnd_once(tmp_path, capsys, monkeypatch, kind)
     if d is not None:
         assert ssnd["matrix"] == d.tolist()
         assert ssnd["spectrum"] == sorted(float(v.real) for v in analyze_spectrum(d).eigenvalues)
+
+
+def test_classify_analyses_no_spectrum_beyond_the_derivation_route(tmp_path, capsys, monkeypatch):
+    # the report's SSND spectrum is read off the search's report, so the
+    # command analyses exactly the spectra classify_via_derivation does
+    alg, _ = conjugated_canonical("A4", np.random.default_rng(0))
+    calls = []
+    original = sys.modules["hqds3.derivations"].analyze_spectrum
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hqds3") and getattr(module, "analyze_spectrum", None) is original:
+            monkeypatch.setattr(module, "analyze_spectrum", counted)
+    assert cli.classify_via_derivation(alg).tag == "A4"
+    route = len(calls)
+    calls.clear()
+    code, _, _ = run(capsys, ["classify", write_algebra(tmp_path, alg)])
+    assert code == 0
+    assert len(calls) == route
 
 
 def test_verify_first_integral_drift_is_relative(tmp_path, capsys):

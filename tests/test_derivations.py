@@ -20,6 +20,7 @@ from hqds3.derivations import (
     MASK_LINES,
     IllConditioned,
     SingularSpectrum,
+    SpectralReport,
     _leibniz_matrix,
     admissible_mask,
     analyze_spectrum,
@@ -32,6 +33,7 @@ from hqds3.derivations import (
     real_semisimple_part,
 )
 from hqds3.linalg import nullspace
+from hqds3.tolerances import TAU_RANK, TAU_RES
 
 from corpora import (
     random_derivation_params,
@@ -198,6 +200,88 @@ def test_analyze_spectrum_of_conjugated_jordan_forms(form):
             v = rng.standard_normal((3, 3))
         rep = analyze_spectrum(v @ j @ np.linalg.inv(v))
         assert (rep.multiplicity, rep.semisimple, rep.nonsingular) == expected, i
+
+
+def _analyze_spectrum_reference(m):
+    # the numpy grouping (np.unique, np.repeat, per-row np.sum) that the
+    # plain-Python one reading the groups off the branch replaced
+    m = np.asarray(m, dtype=float)
+    sigma = max(1.0, float(np.max(np.abs(m))))
+    roots = np.linalg.eigvals(m / sigma).tolist()
+    centre = sum(roots) / 3.0
+    y = [r - centre for r in roots]
+    p = (y[0] * y[1] + y[0] * y[2] + y[1] * y[2]).real
+    q = -(y[0] * y[1] * y[2]).real
+    s0 = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
+    disc = (((y[0] - y[1]) * (y[0] - y[2]) * (y[1] - y[2])) ** 2).real / s0 ** 6
+    if abs(disc) > TAU_RES:
+        kind = "distinct" if disc > 0.0 else "complex-pair"
+        roots.sort(key=lambda r: abs(r.imag))
+    elif abs(p) <= 1e-6 * s0 ** 2:
+        kind = "triple"
+        roots = [centre.real] * 3
+    else:
+        kind = "double"
+        odd = max(range(3), key=lambda i: abs(y[i]))
+        lam = sum(roots[k] for k in range(3) if k != odd).real / 2.0
+        roots = [roots[odd].real, lam, lam]
+    roots = sigma * np.array(roots, dtype=complex)
+    vectors = None
+    if kind != "complex-pair":
+        values, counts = np.unique(roots.real, return_counts=True)
+        roots = np.repeat(values, counts)
+        _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
+        ranks = np.sum(sv > 1e-7 * np.maximum(1.0, sv[:, :1]), axis=1)
+        if np.all(ranks == 3 - counts):
+            vectors = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)]).T
+    return SpectralReport(
+        matrix=m,
+        eigenvalues=roots,
+        eigenvectors=vectors,
+        all_real=kind != "complex-pair",
+        semisimple=kind == "complex-pair" or vectors is not None,
+        nonsingular=abs(float(np.linalg.det(m))) > TAU_RANK,
+        multiplicity=kind,
+    )
+
+
+def test_analyze_spectrum_matches_the_numpy_grouping():
+    rng = np.random.default_rng(15)
+    cases = list(rng.standard_normal((4000, 3, 3)))
+    for j, _ in JORDAN_FORMS.values():
+        for _ in range(100):
+            v = rng.standard_normal((3, 3))
+            cases.append(v @ j @ np.linalg.inv(v))
+        cases.append(j)
+    cases += [
+        np.diag([-0.0, 0.0, 1.0]),
+        np.diag([0.0, -0.0, -0.0]),
+        np.diag([-0.0, 2.0, -3.0]),
+        # a real root equal to its complex pair's real part, inside the
+        # discriminant's double-root window
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.01], [0.0, -0.01, 1.0]]),
+        np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.01], [0.0, -0.01, 0.0]]),
+    ]
+    for tag in TAGS:
+        for _ in range(50):
+            cases.append(find_real_ssnd(conjugated_canonical(tag, rng)[0]).matrix)
+    # diag(1, lam, mu) is an SSND of random_mask_algebra(lam, mu), in its
+    # own basis and in a random one
+    for _ in range(200):
+        d = np.diag([1.0, *random_mask_spectrum(rng)])
+        v = rng.standard_normal((3, 3))
+        cases += [d, v @ d @ np.linalg.inv(v)]
+    assert len(cases) >= 5000
+    for n, m in enumerate(cases):
+        got, want = analyze_spectrum(m), _analyze_spectrum_reference(m)
+        assert np.array_equal(got.matrix, want.matrix), n
+        assert got.eigenvalues.dtype == want.eigenvalues.dtype, n
+        assert np.array_equal(got.eigenvalues, want.eigenvalues), n
+        assert (got.eigenvectors is None) == (want.eigenvectors is None), n
+        if want.eigenvectors is not None:
+            assert np.array_equal(got.eigenvectors, want.eigenvectors), n
+        flags = ("all_real", "semisimple", "nonsingular", "multiplicity")
+        assert [getattr(got, f) for f in flags] == [getattr(want, f) for f in flags], n
 
 
 def test_jordan_chevalley_frozen():
