@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -307,44 +308,79 @@ class StructureFlags:
     power_associative: bool
 
 
-def _span_products(alg: Algebra, left: Subspace, right: Subspace) -> Subspace:
-    return span_of(product(alg, left.basis[:, None], right.basis[None, :]).reshape(-1, 3))
+def _span_products(alg: Algebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the products of the rows of left and right."""
+    return rank_and_rowspace(product(alg, left[:, None], right[None, :]).reshape(-1, 3))[1]
 
 
-def _series_vanishes(start: Subspace, step) -> bool:
-    """Whether one of the first four terms of the series start, step(start), ... is zero."""
+_EYE = np.eye(3)
+
+
+def _series_vanishes(start: np.ndarray, step) -> bool:
+    """Whether one of the first four terms of the series start, step(start), ...
+    vanishes, each term given by orthonormal rows and lying inside the one
+    before it.
+
+    A term with the dimension of the one before is the same subspace, so
+    from there on the series is stationary and never vanishes; the loop
+    stops at it.  A strictly falling dimension reaches zero within four
+    terms, so the cut at depth 4 decides nothing else.
+    """
     term = start
     for _ in range(3):
-        if term.dim == 0:
+        if not len(term):
             return True
-        term = step(term)
-    return term.dim == 0
+        nxt = step(term)
+        if len(nxt) == len(term):
+            return False
+        term = nxt
+    return not len(term)
 
 
 @invariant
 def is_solvable(alg: Algebra) -> bool:
     """Whether the derived series A*A, (A*A)*(A*A), ... vanishes (depth 4)."""
-    return _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, t, t))
+    return _series_vanishes(square_ideal(alg).basis, lambda t: _span_products(alg, t, t))
+
+
+def _orbit_mean() -> np.ndarray:
+    """(15, 81) matrix taking a tensor on four slots of R^3, flattened, to
+    its symmetrization: row m is the mean over the index tuples that sort to
+    the m-th multiset, which is the mean of the 24 slot permutations there."""
+    tuples = list(itertools.product(range(3), repeat=4))
+    multisets = sorted({tuple(sorted(t)) for t in tuples})
+    hit = np.array([[tuple(sorted(t)) == m for t in tuples] for m in multisets], dtype=float)
+    return hit / hit.sum(axis=1, keepdims=True)
+
+
+_ORBIT_MEAN = _orbit_mean()
 
 
 @invariant
 def structure_flags(alg: Algebra) -> StructureFlags:
-    """Solvability, nilpotency (series cut off at depth 4), associativity and
-    the degree-4 power identity (x*x)*(x*x) == ((x*x)*x)*x, the last two
-    decided on coefficients up to TAU_RES, not on sampled points."""
-    whole = Subspace(np.eye(3))
-    solvable = is_solvable(alg)
-    nilpotent = _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, whole, t))
+    """Solvability, nilpotency (each series stopped where it turns
+    stationary, see _series_vanishes), associativity and the degree-4 power
+    identity (x*x)*(x*x) == ((x*x)*x)*x, the last two decided on
+    coefficients up to TAU_RES, not on sampled points.
 
+    The coefficient tensors are matrix products of the (9, 3) table
+    e_a e_b and the (27, 3) table (e_a e_b) e_c; the quartic is symmetrized
+    over its four slots by one product with _ORBIT_MEAN.
+    """
+    solvable = is_solvable(alg)
+    nilpotent = _series_vanishes(square_ideal(alg).basis, lambda t: _span_products(alg, _EYE, t))
+
+    c, c9 = alg.c, alg.c.reshape(3, 9)
+    pairs = c.reshape(9, 3)  # row ab: e_a e_b
+    triples = pairs @ c9  # row ab, column cm: ((e_a e_b) e_c)_m
     # (e_i e_j) e_k against e_i (e_j e_k) on all 27 triples at once
-    c = alg.c
-    assoc = float(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c)).max())
+    assoc = float(np.abs(triples - (pairs @ c).reshape(9, 9)).max())
 
     # (x*x)*(x*x) - ((x*x)*x)*x is a quartic map; it vanishes identically iff
-    # its coefficient tensor, symmetrized over the four slots of x, is zero
-    quartic = np.einsum("abk,cdl,klm->abcdm", c, c, c) - np.einsum("abk,kcn,ndm->abcdm", c, c, c)
-    sym = sum(quartic.transpose(*p, 4) for p in itertools.permutations(range(4))) / 24.0
-    pa = float(np.abs(sym).max())
+    # its coefficient tensor, symmetrized over the four slots of x, is zero;
+    # both terms as rows abc, columns dm
+    quartic = (pairs @ triples.reshape(9, 3, 3)).reshape(27, 9) - triples.reshape(27, 3) @ c9
+    pa = float(np.abs(_ORBIT_MEAN @ quartic.reshape(81, 3)).max())
 
     return StructureFlags(
         solvable=solvable,
@@ -400,29 +436,37 @@ _ROOT_CLUSTER = 1e-4
 _SINGULAR_PENCIL = 1e-14
 
 
-def _zero_set(w: np.ndarray, v: np.ndarray) -> list[np.ndarray] | None:
-    """Zero set of the form sum_i w_i (v[:, i] . x)^2 as a union of subspaces.
+def _zero_set(w: list[float], v: np.ndarray) -> list[np.ndarray] | None:
+    """Zero set of the form sum_i w_i (v[:, i] . x)^2 as a union of subspaces,
+    for eigenvalues w given as ascending Python floats, as eigh returns them.
 
     Returns orthonormal row bases: the kernel of a semidefinite form, or the
     two subspaces kernel + span(sqrt|w-| v+ +- sqrt|w+| v-) of a rank-2
     indefinite one.  A nondegenerate indefinite form in three variables
     vanishes on a genuine quadric cone, reported as None.  The forms are
     built from unit forms, so an eigenvalue below an absolute TAU_RANK is
-    zero, as in rank_and_rowspace.
+    zero, as in rank_and_rowspace.  The zero eigenvalues of an ascending w
+    are a run, so the kernel is a run of columns of v.
     """
-    zero = np.abs(w) <= TAU_RANK * max(1.0, float(np.abs(w).max()))
-    kernel = v[:, zero].T
-    pos = np.flatnonzero((w > 0.0) & ~zero)
-    neg = np.flatnonzero((w < 0.0) & ~zero)
-    if pos.size == 0 or neg.size == 0:
-        return [kernel] if kernel.shape[0] else []
-    if pos.size + neg.size > 2:
+    cut = TAU_RANK * max(1.0, max(map(abs, w)))
+    zero, pos, neg = [], [], []
+    for i, x in enumerate(w):
+        if x > cut:
+            pos.append(i)
+        elif x < -cut:
+            neg.append(i)
+        elif x == x:  # not NaN
+            zero.append(i)
+    kernel = v[:, zero[0]:zero[-1] + 1].T.copy() if zero else v[:, :0].T
+    if not pos or not neg:
+        return [kernel] if zero else []
+    if len(pos) + len(neg) > 2:
         return None
     p, n = pos[0], neg[0]
-    return [
-        np.vstack([kernel, unit(np.sqrt(-w[n]) * v[:, p] + s * np.sqrt(w[p]) * v[:, n])])
-        for s in (1.0, -1.0)
-    ]
+    x, y = math.sqrt(-w[n]) * v[:, p], math.sqrt(w[p]) * v[:, n]
+    if not len(kernel):
+        return [unit(x + y)[None], unit(x - y)[None]]
+    return [np.concatenate((kernel, unit(x + y)[None])), np.concatenate((kernel, unit(x - y)[None]))]
 
 
 def _quadric_cone_samples(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -436,6 +480,14 @@ def _quadric_cone_samples(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+# the pencil members cos(th) f1 + sin(th) f2 at th = k pi / 8, k < 8, and
+# (cos, sin) of each th as Python floats
+_PENCIL_TH = np.arange(8) * (np.pi / 8)
+_PENCIL_COS = np.cos(_PENCIL_TH)[:, None, None]
+_PENCIL_SIN = np.sin(_PENCIL_TH)[:, None, None]
+_PENCIL_CS = list(zip(np.cos(_PENCIL_TH).tolist(), np.sin(_PENCIL_TH).tolist()))
+
+
 def _degenerate_member(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """A unit singular member of the pencil span(f1, f2), at a simple root.
 
@@ -447,34 +499,46 @@ def _degenerate_member(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     every first-class pencil has a double root, which is only
     sqrt(eps)-accurate, and a real cubic with a double root always has a
     simple one.  Three clustered roots are a triple root; their mean is
-    taken.  When every member is singular, any rank-2 member will do.
+    taken.  When every member is singular, any rank-2 member will do.  The
+    member and the root are chosen on Python floats.
     """
-    th = np.arange(8) * (np.pi / 8)
-    members = np.cos(th)[:, None, None] * f1 + np.sin(th)[:, None, None] * f2
-    dets = np.abs(np.linalg.det(members))
-    if np.max(dets) <= _SINGULAR_PENCIL:  # take the member farthest from rank 1
+    members = _PENCIL_COS * f1 + _PENCIL_SIN * f2
+    dets = [abs(d) for d in np.linalg.det(members).tolist()]
+    j = dets.index(max(dets))  # the first largest, as np.argmax
+    if dets[j] <= _SINGULAR_PENCIL:  # take the member farthest from rank 1
         return members[np.argmax(np.sort(np.abs(np.linalg.eigvalsh(members)))[:, 1])]
-    j = int(np.argmax(dets))
-    a, b = -np.sin(th[j]) * f1 + np.cos(th[j]) * f2, members[j]
+    cos_j, sin_j = _PENCIL_CS[j]
+    a, b = -sin_j * f1 + cos_j * f2, members[j]
     roots = -np.linalg.eigvals(np.linalg.solve(b, a))  # det(a + t b) = 0
-    hyp = np.sqrt(1.0 + np.abs(roots) ** 2)
-    chord = np.abs(roots[:, None] - roots[None, :]) / np.outer(hyp, hyp)
-    np.fill_diagonal(chord, np.inf)
-    sep = np.where(roots.imag == 0.0, chord.min(axis=1), -1.0)
-    best = int(np.argmax(sep))
-    t = float(roots[best].real) if sep[best] > _ROOT_CLUSTER else float(np.mean(roots).real)
-    return (a + t * b) / np.sqrt(1.0 + t * t)
+    z = roots.tolist()
+    hyp = [math.sqrt(1.0 + abs(r) * abs(r)) for r in z]
+    c01 = abs(z[0] - z[1]) / (hyp[0] * hyp[1])
+    c02 = abs(z[0] - z[2]) / (hyp[0] * hyp[2])
+    c12 = abs(z[1] - z[2]) / (hyp[1] * hyp[2])
+    sep = [min(c01, c02) if z[0].imag == 0.0 else -1.0,
+           min(c01, c12) if z[1].imag == 0.0 else -1.0,
+           min(c02, c12) if z[2].imag == 0.0 else -1.0]
+    best = sep.index(max(sep))
+    t = z[best].real if sep[best] > _ROOT_CLUSTER else float(np.mean(roots).real)
+    return (a + t * b) / math.sqrt(1.0 + t * t)
 
 
-def _restricted_zeros(forms: np.ndarray, plane: np.ndarray) -> list[np.ndarray] | None:
-    """Zero lines of the largest 2x2 restriction of the forms to a plane, a
-    superset of their common zeros; None when all restrictions vanish."""
-    res = np.einsum("ai,kij,bj->kab", plane, forms, plane)
-    sizes = np.linalg.norm(res, axis=(1, 2))
-    k = int(np.argmax(sizes))
-    if sizes[k] <= TAU_RANK:
-        return None
-    return [sub[0] @ plane for sub in _zero_set(*np.linalg.eigh(res[k]))]
+def _restricted_zeros(forms: np.ndarray, planes: list[np.ndarray]) -> list[list[np.ndarray] | None]:
+    """For each plane, the zero lines of the largest 2x2 restriction of the
+    forms to it, a superset of their common zeros; None for a plane on which
+    all restrictions vanish.  One einsum restricts every form to every
+    plane, and one eigh diagonalizes all the restrictions."""
+    stack = np.array(planes)
+    res = np.einsum("pai,kij,pbj->pkab", stack, forms, stack)
+    sizes = np.sqrt(np.add.reduce(res * res, axis=(2, 3))).tolist()  # Frobenius, as np.linalg.norm
+    w, v = np.linalg.eigh(res)
+    w = w.tolist()
+    out = []
+    for p, (row, plane) in enumerate(zip(sizes, planes)):
+        k = row.index(max(row))  # the first largest, as np.argmax
+        zeros = None if row[k] <= TAU_RANK else _zero_set(w[p][k], v[p, k])
+        out.append(zeros if zeros is None else [sub[0] @ plane for sub in zeros])
+    return out
 
 
 @invariant
@@ -490,16 +554,20 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     * r >= 2: a singular member D of the pencil of the first two basis forms
       (see _degenerate_member) vanishes on one plane, two planes or a line,
       which contain the cone.  Restricted to each of them, every form is a
-      2x2 or 1x1 form with a closed-form zero set.  Duplicate lines, and
-      lines inside a kept plane, are merged.
+      2x2 or 1x1 form with a closed-form zero set.  Candidate lines that are
+      not zeros of every form are dropped.  Duplicate lines, and lines inside
+      a kept plane, are merged, lowest residual first.
 
     Nothing is sampled or seeded: ``samples`` are points generated on the
     components, for the steady-state checks.  One memoized cone serves
-    both routes, the fingerprint, ``idempotents`` and ``verify``.
+    both routes, the fingerprint, ``idempotents`` and ``verify``.  The
+    branching runs on Python floats, and the LAPACK calls are one SVD, the
+    pencil's det, solve and eigvals, and one eigh each for D and for the
+    stacked restrictions.
     """
 
-    def residuals(us: np.ndarray) -> np.ndarray:
-        return np.abs(square_map(alg, us)).max(axis=1)
+    def residuals(us: np.ndarray) -> list[float]:
+        return np.abs(square_map(alg, us)).max(axis=1).tolist()
 
     r, rows = rank_and_rowspace(alg.c.transpose(2, 0, 1).reshape(3, 9))
     if r == 0:
@@ -508,30 +576,36 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
 
     if r == 1:
         w, v = np.linalg.eigh(forms[0])
-        parts = _zero_set(w, v)
+        parts = _zero_set(w.tolist(), v)
         if parts is None:
             return NilconeDescriptor(kind="other", samples=_quadric_cone_samples(w, v))
+        planes = [s for s in parts if len(s) == 2]
+        units = [s[0] for s in parts if len(s) == 1]
+        units = list(zip(residuals(np.reshape(units, (-1, 3))), units)) if units else []
     else:
         w, v = np.linalg.eigh(_degenerate_member(forms[0], forms[1]))
-        w[np.argmin(np.abs(w))] = 0.0  # singular by construction
-        parts, candidates = [], []
-        for sub in _zero_set(w, v):
-            zeros = [sub[0]] if sub.shape[0] == 1 else _restricted_zeros(forms, sub)
-            if zeros is None:
-                parts.append(sub)
-            else:
-                candidates.extend(zeros)
-        candidates = np.reshape(candidates, (-1, 3))
-        parts.extend(candidates[residuals(candidates) <= TAU_RES, None])
+        w = w.tolist()
+        # singular by construction; zeroing the eigenvalue of least modulus
+        # keeps w ascending
+        w[min(range(3), key=lambda i: abs(w[i]))] = 0.0
+        # D vanishes on one line, or on one or two planes, never on both
+        parts = _zero_set(w, v)
+        if len(parts[0]) == 1:
+            planes, candidates = [], [parts[0][0]]
+        else:
+            zeros = _restricted_zeros(forms, parts)
+            planes = [s for s, z in zip(parts, zeros) if z is None]
+            candidates = [u for z in zeros if z is not None for u in z]
+        units = [(res, u) for res, u in zip(residuals(np.array(candidates)), candidates)
+                 if res <= TAU_RES] if candidates else []
 
-    planes = [Subspace(s) for s in parts if s.shape[0] == 2]
-    lines: list[Subspace] = []
-    units = np.reshape([s[0] for s in parts if s.shape[0] == 1], (-1, 3))
+    lines: list[np.ndarray] = []
     # lowest residual first; the stable sort keeps ties in order
-    for u in units[np.argsort(residuals(units), kind="stable")]:
-        if not any(k.contains(u, _SAME_LINE) for k in planes + lines):
-            lines.append(Subspace(sign_canonical(u)[None, :]))
+    for _, u in sorted(units, key=lambda pair: pair[0]):
+        if not any(contains_vector(k, u, _SAME_LINE) for k in planes + lines):
+            lines.append(sign_canonical(u)[None, :])
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
+    lines, planes = [Subspace(k) for k in lines], [Subspace(k) for k in planes]
     return NilconeDescriptor(
         kind, tuple(lines), tuple(planes), _component_samples(lines, planes)
     )
@@ -595,7 +669,8 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
     order = np.argsort(res)  # of two copies of one root, the more accurate is kept
     ok = order[(res[order] <= TAU_RES) & (size[order] > TAU_DEDUP)]
     found = [w / factor for w in _first_come_distinct(v[ok])]
-    return sorted(found, key=lambda w: tuple(np.round(w, 9)))
+    # rounded to 9 decimals in Python, which cannot overflow as w * 1e9 can
+    return sorted(found, key=lambda w: tuple(round(x, 9) for x in w.tolist()))
 
 
 def _projective_roots(norm: Algebra) -> tuple[np.ndarray, np.ndarray]:

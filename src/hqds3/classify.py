@@ -24,6 +24,8 @@ each candidate as built and polish it only when it misses that bound.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,7 @@ from .derivations import (
     leibniz_operator,
     spectrum_admits,
 )
-from .linalg import nullspace, rank_and_rowspace, sign_canonical, unit
+from .linalg import nullspace, rank_and_rowspace, sign_canonical, unit, vector_norm
 from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
@@ -111,20 +113,25 @@ def _square_line_normal_form(norm: Algebra, w: np.ndarray) -> tuple[str, np.ndar
     p = product(norm, lifts[:, None], lifts[None, :])
     b = np.dot(p, w)  # four dot products, as p[i, j] @ w computes each
     vals, vecs = np.linalg.eigh(b)
-    tol = 1e-9 * float(np.abs(vals).max())
-    if vals[0] < -tol and vals[1] > tol:
-        neg = vecs[:, 0] / np.sqrt(-vals[0])
-        pos = vecs[:, 1] / np.sqrt(vals[1])
-        return "A3", np.column_stack([(pos + neg) @ lifts, (pos - neg) @ lifts, 2.0 * w])
-    if vals[1] < -tol:
-        w, vals, vecs = -w, -vals[::-1], vecs[:, ::-1]
-    if vals[0] > tol:
-        f1 = (vecs[:, 0] / np.sqrt(vals[0])) @ lifts
-        f2 = (vecs[:, 1] / np.sqrt(vals[1])) @ lifts
-        return "A4", np.column_stack([f1, f2, w])
+    lo, hi = vals.tolist()
+    tol = 1e-9 * max(abs(lo), abs(hi))
+    m = np.empty((3, 3))
+    if lo < -tol and hi > tol:
+        neg = vecs[:, 0] / math.sqrt(-lo)
+        pos = vecs[:, 1] / math.sqrt(hi)
+        m[:, 0], m[:, 1], m[:, 2] = (pos + neg) @ lifts, (pos - neg) @ lifts, 2.0 * w
+        return "A3", m
+    if hi < -tol:
+        w, lo, hi, vecs = -w, -hi, -lo, vecs[:, ::-1]
+    if lo > tol:
+        m[:, 0] = (vecs[:, 0] / math.sqrt(lo)) @ lifts
+        m[:, 1] = (vecs[:, 1] / math.sqrt(hi)) @ lifts
+        m[:, 2] = w
+        return "A4", m
     # rank one: the kernel lift annihilates, the other one squares to big * w
-    big = int(np.argmax(np.abs(vals)))
-    return "A2", np.column_stack([vecs[:, 1 - big] @ lifts, vals[big] * w, vecs[:, big] @ lifts])
+    big = 0 if abs(lo) >= abs(hi) else 1  # the first largest, as np.argmax
+    m[:, 0], m[:, 1], m[:, 2] = vecs[:, 1 - big] @ lifts, (lo, hi)[big] * w, vecs[:, big] @ lifts
+    return "A2", m
 
 
 # the induced quotient form of each class the helper above returns
@@ -245,32 +252,37 @@ def _certify(alg: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
 # the A1 recipe of the invariant route (A2-A4 share _square_line_normal_form)
 
 
+# the exponents of the scaling automorphism diag(x, 1/x, x^2) of the first
+# canonical table, centred, and their squared length
+_A1_EXPONENTS = np.array([1.0, -1.0, 2.0]) - np.array([1.0, -1.0, 2.0]).mean()
+_A1_EXPONENTS_SQ = float(_A1_EXPONENTS @ _A1_EXPONENTS)
+
+
 def _balance_a1(m: np.ndarray) -> np.ndarray:
     """Equalize column magnitudes using the scaling automorphisms of the
     first canonical table, diag(x, 1/x, x^2); pure conditioning aid."""
-    logs = np.log(np.linalg.norm(m, axis=0))
-    a = np.array([1.0, -1.0, 2.0])
-    ac = a - a.mean()
-    t = -float(ac @ (logs - logs.mean())) / float(ac @ ac)
+    logs = np.log(np.sqrt(np.add.reduce(m * m, axis=0)))  # the column norms, as np.linalg.norm
+    l0, l1, l2 = logs.tolist()
+    t = -float(_A1_EXPONENTS @ (logs - (l0 + l1 + l2) / 3)) / _A1_EXPONENTS_SQ
     x = np.exp(t)
     return m @ np.diag([x, 1.0 / x, x * x])
 
 
-def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> list[np.ndarray]:
-    """Candidate certificates from the two nilcone lines.
+def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> Iterator[np.ndarray]:
+    """Candidate certificates from the two nilcone lines, built one at a
+    time: the caller stops at the first one that passes.
 
     The line lying inside A*A serves the distinguished slot; the product of
     the two lines rebuilds the remaining basis vector and a final rescale
     pins both nonzero constants to 1.
     """
     if len(cone.lines) != 2 or cone.planes:
-        return []
+        return
     units = [line.basis[0] for line in cone.lines]
-    units.sort(key=lambda u: float(np.linalg.norm(u - sq.project(u))))
-    out = []
+    units.sort(key=lambda u: vector_norm(u - sq.project(u)))
     for u3, u2 in ((units[0], units[1]), (units[1], units[0])):
         f1 = product(norm, u2, u3)
-        f1_norm = float(np.linalg.norm(f1))
+        f1_norm = vector_norm(f1)
         if f1_norm <= 1e-9:
             continue
         f1sq = product(norm, f1, f1)
@@ -278,10 +290,11 @@ def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> list[np.
         # f1 * f1 is quadratic in f1, so cval is judged against |f1|^2
         if abs(cval) <= 1e-12 * f1_norm ** 2:
             continue
-        if float(np.linalg.norm(f1sq - cval * u3)) > 1e-4 * max(1.0, abs(cval)):
+        if vector_norm(f1sq - cval * u3) > 1e-4 * max(1.0, abs(cval)):
             continue
-        out.append(_balance_a1(np.column_stack([f1, u2 / cval, cval * u3])))
-    return out
+        m = np.empty((3, 3))
+        m[:, 0], m[:, 1], m[:, 2] = f1, u2 / cval, cval * u3
+        yield _balance_a1(m)
 
 
 def classify(alg: Algebra) -> ClassificationResult:
@@ -307,11 +320,11 @@ def classify(alg: Algebra) -> ClassificationResult:
 
     # dispatch on the cheap invariants; the nilpotent cone is only computed
     # on the one branch that needs it
-    candidates: list[tuple[str, np.ndarray]] = []
+    candidates: Iterable[tuple[str, np.ndarray]] = ()
     if sq.dim == 1 and sq_in_ann:
-        candidates.append(_square_line_normal_form(norm, sq.basis[0]))
+        candidates = [_square_line_normal_form(norm, sq.basis[0])]
     elif ann.dim == 0 and sq.dim == 2:
-        candidates += [("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm))]
+        candidates = (("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm)))
 
     for tag, m_norm in candidates:
         m, res = _certify(alg, tag, m_norm / factor)

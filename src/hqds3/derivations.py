@@ -66,6 +66,26 @@ class DerivationSpace:
 PAIRS = np.array([(i, j) for i in range(3) for j in range(i, 3)])
 
 
+def _leibniz_index() -> np.ndarray:
+    """(3, 18, 9) positions, in [0, t.ravel(), ls.ravel()], of the t, L_j and
+    L_i term of each entry of leibniz_operator; position 0 holds the 0 of an
+    entry without that term.  Row (pair, k), column (a, b): the coefficient
+    of X[a, b]."""
+    i, j = PAIRS.T
+    ar, pairs = np.arange(3), np.arange(6)
+    t_at = 1 + np.arange(27).reshape(3, 3, 3)
+    ls_at = 28 + np.arange(27).reshape(3, 3, 3)
+    index = np.zeros((3, 6, 3, 3, 3), dtype=np.intp)  # (term, pair, k, a, b)
+    index[0][:, ar, ar, :] = t_at[i, j][:, None, :]
+    index[1][pairs, :, :, i] = ls_at[j]
+    index[2][pairs, :, :, j] = ls_at[i]
+    return index.reshape(3, 18, 9)
+
+
+_LEIBNIZ_INDEX = _leibniz_index()
+_ZERO = np.zeros(1)
+
+
 def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
     """(18, 9) matrix of X -> X t[i, j] - L_j X e_i - L_i X e_j in the entries of X.
 
@@ -73,15 +93,11 @@ def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
     matrix L_a.  With t = c and L_a = left multiplication by e_a this is the
     Leibniz rule, whose kernel is the derivation space; with L_a = L_{m e_a}
     it is the Jacobian of the conjugation residual m t[i, j] - m_i * m_j.
-    Each entry is accumulated as ((0 + t) - L_j) - L_i.
+    Each entry is accumulated as ((0 + t) - L_j) - L_i, from one gather of
+    its three terms (_LEIBNIZ_INDEX).
     """
-    i, j = PAIRS.T
-    ar = np.arange(3)
-    rows = np.zeros((6, 3, 3, 3))  # (pair, k, a, b): coefficient of X[a, b]
-    rows[:, ar, ar, :] += t[i, j][:, None, :]
-    rows[np.arange(6), :, :, i] -= ls[j]
-    rows[np.arange(6), :, :, j] -= ls[i]
-    return rows.reshape(18, 9)
+    terms = np.concatenate((_ZERO, t.ravel(), ls.ravel()))[_LEIBNIZ_INDEX]
+    return 0.0 + terms[0] - terms[1] - terms[2]
 
 
 def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
@@ -99,6 +115,9 @@ def derivation_space(alg: Algebra) -> DerivationSpace:
 
 # ---------------------------------------------------------------------------
 # spectral analysis from one eigenvalue call
+
+
+_EYE = np.eye(3)
 
 
 @dataclass
@@ -162,7 +181,7 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
         groups = sorted((sigma * root, k) for root, k in groups)
         values = np.array([root for root, _ in groups])
         roots = values.repeat([k for _, k in groups])
-        _, sv, vh = np.linalg.svd(m - values[:, None, None] * np.eye(3))
+        _, sv, vh = np.linalg.svd(m - values[:, None, None] * _EYE)
         ranks = [sum(s > 1e-7 * max(row[0], 1.0) for s in row) for row in sv.tolist()]
         if all(rank == 3 - k for rank, (_, k) in zip(ranks, groups)):
             vectors = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)]).T

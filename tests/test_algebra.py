@@ -17,6 +17,7 @@ from hqds3.algebra import (
     NilconeDescriptor,
     NonIsolatedIdempotents,
     SingularBasis,
+    StructureFlags,
     Subspace,
     annihilator,
     automorphism_residual,
@@ -37,8 +38,10 @@ from hqds3.algebra import (
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
 from hqds3.derivations import derivation_space
 from hqds3.dynamics import linear_first_integrals
-from hqds3.linalg import rank_and_rowspace, random_well_conditioned, sign_canonical
-from hqds3.tolerances import TAU_DEDUP, TAU_RES
+from hqds3.linalg import rank_and_rowspace, random_well_conditioned, sign_canonical, unit
+from hqds3.tolerances import TAU_DEDUP, TAU_RANK, TAU_RES
+
+from corpora import random_mask_algebra, random_mask_spectrum
 
 ATOL = 1e-12
 RES_TOL = 1e-9
@@ -337,9 +340,57 @@ def test_nilcone_kinds_are_basis_free(constants, kind):
         assert np.max(np.abs(square_map(norm, cone.samples)), initial=0.0) < 1e-12
 
 
+# The cone helpers as they stood before the closed-form rewrite of their
+# glue, kept verbatim as the reference arithmetic: the library's helpers are
+# not called, so a change in any of them shows.
+
+
+def _ref_zero_set(w, v):
+    zero = np.abs(w) <= TAU_RANK * max(1.0, float(np.abs(w).max()))
+    kernel = v[:, zero].T
+    pos = np.flatnonzero((w > 0.0) & ~zero)
+    neg = np.flatnonzero((w < 0.0) & ~zero)
+    if pos.size == 0 or neg.size == 0:
+        return [kernel] if kernel.shape[0] else []
+    if pos.size + neg.size > 2:
+        return None
+    p, n = pos[0], neg[0]
+    return [
+        np.vstack([kernel, unit(np.sqrt(-w[n]) * v[:, p] + s * np.sqrt(w[p]) * v[:, n])])
+        for s in (1.0, -1.0)
+    ]
+
+
+def _ref_degenerate_member(f1, f2):
+    th = np.arange(8) * (np.pi / 8)
+    members = np.cos(th)[:, None, None] * f1 + np.sin(th)[:, None, None] * f2
+    dets = np.abs(np.linalg.det(members))
+    if np.max(dets) <= 1e-14:
+        return members[np.argmax(np.sort(np.abs(np.linalg.eigvalsh(members)))[:, 1])]
+    j = int(np.argmax(dets))
+    a, b = -np.sin(th[j]) * f1 + np.cos(th[j]) * f2, members[j]
+    roots = -np.linalg.eigvals(np.linalg.solve(b, a))
+    hyp = np.sqrt(1.0 + np.abs(roots) ** 2)
+    chord = np.abs(roots[:, None] - roots[None, :]) / np.outer(hyp, hyp)
+    np.fill_diagonal(chord, np.inf)
+    sep = np.where(roots.imag == 0.0, chord.min(axis=1), -1.0)
+    best = int(np.argmax(sep))
+    t = float(roots[best].real) if sep[best] > 1e-4 else float(np.mean(roots).real)
+    return (a + t * b) / np.sqrt(1.0 + t * t)
+
+
+def _ref_restricted_zeros(forms, plane):
+    res = np.einsum("ai,kij,bj->kab", plane, forms, plane)
+    sizes = np.linalg.norm(res, axis=(1, 2))
+    k = int(np.argmax(sizes))
+    if sizes[k] <= TAU_RANK:
+        return None
+    return [sub[0] @ plane for sub in _ref_zero_set(*np.linalg.eigh(res[k]))]
+
+
 def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
-    """nilpotent_cone as written with one residual call per vector and the
-    samples built point by point."""
+    """nilpotent_cone on the reference helpers above, with one residual call
+    per vector and the samples built point by point."""
     norm, _ = alg.normalized()
 
     def residual(u):
@@ -351,15 +402,15 @@ def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
     forms = rows.reshape(r, 3, 3)
     if r == 1:
         w, v = np.linalg.eigh(forms[0])
-        parts = algebra._zero_set(w, v)
+        parts = _ref_zero_set(w, v)
         if parts is None:
             return NilconeDescriptor("other", samples=algebra._quadric_cone_samples(w, v))
     else:
-        w, v = np.linalg.eigh(algebra._degenerate_member(forms[0], forms[1]))
+        w, v = np.linalg.eigh(_ref_degenerate_member(forms[0], forms[1]))
         w[np.argmin(np.abs(w))] = 0.0
         parts = []
-        for sub in algebra._zero_set(w, v):
-            zeros = [sub[0]] if sub.shape[0] == 1 else algebra._restricted_zeros(forms, sub)
+        for sub in _ref_zero_set(w, v):
+            zeros = [sub[0]] if sub.shape[0] == 1 else _ref_restricted_zeros(forms, sub)
             if zeros is None:
                 parts.append(sub)
                 continue
@@ -367,7 +418,7 @@ def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
     planes = [Subspace(s) for s in parts if s.shape[0] == 2]
     lines = []
     for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
-        if not any(k.contains(u, algebra._SAME_LINE) for k in planes + lines):
+        if not any(k.contains(u, 1e-5) for k in planes + lines):
             lines.append(Subspace(sign_canonical(u)[None, :]))
     pts = []
     for line in lines:
@@ -383,16 +434,18 @@ def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
 
 
 def test_nilcone_matches_the_loop_reference_bit_for_bit():
-    # stacked residuals (filter and stable sort key) and array-built samples
-    # give the descriptor of one residual call per line and one point per
-    # loop step: the named tables, the canonical ones, conjugates of both
-    # and 50 random tensors
+    # the descriptor equals the reference's, lines, planes and samples bit
+    # for bit: the named tables, the canonical ones, conjugates of both,
+    # three A1 pencils with a root at infinity, and from a fixed seed 40 A1
+    # conjugates and 90 random tensors
     rng = np.random.default_rng(21)
     tables = [from_named(**constants) for constants, _ in NAMED_CONE_TABLES]
     tables += [canonical_algebra(tag) for tag in TAGS]
     algs = tables + [change_of_basis(t, random_well_conditioned(rng)) for t in tables for _ in range(3)]
     algs += [conjugated_canonical("A1", np.random.default_rng(seed))[0] for seed in (474, 1529, 2560)]
     algs += [random_symmetric_algebra(rng) for _ in range(50)]
+    algs += [conjugated_canonical("A1", rng)[0] for _ in range(40)]
+    algs += [random_symmetric_algebra(rng) for _ in range(40)]
     for alg in algs:
         got, want = nilpotent_cone(alg), _cone_loop_reference(alg)
         assert got.kind == want.kind
@@ -401,6 +454,56 @@ def test_nilcone_matches_the_loop_reference_bit_for_bit():
             assert all(np.array_equal(a.basis, b.basis) for a, b in zip(ours, theirs))
         assert got.samples.shape == want.samples.shape
         assert np.array_equal(got.samples, want.samples)
+
+
+def _flags_reference(alg: Algebra) -> StructureFlags:
+    """structure_flags with every series run to its fourth term and the
+    quartic symmetrized as the mean of its 24 transposes."""
+    norm, _ = alg.normalized()
+    whole = Subspace(np.eye(3))
+
+    def span_products(left, right):
+        return span_of(product(norm, left.basis[:, None], right.basis[None, :]).reshape(-1, 3))
+
+    def vanishes(start, step):
+        term = start
+        for _ in range(3):
+            if term.dim == 0:
+                return True
+            term = step(term)
+        return term.dim == 0
+
+    sq = span_of(norm.c[np.triu_indices(3)])
+    c = norm.c
+    assoc = float(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c)).max())
+    quartic = np.einsum("abk,cdl,klm->abcdm", c, c, c) - np.einsum("abk,kcn,ndm->abcdm", c, c, c)
+    sym = sum(quartic.transpose(*p, 4) for p in itertools.permutations(range(4))) / 24.0
+    return StructureFlags(
+        solvable=vanishes(sq, lambda t: span_products(t, t)),
+        nilpotent=vanishes(sq, lambda t: span_products(whole, t)),
+        associative=assoc <= TAU_RES,
+        power_associative=float(np.abs(sym).max()) <= TAU_RES,
+    )
+
+
+def test_structure_flags_match_the_reference():
+    # the stationary-series stop and the orbit-mean symmetrization decide
+    # every flag as the depth-4 series and the 24 transposes do: on the
+    # seeded corpora of masked algebras, the canonical tables and their
+    # conjugates, the named cone tables, and 200 random tensors
+    rng = np.random.default_rng(22)
+    algs = [canonical_algebra(tag) for tag in TAGS]
+    algs += [conjugated_canonical(tag, rng)[0] for tag in TAGS for _ in range(10)]
+    algs += [from_named(**constants) for constants, _ in NAMED_CONE_TABLES]
+    masked = [random_mask_algebra(*random_mask_spectrum(rng), rng) for _ in range(200)]
+    algs += masked + [change_of_basis(alg, random_well_conditioned(rng)) for alg in masked[:50]]
+    algs += [random_symmetric_algebra(rng) for _ in range(200)]
+    seen = set()
+    for alg in algs:
+        want = _flags_reference(alg)
+        assert structure_flags(alg) == want
+        seen.add(dataclasses.astuple(want))
+    assert len(seen) == 4  # solvable or not, nilpotent, associative: all reached
 
 
 def test_structure_flags_are_basis_free():
@@ -427,6 +530,16 @@ def test_idempotents_scale_inversely():
     found = idempotents(alg)
     assert len(found) == 1
     np.testing.assert_allclose(found[0], [0.5, 0.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-308])
+def test_idempotents_of_a_tiny_table_sort_without_overflow(a):
+    # e1 e1 = a e1 has the one idempotent e1 / a, near the top of the float
+    # range; the sort key once rounded by multiplying it by 1e9, which
+    # overflowed (RuntimeWarning, an error under this suite's settings)
+    found = idempotents(from_named(a=a))
+    assert len(found) == 1
+    assert np.array_equal(found[0], np.array([1.0, 0.0, 0.0]) / a)
 
 
 def test_idempotents_survive_large_jacobians():
