@@ -23,6 +23,7 @@ from .linalg import (
     rank_and_rowspace,
     sign_canonical,
     unit,
+    vector_norm,
 )
 from .tolerances import TAU_DEDUP, TAU_RANK, TAU_RES
 
@@ -431,6 +432,14 @@ _KIND_BY_PARTS = {(0, 0): "origin-only", (1, 0): "one-line", (2, 0): "two-lines"
 # candidate lines closer than this are one line (multiplicity up to 3), and
 # three roots of the pencil's determinant this close are one triple root.
 _SAME_LINE = 1e-5
+# Conditioning spreads the copies of a triple zero further, to (kappa eps)^(1/3).
+# A candidate within _NEAR_LINE of a kept line, which has the lower residual,
+# is that line when their midpoint has at most half the candidate's residual:
+# the residual grows quadratically away from a multiple zero, so next to an
+# exact copy the midpoint has a quarter of it.  Between two distinct zeros the
+# midpoint is off the cone by about their distance times the gradient, and at
+# the roundoff floor its residual is about theirs.
+_NEAR_LINE = 1e-3
 _ROOT_CLUSTER = 1e-4
 # det of unit forms at roundoff level: every member of the pencil is singular
 _SINGULAR_PENCIL = 1e-14
@@ -556,7 +565,8 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
       which contain the cone.  Restricted to each of them, every form is a
       2x2 or 1x1 form with a closed-form zero set.  Candidate lines that are
       not zeros of every form are dropped.  Duplicate lines, and lines inside
-      a kept plane, are merged, lowest residual first.
+      a kept plane, are merged, lowest residual first; so are the copies of
+      a triple zero that conditioning has spread further apart (_NEAR_LINE).
 
     Nothing is sampled or seeded: ``samples`` are points generated on the
     components, for the steady-state checks.  One memoized cone serves
@@ -599,10 +609,22 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
         units = [(res, u) for res, u in zip(residuals(np.array(candidates)), candidates)
                  if res <= TAU_RES] if candidates else []
 
+    def merges(kept: np.ndarray, u: np.ndarray, res: float) -> bool:
+        # u, of residual res, lies in the kept plane or line, or is a spread
+        # copy of the kept line (see _NEAR_LINE)
+        size = max(1.0, vector_norm(u))
+        gap = vector_norm(u - project_onto(kept, u))
+        if gap <= _SAME_LINE * size:
+            return True
+        if gap > _NEAR_LINE * size or len(kept) != 1:
+            return False
+        mid = unit(u + math.copysign(1.0, float(kept[0] @ u)) * kept[0])
+        return residuals(mid[None])[0] <= 0.5 * res
+
     lines: list[np.ndarray] = []
     # lowest residual first; the stable sort keeps ties in order
-    for _, u in sorted(units, key=lambda pair: pair[0]):
-        if not any(contains_vector(k, u, _SAME_LINE) for k in planes + lines):
+    for res, u in sorted(units, key=lambda pair: pair[0]):
+        if not any(merges(k, u, res) for k in planes + lines):
             lines.append(sign_canonical(u)[None, :])
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
     lines, planes = [Subspace(k) for k in lines], [Subspace(k) for k in planes]

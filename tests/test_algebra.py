@@ -417,8 +417,18 @@ def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
             parts.extend(u[None, :] for u in zeros if residual(u) <= TAU_RES)
     planes = [Subspace(s) for s in parts if s.shape[0] == 2]
     lines = []
+
+    def near_copy(line, u):
+        # within 1e-3 of a kept line, with a midpoint of at most half the
+        # residual of u, the larger of the two
+        k = line.basis[0]
+        mid = u + (1.0 if float(k @ u) >= 0.0 else -1.0) * k
+        return line.contains(u, 1e-3) and residual(mid / np.linalg.norm(mid)) <= 0.5 * residual(u)
+
     for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
-        if not any(k.contains(u, 1e-5) for k in planes + lines):
+        if not any(k.contains(u, 1e-5) for k in planes + lines) and not any(
+            near_copy(k, u) for k in lines
+        ):
             lines.append(Subspace(sign_canonical(u)[None, :]))
     pts = []
     for line in lines:
@@ -454,6 +464,29 @@ def test_nilcone_matches_the_loop_reference_bit_for_bit():
             assert all(np.array_equal(a.basis, b.basis) for a, b in zip(ours, theirs))
         assert got.samples.shape == want.samples.shape
         assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("draw", [343, 1328])
+def test_nilcone_merges_the_spread_copies_of_a_triple_zero(draw):
+    # e1 is a triple zero of x*x = (2 x2 x3, 0, -x3^2 - x1 x2); under these
+    # two conjugations (cond < 100) its candidate copies land 2.35e-5 and
+    # 2.72e-5 apart, beyond _SAME_LINE, and the cone read "other" with three
+    # lines; one copy is exact to 1e-16, the other has residual 9e-12 and
+    # 4e-11, and their midpoint a quarter of that, while the midpoint of the
+    # two true lines is off the cone by 3e-2 and 6e-2
+    rng = np.random.default_rng(0)
+    m = [random_well_conditioned(rng) for _ in range(draw + 1)][draw]
+    alg = change_of_basis(from_named(s=1.0, j=-1.0, n=-0.5), m)
+    cone = nilpotent_cone(alg)
+    assert cone.kind == "two-lines"
+    norm, _ = alg.normalized()
+    assert np.abs(square_map(norm, cone.samples)).max() <= TAU_RES
+    # the two lines are the images of the table's own lines e1 and e2
+    for k in (0, 1):
+        w = np.linalg.solve(m, np.eye(3)[k])
+        w /= np.linalg.norm(w)
+        assert min(min(np.linalg.norm(line.basis[0] - s * w) for s in (1.0, -1.0))
+                   for line in cone.lines) <= 1e-4
 
 
 def _flags_reference(alg: Algebra) -> StructureFlags:
