@@ -348,9 +348,8 @@ def _orbit_mean() -> np.ndarray:
     """(15, 81) matrix taking a tensor on four slots of R^3, flattened, to
     its symmetrization: row m is the mean over the index tuples that sort to
     the m-th multiset, which is the mean of the 24 slot permutations there."""
-    tuples = list(itertools.product(range(3), repeat=4))
-    multisets = sorted({tuple(sorted(t)) for t in tuples})
-    hit = np.array([[tuple(sorted(t)) == m for t in tuples] for m in multisets], dtype=float)
+    keys = [tuple(sorted(t)) for t in itertools.product(range(3), repeat=4)]
+    hit = np.array([[key == m for key in keys] for m in sorted(set(keys))], dtype=float)
     return hit / hit.sum(axis=1, keepdims=True)
 
 
@@ -432,6 +431,7 @@ _KIND_BY_PARTS = {(0, 0): "origin-only", (1, 0): "one-line", (2, 0): "two-lines"
 # candidate lines closer than this are one line (multiplicity up to 3), and
 # three roots of the pencil's determinant this close are one triple root.
 _SAME_LINE = 1e-5
+_ROOT_CLUSTER = 1e-4
 # Conditioning spreads the copies of a triple zero further, to (kappa eps)^(1/3).
 # A candidate within _NEAR_LINE of a kept line, which has the lower residual,
 # is that line when their midpoint has at most half the candidate's residual:
@@ -440,7 +440,6 @@ _SAME_LINE = 1e-5
 # midpoint is off the cone by about their distance times the gradient, and at
 # the roundoff floor its residual is about theirs.
 _NEAR_LINE = 1e-3
-_ROOT_CLUSTER = 1e-4
 # det of unit forms at roundoff level: every member of the pencil is singular
 _SINGULAR_PENCIL = 1e-14
 
@@ -473,8 +472,6 @@ def _zero_set(w: list[float], v: np.ndarray) -> list[np.ndarray] | None:
         return None
     p, n = pos[0], neg[0]
     x, y = math.sqrt(-w[n]) * v[:, p], math.sqrt(w[p]) * v[:, n]
-    if not len(kernel):
-        return [unit(x + y)[None], unit(x - y)[None]]
     return [np.concatenate((kernel, unit(x + y)[None])), np.concatenate((kernel, unit(x - y)[None]))]
 
 

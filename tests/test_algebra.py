@@ -536,7 +536,8 @@ def test_structure_flags_match_the_reference():
         want = _flags_reference(alg)
         assert structure_flags(alg) == want
         seen.add(dataclasses.astuple(want))
-    assert len(seen) == 4  # solvable or not, nilpotent, associative: all reached
+    # (solvable, nilpotent, associative, power-associative): FFFF, FFTT, TFFF, TTTT
+    assert len(seen) == 4
 
 
 def test_structure_flags_are_basis_free():
