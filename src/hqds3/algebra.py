@@ -576,7 +576,8 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
     def residuals(us: np.ndarray) -> list[float]:
         return np.abs(square_map(alg, us)).max(axis=1).tolist()
 
-    r, rows = rank_and_rowspace(alg.c.transpose(2, 0, 1).reshape(3, 9))
+    # row k: the form Q_k, read as a view; SVD copies its input either way
+    r, rows = rank_and_rowspace(alg.c.reshape(9, 3).T)
     if r == 0:
         return NilconeDescriptor(kind="whole-space", samples=np.vstack([np.eye(3), -np.eye(3)]))
     forms = rows.reshape(r, 3, 3)
