@@ -349,7 +349,9 @@ def _orbit_mean() -> np.ndarray:
     its symmetrization: row m is the mean over the index tuples that sort to
     the m-th multiset, which is the mean of the 24 slot permutations there."""
     keys = [tuple(sorted(t)) for t in itertools.product(range(3), repeat=4)]
-    hit = np.array([[key == m for key in keys] for m in sorted(set(keys))], dtype=float)
+    multisets = sorted(set(keys))
+    hit = np.zeros((len(multisets), len(keys)))
+    hit[[multisets.index(key) for key in keys], range(len(keys))] = 1.0
     return hit / hit.sum(axis=1, keepdims=True)
 
 
@@ -488,10 +490,9 @@ def _quadric_cone_samples(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # the pencil members cos(th) f1 + sin(th) f2 at th = k pi / 8, k < 8, and
 # (cos, sin) of each th as Python floats
-_PENCIL_TH = np.arange(8) * (np.pi / 8)
-_PENCIL_COS = np.cos(_PENCIL_TH)[:, None, None]
-_PENCIL_SIN = np.sin(_PENCIL_TH)[:, None, None]
-_PENCIL_CS = list(zip(np.cos(_PENCIL_TH).tolist(), np.sin(_PENCIL_TH).tolist()))
+_PENCIL_COS = np.cos(np.arange(8) * (np.pi / 8)).reshape(8, 1, 1)
+_PENCIL_SIN = np.sin(np.arange(8) * (np.pi / 8)).reshape(8, 1, 1)
+_PENCIL_CS = list(zip(_PENCIL_COS.ravel().tolist(), _PENCIL_SIN.ravel().tolist()))
 
 
 def _degenerate_member(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:

@@ -253,8 +253,8 @@ def _certify(alg: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # the exponents of the scaling automorphism diag(x, 1/x, x^2) of the first
-# canonical table, centred, and their squared length
-_A1_EXPONENTS = np.array([1.0, -1.0, 2.0]) - np.array([1.0, -1.0, 2.0]).mean()
+# canonical table, centred on their mean 2/3, and their squared length
+_A1_EXPONENTS = np.array([1.0, -1.0, 2.0]) - 2.0 / 3.0
 _A1_EXPONENTS_SQ = float(_A1_EXPONENTS @ _A1_EXPONENTS)
 
 
