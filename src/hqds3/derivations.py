@@ -180,9 +180,10 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     else:
         groups = sorted((sigma * root, k) for root, k in groups)
         values = np.array([root for root, _ in groups])
-        roots = values.repeat([k for _, k in groups])
+        roots = np.array([root for root, k in groups for _ in range(k)])
         _, sv, vh = np.linalg.svd(m - values[:, None, None] * _EYE)
-        ranks = [sum(s > 1e-7 * max(row[0], 1.0) for s in row) for row in sv.tolist()]
+        # the singular values above each row's cut
+        ranks = [sum(map((1e-7 * max(row[0], 1.0)).__lt__, row)) for row in sv.tolist()]
         if all(rank == 3 - k for rank, (_, k) in zip(ranks, groups)):
             vectors = np.concatenate([basis[rank:] for basis, rank in zip(vh, ranks)]).T
 
