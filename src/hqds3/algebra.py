@@ -164,8 +164,9 @@ def product(alg: Algebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def square_map(alg: Algebra, x: np.ndarray) -> np.ndarray:
     """x * x, the quadratic vector field of the associated system, broadcast
-    over leading axes like ``product``."""
-    return product(alg, x, x)
+    over leading axes; product(alg, x, x) bit for bit, as x x^T is symmetric."""
+    x = np.asarray(x, dtype=float)
+    return np.einsum("...ij,ijk->...k", x[..., :, None] * x[..., None, :], alg.c)
 
 
 def left_mult_matrix(alg: Algebra, v: np.ndarray) -> np.ndarray:

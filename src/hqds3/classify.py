@@ -59,7 +59,7 @@ from .derivations import (
     leibniz_operator,
     spectrum_admits,
 )
-from .linalg import nullspace, rank_and_rowspace, sign_canonical, unit, vector_norm
+from .linalg import nullspace, project_onto, rank_and_rowspace, sign_canonical, unit, vector_norm
 from .tolerances import TAU_CERT, TAU_RANK
 
 DEFINITE_TAGS = CANONICAL_TAGS + ("NullAlgebra",)
@@ -366,14 +366,13 @@ def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
 
     A numerical derivation meets these relations only up to its residual,
     which may exceed the TAU_RES at which spectrum_admits decides them.  The
-    move is the least-squares one, and a move above 1e-6 of the spectrum
-    raises.  After it every such constant meets its relation to roundoff, so
-    the constants the spectrum forbids are at most 1e-7 max(1, scale).
+    move is the orthogonal projection of w onto the null space of those
+    rows, the shortest one, and a move above 1e-6 of w raises.  After it
+    every such constant meets its relation to roundoff, so the constants the
+    spectrum forbids are at most 1e-7 max(1, scale).
     """
     a = RELATIONS[np.abs(eig.c[_SLOTS]) > 1e-7 * max(1.0, eig.scale)]
-    if not a.size:
-        return w
-    snapped = w - np.linalg.lstsq(a, a @ w, rcond=None)[0]
+    snapped = project_onto(nullspace(a), w)  # no rows: the identity's, w itself
     if float(np.abs(snapped - w).max()) > 1e-6 * float(np.abs(w).max()):
         raise ValueError("spectrum is far from the relations its constants impose")
     return snapped

@@ -43,17 +43,7 @@ class IllConditioned(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Leibniz residual and the derivation space
-
-
-def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
-    """max over basis pairs of |D(e_i e_j) - (De_i)e_j - e_i(De_j)|, relative."""
-    m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max())) * max(1.0, alg.scale)
-    lhs = np.einsum("kl,ijl->ijk", m, alg.c)  # D(e_i e_j)
-    # (De_i) e_j; with c symmetric, e_i (De_j) is the same array with i, j swapped
-    left = np.einsum("ai,ajk->ijk", m, alg.c)
-    return float(np.abs(lhs - (left + left.transpose(1, 0, 2))).max()) / scale
+# the Leibniz conditions, their residual and the derivation space
 
 
 @dataclass(frozen=True)
@@ -105,10 +95,18 @@ def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
     return leibniz_operator(c, c.transpose(0, 2, 1))
 
 
+def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
+    """max over pairs i <= j of |D(e_i e_j) - (De_i)e_j - e_i(De_j)|, read off
+    _leibniz_matrix(c) @ vec(D), over max(1, max |m_ij|) max(1, scale)."""
+    m = np.asarray(m, dtype=float)
+    scale = max(1.0, float(np.abs(m).max())) * max(1.0, alg.scale)
+    return float(np.abs(_leibniz_matrix(alg.c) @ m.ravel()).max()) / scale
+
+
 @invariant
 def derivation_space(alg: Algebra) -> DerivationSpace:
     """Orthonormal basis of all derivations, by SVD of the Leibniz conditions."""
-    null = nullspace(_leibniz_matrix(alg.c), rtol=TAU_RANK)
+    null = nullspace(_leibniz_matrix(alg.c))
     null.setflags(write=False)  # so is the basis, a view of it
     return DerivationSpace(dim=len(null), basis=null.reshape(-1, 3, 3))
 
@@ -147,11 +145,12 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
     singular vectors past each rank are then orthonormal bases of the
     eigenspaces, and their columns the eigenvectors.  A complex pair is
     simple, so semisimple, with no real eigenbasis.  nonsingular is
-    |det m| > TAU_RANK.
+    |det m| = |r0 r1 r2| sigma^3 > TAU_RANK, on the roots r in units of sigma.
     """
     m = np.asarray(m, dtype=float)
     sigma = max(1.0, float(np.abs(m).max()))
     roots = np.linalg.eigvals(m / sigma).tolist()
+    nonsingular = abs(roots[0] * roots[1] * roots[2]) * sigma * sigma * sigma > TAU_RANK
     centre = sum(roots) / 3.0
     y = [r - centre for r in roots]
     p = (y[0] * y[1] + y[0] * y[2] + y[1] * y[2]).real
@@ -193,7 +192,7 @@ def analyze_spectrum(m: np.ndarray) -> SpectralReport:
         eigenvectors=vectors,
         all_real=kind != "complex-pair",
         semisimple=kind == "complex-pair" or vectors is not None,
-        nonsingular=abs(float(np.linalg.det(m))) > TAU_RANK,
+        nonsingular=nonsingular,
         multiplicity=kind,
     )
 

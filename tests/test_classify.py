@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqds3.algebra import (
+    NAMED_SLOTS,
     Algebra,
     change_of_basis,
     from_named,
@@ -29,6 +30,7 @@ from hqds3.classify import (
     ClassificationResult,
     _certificate_jacobian,
     _certify,
+    _snapped_spectrum,
     certificate_residual,
     classify,
     classify_via_derivation,
@@ -39,6 +41,8 @@ from hqds3.classify import (
 )
 from hqds3 import derivations
 from hqds3.derivations import (
+    RELATIONS,
+    SLOT_ARRAY,
     analyze_spectrum,
     derivation_residual,
     derivation_space,
@@ -344,6 +348,29 @@ def test_passing_candidates_are_not_polished(monkeypatch):
     assert calls == []
 
 
+def test_the_derivation_route_calls_no_det_and_no_lstsq(monkeypatch):
+    # nonsingular is read off the roots analyze_spectrum already holds, and
+    # the spectrum snap projects onto nullspace's basis; these conjugates
+    # pass TAU_CERT as built, so the polish, which solves by lstsq, never runs
+    calls = _counting_polish(monkeypatch)
+    linalg_calls = Counter()
+    for name in ("det", "lstsq"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            linalg_calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = np.random.default_rng(0)
+    for n in range(40):
+        tag = TAGS[n % 4]
+        alg, _ = conjugated_canonical(tag, rng)
+        assert classify_via_derivation(alg).tag == tag, n
+    assert calls == []
+    assert linalg_calls == Counter()
+
+
 def test_a_missing_candidate_is_polished_once(monkeypatch):
     # the planted near-certificate misses TAU_CERT raw; the result is the
     # polish's, bit for bit, and a candidate beyond repair stays a miss
@@ -549,6 +576,70 @@ def test_reduction_refuses_a_spectrum_its_constants_contradict():
     alg = from_named(c=1.0, f=1.0, b=1.5e-7)
     with pytest.raises(ValueError, match="relations"):
         reduce_with_derivation(alg, analyze_spectrum(np.diag([1.0, 1.0, 2.0])))
+
+
+def _snapped_spectrum_reference(w, eig):
+    # the least-squares move the projection replaced, verbatim
+    a = RELATIONS[np.abs(eig.c[tuple(SLOT_ARRAY.T)]) > 1e-7 * max(1.0, eig.scale)]
+    if not a.size:
+        return w
+    snapped = w - np.linalg.lstsq(a, a @ w, rcond=None)[0]
+    if float(np.abs(snapped - w).max()) > 1e-6 * float(np.abs(w).max()):
+        raise ValueError("spectrum is far from the relations its constants impose")
+    return snapped
+
+
+# constants of an algebra in a derivation's eigenbasis, and a spectrum that
+# meets their relations (None: one drawn on the relation's plane); the rows
+# they select have rank 1, 2, 2 (three rows) and 3, where only 0 meets them
+SNAP_CASES = [
+    ({"c": 2.0}, None),
+    ({"n": 1.5}, None),
+    ({"s": -1.0}, None),
+    ({"c": 1.0, "f": -1.0}, (1.0, 1.0, 2.0)),
+    ({"d": 1.0, "g": 2.0, "s": 1.0}, (1.0, 0.5, 0.5)),
+    ({"c": 1.0, "f": 1.0, "b": 1.0}, (1.0, 1.0, 2.0)),
+]
+
+
+def test_snapped_spectrum_matches_the_least_squares_move():
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    seen = Counter()
+    for constants, spectrum in SNAP_CASES:
+        for _ in range(20):
+            exact = from_named(**{k: v * 10.0 ** rng.uniform(-3, 3) for k, v in constants.items()})
+            # eigenbasis noise below the 1e-7 cut selects no further row
+            noise = 1e-9 * exact.scale * rng.standard_normal((3, 3, 3))
+            eig = Algebra(exact.c + noise + noise.transpose(1, 0, 2))
+            if spectrum is None:
+                (i, j, k), = (slot for letter, slot in NAMED_SLOTS.items() if letter in constants)
+                w = np.array([1.0, *rng.uniform(-3, 3, 2)])
+                w[k] = w[i] + w[j]
+            else:
+                w = np.array(spectrum)
+            w *= rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 2)
+            rows = RELATIONS[np.abs(eig.c[tuple(SLOT_ARRAY.T)]) > 1e-7 * max(1.0, eig.scale)]
+            assert len(rows) == len(constants)
+            for off in (0.0, 1e-9, 1e-5):
+                v = w + off * float(np.abs(w).max()) * rng.standard_normal(3)
+                try:
+                    want = _snapped_spectrum_reference(v, eig)
+                except ValueError:
+                    with pytest.raises(ValueError, match="relations"):
+                        _snapped_spectrum(v, eig)
+                    seen[np.linalg.matrix_rank(rows), "raised"] += 1
+                    continue
+                got = _snapped_spectrum(v, eig)
+                assert np.abs(got - want).max() <= 4 * eps * np.abs(v).max(), (constants, off)
+                seen[np.linalg.matrix_rank(rows), "moved"] += 1
+    # every rank below 3 snaps a near spectrum and refuses a far one, and
+    # rank 3, whose null space is 0, refuses every nonzero spectrum
+    assert set(seen) == {(1, "moved"), (1, "raised"), (2, "moved"), (2, "raised"), (3, "raised")}
+    # no constant above the cut selects no row: the spectrum itself, bit for bit
+    w = np.array([1.0, -3.0, 2.5])
+    for c in (np.zeros((3, 3, 3)), 1e-8 * canonical_algebra("A3").c):
+        assert np.array_equal(_snapped_spectrum(w, Algebra(c)), w)
 
 
 def test_reduction_of_the_zero_algebra_is_null():
