@@ -590,8 +590,9 @@ def _snapped_spectrum_reference(w, eig):
 
 
 # constants of an algebra in a derivation's eigenbasis, and a spectrum that
-# meets their relations (None: one drawn on the relation's plane); the rows
-# they select have rank 1, 2, 2 (three rows) and 3, where only 0 meets them
+# meets their relations (None: one drawn on the relation's plane).  The first
+# three select one row each, then two rows of rank 2, three rows of rank 2,
+# and three of rank 3, which only the zero spectrum meets
 SNAP_CASES = [
     ({"c": 2.0}, None),
     ({"n": 1.5}, None),
