@@ -212,40 +212,15 @@ def change_of_basis(alg: Algebra, m: np.ndarray) -> Algebra:
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of R^3 stored as orthonormal rows, in a read-only
-    private copy."""
-
-    basis: np.ndarray  # (dim, 3)
-
-    def __post_init__(self) -> None:
-        basis = np.array(self.basis, dtype=float)
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[0])
-
-    def contains(self, v: np.ndarray, rtol: float = 1e-7) -> bool:
-        return contains_vector(self.basis, v, rtol)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return project_onto(self.basis, v)
-
-
-def span_of(vectors: np.ndarray) -> Subspace:
-    _, rows = rank_and_rowspace(np.atleast_2d(vectors))
-    return Subspace(rows)
-
-
 @invariant
-def annihilator(alg: Algebra) -> Subspace:
-    """Ann = {v : v * w = 0 for all w}, the kernel of v -> L_v."""
+def annihilator(alg: Algebra) -> np.ndarray:
+    """Ann = {v : v * w = 0 for all w}, the kernel of v -> L_v, as read-only
+    orthonormal rows."""
     # stack the nine linear conditions (v * e_i)_k = 0 over i, k
     rows = alg.c.transpose(1, 2, 0).reshape(9, 3)  # row (i, k): coeffs of v_j
-    return Subspace(nullspace(rows))
+    ann = nullspace(rows)
+    ann.setflags(write=False)
+    return ann
 
 
 # the pairs (i, j) with i <= j, row by row: the index arrays of np.triu_indices(3)
@@ -253,13 +228,15 @@ _UPPER = np.triu_indices(3)
 
 
 @invariant
-def square_ideal(alg: Algebra) -> Subspace:
-    """A * A, the span of all basis products."""
-    return span_of(alg.c[_UPPER])
+def square_ideal(alg: Algebra) -> np.ndarray:
+    """A * A, the span of all basis products, as read-only orthonormal rows."""
+    _, sq = rank_and_rowspace(alg.c[_UPPER])
+    sq.setflags(write=False)
+    return sq
 
 
 @invariant
-def ideal_structure(alg: Algebra) -> tuple[Subspace, Subspace, bool]:
+def ideal_structure(alg: Algebra) -> tuple[np.ndarray, np.ndarray, bool]:
     """(Ann, A*A, whether A*A is a nonzero subspace of Ann).
 
     The one place that decides the ideal structure both classification
@@ -267,7 +244,7 @@ def ideal_structure(alg: Algebra) -> tuple[Subspace, Subspace, bool]:
     """
     ann = annihilator(alg)
     sq = square_ideal(alg)
-    return ann, sq, sq.dim > 0 and all(ann.contains(row) for row in sq.basis)
+    return ann, sq, len(sq) > 0 and all(contains_vector(ann, row) for row in sq)
 
 
 @dataclass
@@ -278,18 +255,18 @@ class SubspaceCheck:
     max_ideal_residual: float
 
 
-def subspace_check(alg: Algebra, sub: Subspace) -> SubspaceCheck:
-    """Test whether a subspace is a subalgebra (S*S in S) and an ideal (A*S in S),
-    each up to a residual of TAU_RES."""
+def subspace_check(alg: Algebra, sub: np.ndarray) -> SubspaceCheck:
+    """Test whether the span of the orthonormal rows ``sub`` is a subalgebra
+    (S*S in S) and an ideal (A*S in S), each up to a residual of TAU_RES."""
     norm, _ = alg.normalized()
 
     def escape(prods: np.ndarray) -> float:
         prods = prods.reshape(-1, 3)
-        off = prods - prods @ sub.basis.T @ sub.basis
+        off = prods - prods @ sub.T @ sub
         return float(np.max(np.linalg.norm(off, axis=1), initial=0.0))
 
-    closure = escape(product(norm, sub.basis[:, None], sub.basis[None, :]))
-    ideal = max(closure, escape(product(norm, np.eye(3)[:, None], sub.basis[None, :])))
+    closure = escape(product(norm, sub[:, None], sub[None, :]))
+    ideal = max(closure, escape(product(norm, np.eye(3)[:, None], sub[None, :])))
     return SubspaceCheck(
         closed=closure <= TAU_RES,
         ideal=ideal <= TAU_RES,
@@ -342,7 +319,7 @@ def _series_vanishes(start: np.ndarray, step) -> bool:
 @invariant
 def is_solvable(alg: Algebra) -> bool:
     """Whether the derived series A*A, (A*A)*(A*A), ... vanishes (depth 4)."""
-    return _series_vanishes(square_ideal(alg).basis, lambda t: _span_products(alg, t, t))
+    return _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, t, t))
 
 
 def _orbit_mean() -> np.ndarray:
@@ -371,7 +348,7 @@ def structure_flags(alg: Algebra) -> StructureFlags:
     over its four slots by one product with _ORBIT_MEAN.
     """
     solvable = is_solvable(alg)
-    nilpotent = _series_vanishes(square_ideal(alg).basis, lambda t: _span_products(alg, _EYE, t))
+    nilpotent = _series_vanishes(square_ideal(alg), lambda t: _span_products(alg, _EYE, t))
 
     c, c9 = alg.c, alg.c.reshape(3, 9)
     pairs = c.reshape(9, 3)  # row ab: e_a e_b
@@ -401,13 +378,20 @@ def structure_flags(alg: Algebra) -> StructureFlags:
 class NilconeDescriptor:
     # origin-only | one-line | two-lines | plane | two-planes | whole-space | other
     kind: str
-    lines: tuple[Subspace, ...] = ()    # dim 1
-    planes: tuple[Subspace, ...] = ()   # dim 2
-    samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))  # read-only copy
+    lines: tuple[np.ndarray, ...] = ()    # (1, 3) orthonormal rows each
+    planes: tuple[np.ndarray, ...] = ()   # (2, 3) orthonormal rows each
+    samples: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.array(self.samples, dtype=float))
-        self.samples.setflags(write=False)
+        # read-only private copies, as the memo shares them
+        def frozen(a) -> np.ndarray:
+            a = np.array(a, dtype=float)
+            a.setflags(write=False)
+            return a
+
+        object.__setattr__(self, "lines", tuple(map(frozen, self.lines)))
+        object.__setattr__(self, "planes", tuple(map(frozen, self.planes)))
+        object.__setattr__(self, "samples", frozen(self.samples))
 
 
 # sample coordinates t on a cone line, and (a, b) on a cone plane: the 5 x 5
@@ -417,12 +401,12 @@ _GRID = np.linspace(-1.5, 1.5, 5)
 _PLANE_AB = np.array([(a, b) for a in _GRID for b in _GRID if abs(a) + abs(b) >= 1e-12])
 
 
-def _component_samples(lines: list, planes: list) -> np.ndarray:
-    """Steady-state samples generated from verified cone components: eight
-    points on each line, then 24 on each plane."""
-    pts = [_LINE_T * line.basis[0] for line in lines]
-    pts += [_PLANE_AB[:, :1] * plane.basis[0] + _PLANE_AB[:, 1:] * plane.basis[1]
-            for plane in planes]
+def _component_samples(lines: list[np.ndarray], planes: list[np.ndarray]) -> np.ndarray:
+    """Steady-state samples generated from verified cone components, each
+    given by orthonormal rows: eight points on each line, then 24 on each
+    plane."""
+    pts = [_LINE_T * line[0] for line in lines]
+    pts += [_PLANE_AB[:, :1] * plane[0] + _PLANE_AB[:, 1:] * plane[1] for plane in planes]
     return np.concatenate(pts) if pts else np.zeros((0, 3))
 
 
@@ -627,10 +611,7 @@ def nilpotent_cone(alg: Algebra) -> NilconeDescriptor:
         if not any(merges(k, u, res) for k in planes + lines):
             lines.append(sign_canonical(u)[None, :])
     kind = _KIND_BY_PARTS.get((len(lines), len(planes)), "other")
-    lines, planes = [Subspace(k) for k in lines], [Subspace(k) for k in planes]
-    return NilconeDescriptor(
-        kind, tuple(lines), tuple(planes), _component_samples(lines, planes)
-    )
+    return NilconeDescriptor(kind, lines, planes, _component_samples(lines, planes))
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +693,7 @@ def _projective_roots(norm: Algebra) -> tuple[np.ndarray, np.ndarray]:
         return w[None, :], np.array([w @ rows[0].reshape(3, 3) @ w])
     planes = nilpotent_cone(norm).planes
     if planes:  # x*x = l(x) Mx: a curve when l is not zero on an eigenspace of dim > 1
-        ell = nullspace(planes[0].basis)[0]
+        ell = nullspace(planes[0])[0]
         m = 2.0 * left_mult_matrix(norm, ell) - np.outer(square_map(norm, ell), ell)
         mu, u = np.linalg.eig(m)
         spaces = [nullspace(m - lam * np.eye(3)) for lam in mu.real[(mu.imag == 0) & (mu != 0)]]

@@ -35,7 +35,6 @@ from .algebra import (
     Algebra,
     NilconeDescriptor,
     SingularBasis,
-    Subspace,
     change_of_basis,
     ideal_structure,
     invariant,
@@ -149,16 +148,16 @@ def fingerprint(alg: Algebra) -> InvariantFingerprint:
     flags = structure_flags(alg)
 
     induced = "n/a"
-    if ann.dim == 1 and sq.dim == 1 and sq_in_ann:
-        induced = _INDUCED_FORM[_square_line_normal_form(alg, sq.basis[0])[0]]
+    if len(ann) == 1 and len(sq) == 1 and sq_in_ann:
+        induced = _INDUCED_FORM[_square_line_normal_form(alg, sq[0])[0]]
 
     return InvariantFingerprint(
-        dim_ann=ann.dim,
-        dim_sq=sq.dim,
+        dim_ann=len(ann),
+        dim_sq=len(sq),
         sq_in_ann=sq_in_ann,
         nilcone_kind=nilpotent_cone(alg).kind,
         induced_form=induced,
-        dim_der=derivation_space(alg).dim,
+        dim_der=len(derivation_space(alg)),
         solvable=flags.solvable,
         nilpotent=flags.nilpotent,
         associative=flags.associative,
@@ -268,7 +267,7 @@ def _balance_a1(m: np.ndarray) -> np.ndarray:
     return m @ np.diag([x, 1.0 / x, x * x])
 
 
-def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> Iterator[np.ndarray]:
+def _recipe_a1(norm: Algebra, sq: np.ndarray, cone: NilconeDescriptor) -> Iterator[np.ndarray]:
     """Candidate certificates from the two nilcone lines, built one at a
     time: the caller stops at the first one that passes.
 
@@ -278,8 +277,8 @@ def _recipe_a1(norm: Algebra, sq: Subspace, cone: NilconeDescriptor) -> Iterator
     """
     if len(cone.lines) != 2 or cone.planes:
         return
-    units = [line.basis[0] for line in cone.lines]
-    units.sort(key=lambda u: vector_norm(u - sq.project(u)))
+    units = [line[0] for line in cone.lines]
+    units.sort(key=lambda u: vector_norm(u - project_onto(sq, u)))
     for u3, u2 in ((units[0], units[1]), (units[1], units[0])):
         f1 = product(norm, u2, u3)
         f1_norm = vector_norm(f1)
@@ -321,9 +320,9 @@ def classify(alg: Algebra) -> ClassificationResult:
     # dispatch on the cheap invariants; the nilpotent cone is only computed
     # on the one branch that needs it
     candidates: Iterable[tuple[str, np.ndarray]] = ()
-    if sq.dim == 1 and sq_in_ann:
-        candidates = [_square_line_normal_form(norm, sq.basis[0])]
-    elif ann.dim == 0 and sq.dim == 2:
+    if len(sq) == 1 and sq_in_ann:
+        candidates = [_square_line_normal_form(norm, sq[0])]
+    elif len(ann) == 0 and len(sq) == 2:
         candidates = (("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm)))
 
     for tag, m_norm in candidates:

@@ -122,7 +122,7 @@ def _derivation_report(alg: Algebra, ssnd: SpectralReport | None) -> dict:
     if ssnd is not None:
         found["matrix"] = ssnd.matrix
         found["spectrum"] = sorted(float(v.real) for v in ssnd.eigenvalues)
-    return {"dim": space.dim, "basis": space.basis, "ssnd": found}
+    return {"dim": len(space), "basis": space, "ssnd": found}
 
 
 def cmd_classify(args, alg: Algebra, label: str | None) -> int:

@@ -46,12 +46,6 @@ class IllConditioned(ArithmeticError):
 # the Leibniz conditions, their residual and the derivation space
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
-    dim: int
-    basis: np.ndarray  # (dim, 3, 3), read-only, orthonormal as 9-vectors
-
-
 # the six basis pairs i <= j, the row order of every per-pair stack
 PAIRS = np.array([(i, j) for i in range(3) for j in range(i, 3)])
 
@@ -104,11 +98,12 @@ def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
 
 
 @invariant
-def derivation_space(alg: Algebra) -> DerivationSpace:
-    """Orthonormal basis of all derivations, by SVD of the Leibniz conditions."""
+def derivation_space(alg: Algebra) -> np.ndarray:
+    """Basis of all derivations, by SVD of the Leibniz conditions: a
+    read-only (dim, 3, 3) array, orthonormal as 9-vectors."""
     null = nullspace(_leibniz_matrix(alg.c))
     null.setflags(write=False)  # so is the basis, a view of it
-    return DerivationSpace(dim=len(null), basis=null.reshape(-1, 3, 3))
+    return null.reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +257,13 @@ def find_real_ssnd(alg: Algebra) -> SpectralReport | None:
     not exhaustive, so None is a miss, not a proof of absence.
     """
     norm, _ = alg.normalized()
-    space = derivation_space(alg)
-    flat = space.basis.reshape(space.dim, 9)
+    flat = derivation_space(alg).reshape(-1, 9)
 
     def analysed(cand: np.ndarray) -> SpectralReport | None:
         top = float(np.abs(cand).max())
         return analyze_spectrum(cand / top) if top > TAU_RANK else None
 
-    for coeffs in itertools.product((0.0, 1.0, -1.0), repeat=space.dim):
+    for coeffs in itertools.product((0.0, 1.0, -1.0), repeat=len(flat)):
         rep = analysed(np.dot(coeffs, flat).reshape(3, 3))
         if rep is not None and not (rep.all_real and rep.semisimple):
             # the part is a derivation in exact arithmetic, but its projector

@@ -123,7 +123,7 @@ def ray_solution(v: np.ndarray, ts: np.ndarray, alpha0: float = 1.0) -> np.ndarr
 def affine_flow_applies(alg: Algebra) -> bool:
     """Whether A*A lies in the annihilator, so every solution is affine."""
     _, sq, sq_in_ann = ideal_structure(alg)
-    return sq.dim == 0 or sq_in_ann
+    return len(sq) == 0 or sq_in_ann
 
 
 def affine_flow(alg: Algebra, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -143,7 +143,7 @@ def linear_first_integrals(alg: Algebra) -> np.ndarray:
     every solution; they exist exactly when A*A is a proper subspace, and
     they span its orthogonal complement.
     """
-    ints = nullspace(square_ideal(alg).basis)
+    ints = nullspace(square_ideal(alg))
     ints.setflags(write=False)
     return ints
 

@@ -1,8 +1,12 @@
 """Small dense linear-algebra helpers shared across modules.
 
-Everything here is a thin, tolerance-aware wrapper around numpy's SVD; the
-callers only ever deal with 3-vectors, 3x3 matrices and stacks thereof, so
-ranks are counted on the singular values as Python floats.
+The rank, row-space and null-space helpers are thin, tolerance-aware
+wrappers around numpy's SVD that count ranks on the singular values as
+Python floats; every matrix they see is small, the largest being the
+idempotent solver's 30 x 35 Macaulay matrix.  The others are plain helpers:
+a vector norm, a unit vector, a sign convention for line labels, projection
+onto orthonormal rows and membership in their span, and a random
+well-conditioned 3x3 matrix drawn by QR.
 """
 from __future__ import annotations
 
@@ -17,8 +21,6 @@ def rank_and_rowspace(rows: np.ndarray) -> tuple[int, np.ndarray]:
     """Numerical rank and an orthonormal basis (rows) of the row space; the
     rank counts singular values above TAU_RANK * max(1, s_max)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return 0, np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     s = s.tolist()
     if not s or s[0] == 0.0:

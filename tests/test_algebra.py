@@ -18,7 +18,6 @@ from hqds3.algebra import (
     NonIsolatedIdempotents,
     SingularBasis,
     StructureFlags,
-    Subspace,
     annihilator,
     automorphism_residual,
     change_of_basis,
@@ -30,7 +29,6 @@ from hqds3.algebra import (
     nilpotent_cone,
     product,
     square_ideal,
-    span_of,
     square_map,
     structure_flags,
     subspace_check,
@@ -38,7 +36,7 @@ from hqds3.algebra import (
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
 from hqds3.derivations import derivation_space
 from hqds3.dynamics import linear_first_integrals
-from hqds3.linalg import rank_and_rowspace, random_well_conditioned, sign_canonical, unit
+from hqds3.linalg import contains_vector, rank_and_rowspace, random_well_conditioned, sign_canonical, unit
 from hqds3.tolerances import TAU_DEDUP, TAU_RANK, TAU_RES
 
 from corpora import random_mask_algebra, random_mask_spectrum
@@ -176,12 +174,12 @@ def test_scaling_is_inverse_identity_basis_change():
 
 
 def test_annihilator_dims_canonical():
-    dims = {tag: annihilator(canonical_algebra(tag)).dim for tag in TAGS}
+    dims = {tag: len(annihilator(canonical_algebra(tag))) for tag in TAGS}
     assert dims == {"A1": 0, "A2": 2, "A3": 1, "A4": 1}
 
 
 def test_square_ideal_dims_canonical():
-    dims = {tag: square_ideal(canonical_algebra(tag)).dim for tag in TAGS}
+    dims = {tag: len(square_ideal(canonical_algebra(tag))) for tag in TAGS}
     assert dims == {"A1": 2, "A2": 1, "A3": 1, "A4": 1}
 
 
@@ -196,14 +194,53 @@ def test_square_ideal_matches_the_list_build():
     for alg in algs:
         c = alg.normalized()[0].c
         rows = np.array([c[i, j] for i in range(3) for j in range(i, 3)])
-        assert np.array_equal(square_ideal(alg).basis, span_of(rows).basis)
+        assert np.array_equal(square_ideal(alg), rank_and_rowspace(rows)[1])
+
+
+@pytest.mark.parametrize("shape, rows_shape", [((0, 3), (0, 3)), ((1, 0), (0, 0))])
+def test_rank_and_rowspace_of_an_empty_stack(shape, rows_shape):
+    # the SVD returns no singular values for an empty input, which reads as
+    # rank 0 with no rows of the input's width
+    r, rows = rank_and_rowspace(np.zeros(shape))
+    assert r == 0
+    assert rows.shape == rows_shape
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "random", "zero"])
+def test_memoized_subspaces_are_read_only_contiguous_rows(kind):
+    # every memoized subspace is a C-contiguous (k, 3) array of orthonormal
+    # rows that refuses writes; the cone keeps private copies of the rows
+    # it is given, so freezing them leaves the caller's arrays writable
+    rng = np.random.default_rng(9)
+    if kind == "random":
+        alg = random_symmetric_algebra(rng)
+    elif kind == "zero":
+        alg = Algebra(np.zeros((3, 3, 3)))
+    else:
+        alg = conjugated_canonical(kind, rng)[0]
+    cone = nilpotent_cone(alg)
+    subspaces = [annihilator(alg), square_ideal(alg), *cone.lines, *cone.planes]
+    for rows in subspaces:
+        assert rows.ndim == 2 and rows.shape[1] == 3
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+        if len(rows):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+    assert all(len(line) == 1 for line in cone.lines)
+    assert all(len(plane) == 2 for plane in cone.planes)
+    space = derivation_space(alg)
+    assert space.shape[1:] == (3, 3) and not space.flags.writeable
+    line = np.array([[1.0, 0.0, 0.0]])
+    NilconeDescriptor("one-line", (line,))
+    line[0, 0] = -1.0
 
 
 def test_a2_annihilator_content():
     ann = annihilator(canonical_algebra("A2"))
-    assert ann.contains(np.array([1.0, 0.0, 0.0]))
-    assert ann.contains(np.array([0.0, 1.0, 0.0]))
-    assert not ann.contains(np.array([0.0, 0.0, 1.0]))
+    assert contains_vector(ann, np.array([1.0, 0.0, 0.0]))
+    assert contains_vector(ann, np.array([0.0, 1.0, 0.0]))
+    assert not contains_vector(ann, np.array([0.0, 0.0, 1.0]))
 
 
 def test_a1_power_associativity_witness():
@@ -252,7 +289,7 @@ def test_nilcone_whole_space_and_plane():
 
 def test_nilcone_a1_line_directions():
     cone = nilpotent_cone(canonical_algebra("A1"))
-    dirs = sorted(tuple(np.round(line.basis[0], 9)) for line in cone.lines)
+    dirs = sorted(tuple(np.round(line[0], 9)) for line in cone.lines)
     np.testing.assert_allclose(dirs[0], [0.0, 0.0, 1.0], atol=CONE_DIR_TOL)
     np.testing.assert_allclose(dirs[1], [0.0, 1.0, 0.0], atol=CONE_DIR_TOL)
 
@@ -276,7 +313,7 @@ def test_nilcone_lines_match_the_conjugation(tag, axes):
     # coordinates of change_of_basis(table, m)
     for seed in range(300):
         alg, m = conjugated_canonical(tag, np.random.default_rng(seed))
-        lines = [line.basis[0] for line in nilpotent_cone(alg).lines]
+        lines = [line[0] for line in nilpotent_cone(alg).lines]
         assert len(lines) == len(axes)
         for k in axes:
             w = np.linalg.solve(m, np.eye(3)[k])
@@ -415,30 +452,30 @@ def _cone_loop_reference(alg: Algebra) -> NilconeDescriptor:
                 parts.append(sub)
                 continue
             parts.extend(u[None, :] for u in zeros if residual(u) <= TAU_RES)
-    planes = [Subspace(s) for s in parts if s.shape[0] == 2]
+    planes = [s for s in parts if s.shape[0] == 2]
     lines = []
 
     def near_copy(line, u):
         # within 1e-3 of a kept line, with a midpoint of at most half the
         # residual of u, the larger of the two
-        k = line.basis[0]
+        k = line[0]
         mid = u + (1.0 if float(k @ u) >= 0.0 else -1.0) * k
-        return line.contains(u, 1e-3) and residual(mid / np.linalg.norm(mid)) <= 0.5 * residual(u)
+        return contains_vector(line, u, 1e-3) and residual(mid / np.linalg.norm(mid)) <= 0.5 * residual(u)
 
     for u in sorted((s[0] for s in parts if s.shape[0] == 1), key=residual):
-        if not any(k.contains(u, 1e-5) for k in planes + lines) and not any(
+        if not any(contains_vector(k, u, 1e-5) for k in planes + lines) and not any(
             near_copy(k, u) for k in lines
         ):
-            lines.append(Subspace(sign_canonical(u)[None, :]))
+            lines.append(sign_canonical(u)[None, :])
     pts = []
     for line in lines:
-        pts.extend(t * line.basis[0] for t in np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
+        pts.extend(t * line[0] for t in np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
     grid = np.linspace(-1.5, 1.5, 5)
     for plane in planes:
         for a in grid:
             for b in grid:
                 if abs(a) + abs(b) >= 1e-12:
-                    pts.append(a * plane.basis[0] + b * plane.basis[1])
+                    pts.append(a * plane[0] + b * plane[1])
     kind = algebra._KIND_BY_PARTS.get((len(lines), len(planes)), "other")
     return NilconeDescriptor(kind, lines, planes, np.array(pts) if pts else np.zeros((0, 3)))
 
@@ -461,7 +498,7 @@ def test_nilcone_matches_the_loop_reference_bit_for_bit():
         assert got.kind == want.kind
         for ours, theirs in ((got.lines, want.lines), (got.planes, want.planes)):
             assert len(ours) == len(theirs)
-            assert all(np.array_equal(a.basis, b.basis) for a, b in zip(ours, theirs))
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
         assert got.samples.shape == want.samples.shape
         assert np.array_equal(got.samples, want.samples)
 
@@ -485,7 +522,7 @@ def test_nilcone_merges_the_spread_copies_of_a_triple_zero(draw):
     for k in (0, 1):
         w = np.linalg.solve(m, np.eye(3)[k])
         w /= np.linalg.norm(w)
-        assert min(min(np.linalg.norm(line.basis[0] - s * w) for s in (1.0, -1.0))
+        assert min(min(np.linalg.norm(line[0] - s * w) for s in (1.0, -1.0))
                    for line in cone.lines) <= 1e-4
 
 
@@ -493,20 +530,20 @@ def _flags_reference(alg: Algebra) -> StructureFlags:
     """structure_flags with every series run to its fourth term and the
     quartic symmetrized as the mean of its 24 transposes."""
     norm, _ = alg.normalized()
-    whole = Subspace(np.eye(3))
+    whole = np.eye(3)
 
     def span_products(left, right):
-        return span_of(product(norm, left.basis[:, None], right.basis[None, :]).reshape(-1, 3))
+        return rank_and_rowspace(product(norm, left[:, None], right[None, :]).reshape(-1, 3))[1]
 
     def vanishes(start, step):
         term = start
         for _ in range(3):
-            if term.dim == 0:
+            if len(term) == 0:
                 return True
             term = step(term)
-        return term.dim == 0
+        return len(term) == 0
 
-    sq = span_of(norm.c[np.triu_indices(3)])
+    sq = rank_and_rowspace(norm.c[np.triu_indices(3)])[1]
     c = norm.c
     assoc = float(np.abs(np.einsum("ijn,nkm->ijkm", c, c) - np.einsum("jkn,inm->ijkm", c, c)).max())
     quartic = np.einsum("abk,cdl,klm->abcdm", c, c, c) - np.einsum("abk,kcn,ndm->abcdm", c, c, c)
@@ -853,8 +890,8 @@ def test_subspace_dims_invariant_under_conjugation(tag, seed):
     rng = np.random.default_rng(seed)
     alg, _ = conjugated_canonical(tag, rng)
     base = canonical_algebra(tag)
-    assert annihilator(alg).dim == annihilator(base).dim
-    assert square_ideal(alg).dim == square_ideal(base).dim
+    assert len(annihilator(alg)) == len(annihilator(base))
+    assert len(square_ideal(alg)) == len(square_ideal(base))
 
 
 # the invariants memoized on the normalized algebra, by module
@@ -932,18 +969,14 @@ def test_cli_command_computes_each_invariant_once_per_algebra(tmp_path, capsys, 
 def test_memoized_invariants_are_read_only():
     alg, _ = conjugated_canonical("A1", np.random.default_rng(6))
     with pytest.raises(ValueError):
-        square_ideal(alg).basis[0, 0] = 1.0
+        square_ideal(alg)[0, 0] = 1.0
     space = derivation_space(alg)
     with pytest.raises(ValueError):
-        space.basis[0][0, 0] = 1.0
+        space[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         linear_first_integrals(alg)[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        space.dim = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
         structure_flags(alg).solvable = False
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        annihilator(alg).basis = np.eye(3)
     cone = nilpotent_cone(alg)
     with pytest.raises(ValueError):
         cone.samples[0, 0] = 1.0

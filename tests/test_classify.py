@@ -217,7 +217,7 @@ def test_futile_ssnd_searches_try_each_sign_pattern_at_most_once(monkeypatch):
         if tag == "A1" and kappa >= 1e4:
             calls.clear()
             find_real_ssnd(alg)
-            assert len(calls) <= 2 * (3 ** derivation_space(alg).dim - 1), kappa
+            assert len(calls) <= 2 * (3 ** len(derivation_space(alg)) - 1), kappa
 
 
 def test_off_orbit_perturbations_stay_not_in_family():
@@ -670,7 +670,7 @@ def test_reduction_of_a_candidate_with_nearly_equal_eigenvalues():
     rng = np.random.default_rng([2, zlib.crc32(b"sweep-recipe")])
     algs = [conjugated_canonical(tag, rng)[0] for _ in range(45) for tag in ("A2", "A3", "A4")]
     space = derivation_space(algs[133])
-    m = np.tensordot(np.random.default_rng(0).standard_normal(space.dim), space.basis, 1)
+    m = np.tensordot(np.random.default_rng(0).standard_normal(len(space)), space, 1)
     d = real_semisimple_part(analyze_spectrum(m / np.max(np.abs(m))))
     d /= np.max(np.abs(d))
     assert 1e-10 < derivation_residual(algs[133], d) <= 1e-8

@@ -72,6 +72,38 @@ def test_classify_idempotent_ray_algebra(tmp_path, capsys):
     assert report["derivation_space"]["ssnd"]["present"] is False
 
 
+def test_classify_warns_on_a_not_in_family_input_with_an_ssnd(tmp_path, capsys):
+    # e1 e1 = e2, e2 e2 = e3 has the SSND diag(1, 2, 4), of spectrum family
+    # 2, and lies in none of the four classes: both routes say NotInFamily
+    path = write_algebra(tmp_path, from_named(b=1.0, f=1.0))
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 2
+    report = json.loads(out)
+    assert report["classification"]["tag"] == "NotInFamily"
+    assert report["via_derivation"] == {"tag": "NotInFamily", "method": "derivation-reduction"}
+    assert report["derivation_space"]["ssnd"]["present"] is True
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith(
+        "invertible real-diagonalizable derivation found on a NotInFamily input"
+    )
+
+
+def test_classify_exits_3_when_the_routes_name_different_classes(tmp_path, capsys, monkeypatch):
+    derivation_route = cli.classify_via_derivation
+    monkeypatch.setattr(
+        cli, "classify_via_derivation", lambda alg: dataclasses.replace(derivation_route(alg), tag="A3")
+    )
+    path = write_algebra(tmp_path, canonical_algebra("A2"))
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 3
+    report = json.loads(out)
+    assert report["classification"]["tag"] == "A2"
+    assert report["via_derivation"]["tag"] == "A3"
+    assert report["warnings"] == [
+        "cross-path disagreement: invariant route says A2, derivation route says A3"
+    ]
+
+
 def test_classify_rejects_asymmetric_input(tmp_path, capsys):
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0  # mirror entry [2][1][...] left at zero
@@ -104,17 +136,34 @@ def test_classify_rejects_wrong_shape(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("entry, shown", [("1", '"1"'), (True, "true")], ids=["string", "boolean"])
-def test_classify_rejects_a_constant_that_is_not_a_number(tmp_path, capsys, entry, shown):
-    # numpy reads both as 1.0, which made this file the A2 table
+def _zeros_with_c332(entry):
     c = np.zeros((3, 3, 3)).tolist()
     c[2][2][1] = entry
+    return c
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"structure_constants": _zeros_with_c332("1")},
+         'error: structure constant c[3][3][2] must be a JSON number, got "1"'),
+        ({"structure_constants": _zeros_with_c332(True)},
+         "error: structure constant c[3][3][2] must be a JSON number, got true"),
+        ({"foo": 1}, "error: document must be an object with 'structure_constants'"),
+        ({"structure_constants": [[1, 2], [3]]}, "error: structure_constants must be numeric: "),
+    ],
+    ids=["string", "boolean", "no-constants", "ragged"],
+)
+def test_classify_rejects_a_constant_that_is_not_a_number(tmp_path, capsys, doc, message):
+    # numpy reads "1" and true as 1.0, which made the first two files the A2
+    # table; the last two hold no array of numbers at all: the key is
+    # missing, or the nesting is ragged
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps({"structure_constants": c}))
+    path.write_text(json.dumps(doc))
     code, out, err = run(capsys, ["classify", str(path)])
     assert code == 1
     assert out == ""
-    assert f"error: structure constant c[3][3][2] must be a JSON number, got {shown}" in err
+    assert err.startswith(message)
 
 
 def test_classify_rejects_an_integer_beyond_float_range(tmp_path, capsys):
@@ -307,6 +356,24 @@ def test_verify_corrupted_table_skips_class_checks(tmp_path, capsys):
     statuses = [line.split()[0] for line in lines[1:]]
     assert "FAIL" not in statuses
     assert "SKIP" in statuses
+
+
+def test_verify_zero_tensor(tmp_path, capsys):
+    # every point is steady and the flow is x(t) = x0: the steady-state
+    # check takes its whole-space branch, and the class checks skip
+    path = write_algebra(tmp_path, Algebra(np.zeros((3, 3, 3))))
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 0
+    assert out.splitlines() == [
+        "class: NullAlgebra",
+        "PASS affine-form: affine closed form matched, max deviation 0.00e+00",
+        "SKIP cell-invariance: no cell partition without a canonical class",
+        "SKIP curvature: straight-line claim applies to classes A2-A4",
+        "PASS first-integral-drift: 3 integrals, max relative drift 0.00e+00",
+        "SKIP ray-solutions: solvable: no nonzero idempotent exists",
+        "PASS steady-states: cone samples steady (residual 0.00e+00); cone is everything",
+        "SKIP torsion: torsion-free claim needs a classified algebra",
+    ]
 
 
 def test_verify_missing_file(tmp_path, capsys):
