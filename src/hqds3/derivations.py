@@ -84,24 +84,28 @@ def leibniz_operator(t: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return 0.0 + terms[0] - terms[1] - terms[2]
 
 
-def _leibniz_matrix(c: np.ndarray) -> np.ndarray:
-    """(18, 9) coefficient matrix of the Leibniz conditions in the entries of D."""
-    return leibniz_operator(c, c.transpose(0, 2, 1))
+@invariant
+def leibniz_matrix(alg: Algebra) -> np.ndarray:
+    """Read-only (18, 9) coefficient matrix of the Leibniz conditions in the
+    entries of D, for the normalized table."""
+    lm = leibniz_operator(alg.c, alg.c.transpose(0, 2, 1))
+    lm.setflags(write=False)
+    return lm
 
 
 def derivation_residual(alg: Algebra, m: np.ndarray) -> float:
-    """max over pairs i <= j of |D(e_i e_j) - (De_i)e_j - e_i(De_j)|, read off
-    _leibniz_matrix(c) @ vec(D), over max(1, max |m_ij|) max(1, scale)."""
+    """max over pairs i <= j of |D(e_i e_j) - (De_i)e_j - e_i(De_j)| on the
+    normalized table, read off leibniz_matrix(alg) @ vec(D), over
+    max(1, max |m_ij|)."""
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max())) * max(1.0, alg.scale)
-    return float(np.abs(_leibniz_matrix(alg.c) @ m.ravel()).max()) / scale
+    return float(np.abs(leibniz_matrix(alg) @ m.ravel()).max()) / max(1.0, float(np.abs(m).max()))
 
 
 @invariant
 def derivation_space(alg: Algebra) -> np.ndarray:
     """Basis of all derivations, by SVD of the Leibniz conditions: a
     read-only (dim, 3, 3) array, orthonormal as 9-vectors."""
-    null = nullspace(_leibniz_matrix(alg.c))
+    null = nullspace(leibniz_matrix(alg))
     null.setflags(write=False)  # so is the basis, a view of it
     return null.reshape(-1, 3, 3)
 
@@ -250,13 +254,11 @@ def find_real_ssnd(alg: Algebra) -> SpectralReport | None:
     before its negative.  Each candidate is scaled to largest entry 1 and
     analysed once.  One that misses with a defective or complex spectrum is
     replaced by its real_semisimple_part, again a derivation, kept only when
-    its Leibniz residual on the normalized algebra is at most 1e-8, where
-    the reduction judges it too: the residual is absolute below scale 1, so
-    on a tiny algebra's own constants any matrix would pass.  The first
-    candidate passing all three spectral tests is returned; the search is
-    not exhaustive, so None is a miss, not a proof of absence.
+    its Leibniz residual, judged on the normalized table as every Leibniz
+    residual is, is at most 1e-8.  The first candidate passing all three
+    spectral tests is returned; the search is not exhaustive, so None is a
+    miss, not a proof of absence.
     """
-    norm, _ = alg.normalized()
     flat = derivation_space(alg).reshape(-1, 9)
 
     def analysed(cand: np.ndarray) -> SpectralReport | None:
@@ -272,7 +274,7 @@ def find_real_ssnd(alg: Algebra) -> SpectralReport | None:
                 part = real_semisimple_part(rep)
             except IllConditioned:
                 continue
-            rep = analysed(part) if derivation_residual(norm, part) <= 1e-8 else None
+            rep = analysed(part) if derivation_residual(alg, part) <= 1e-8 else None
         if rep is not None and rep.all_real and rep.semisimple and rep.nonsingular:
             return rep
     return None

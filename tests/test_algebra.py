@@ -898,7 +898,7 @@ def test_subspace_dims_invariant_under_conjugation(tag, seed):
 MEMOIZED = {
     "algebra": ("annihilator", "square_ideal", "ideal_structure", "is_solvable", "structure_flags",
                 "nilpotent_cone"),
-    "derivations": ("derivation_space",),
+    "derivations": ("derivation_space", "leibniz_matrix"),
     "dynamics": ("linear_first_integrals",),
     "classify": ("fingerprint",),
 }

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqds3 import derivations
-from hqds3.algebra import NAMED_SLOTS, from_named, product
+from hqds3.algebra import NAMED_SLOTS, Algebra, from_named, product
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -21,7 +21,6 @@ from hqds3.derivations import (
     IllConditioned,
     SingularSpectrum,
     SpectralReport,
-    _leibniz_matrix,
     admissible_mask,
     analyze_spectrum,
     arrangement_lines,
@@ -29,6 +28,7 @@ from hqds3.derivations import (
     derivation_space,
     find_real_ssnd,
     jordan_chevalley,
+    leibniz_matrix,
     normalize_spectrum,
     real_semisimple_part,
 )
@@ -69,20 +69,20 @@ def test_leibniz_matrix_matches_the_loop_build():
     algs += [conjugated_canonical(tag, rng)[0] for tag in TAGS for _ in range(10)]
     algs += [random_symmetric_algebra(rng) for _ in range(40)]
     for alg in algs:
-        assert np.array_equal(_leibniz_matrix(alg.c), _leibniz_matrix_loop(alg.c))
+        assert np.array_equal(leibniz_matrix(alg), _leibniz_matrix_loop(alg.normalized()[0].c))
 
 
 def _derivation_residual_loop(alg, m):
-    # the pair loop the einsum build replaced
+    # the pair loop the einsum build replaced, on the normalized table
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) * max(1.0, alg.scale)
+    norm, _ = alg.normalized()
     worst = 0.0
     for i in range(3):
         for j in range(i, 3):
-            lhs = m @ alg.c[i, j]
-            rhs = product(alg, m[:, i], np.eye(3)[j]) + product(alg, np.eye(3)[i], m[:, j])
+            lhs = m @ norm.c[i, j]
+            rhs = product(norm, m[:, i], np.eye(3)[j]) + product(norm, np.eye(3)[i], m[:, j])
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst / scale
+    return worst / max(1.0, float(np.max(np.abs(m))))
 
 
 def test_derivation_residual_matches_the_loop_build():
@@ -101,6 +101,20 @@ def test_derivation_residual_matches_the_loop_build():
             n_small += loop < LEIBNIZ_TOL
             assert abs(derivation_residual(alg, m) - loop) <= 1e-15 * max(1.0, loop)
     assert n_small >= n_basis > 0  # true derivations were among the cases
+
+
+def test_leibniz_matrix_is_built_once_per_algebra():
+    # the derivation space, the residual and the SSND search all read the
+    # one read-only matrix of the normalized table
+    alg = Algebra(3.0 * conjugated_canonical("A2", np.random.default_rng(9))[0].c)
+    lm = leibniz_matrix(alg)
+    assert not lm.flags.writeable
+    _, misses = leibniz_matrix.cache_info()
+    derivation_space(alg)
+    derivation_residual(alg, np.eye(3))
+    assert find_real_ssnd(alg) is not None
+    assert leibniz_matrix.cache_info().misses == misses
+    assert leibniz_matrix(alg.normalized()[0]) is lm
 
 
 def test_derivation_dims_canonical():
