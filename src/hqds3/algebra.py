@@ -78,21 +78,28 @@ class Algebra:
     def scale(self) -> float:
         return float(np.abs(self.c).max())
 
-    def normalized(self) -> tuple["Algebra", float]:
-        """Rescale constants to unit max magnitude; returns (algebra, factor).
+    def normalized(self) -> tuple["Algebra", int]:
+        """The table scaled by a power of two to max magnitude in (1/2, 1],
+        and the exponent e: norm.c = np.ldexp(c, -e).
 
         Scaling constants by t is the change of basis by (1/t) * Id, so it
-        preserves every structural invariant used here.  Every call returns
-        the same object.
+        preserves every structural invariant used here; by a power of two it
+        is exact.  Every residual of the classification is judged on this
+        table, and a certificate or an idempotent of it leaves the frame in
+        one exact step, np.ldexp(x, -e).  A table already in (1/2, 1], and
+        the zero table, is its own normalized form, with e = 0.  Every call
+        returns the same object.
         """
         return self._normalized
 
     @functools.cached_property
-    def _normalized(self) -> tuple["Algebra", float]:
-        s = self.scale
-        if s == 0.0 or s == 1.0:
-            return self, 1.0
-        return Algebra(self.c / s), s
+    def _normalized(self) -> tuple["Algebra", int]:
+        mantissa, e = math.frexp(self.scale)
+        if mantissa == 0.5:  # an exact power of two divides to max 1
+            e -= 1
+        if e == 0:
+            return self, 0
+        return Algebra(np.ldexp(self.c, -e)), e
 
     @functools.cached_property
     def _invariants(self) -> dict:
@@ -652,9 +659,11 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
     each kept only where it lowers the residual (from an exact multiple root
     a step goes astray).  Nonzero points with |v*v - v| <= TAU_RES
     max(1, |v|)^2 in the normalized constants are kept, most accurate first,
-    and the copies of a multiple root collapse to the first of them.
+    and the copies of a multiple root collapse to the first of them.  They
+    leave the normalized frame by np.ldexp, exactly; one beyond the float
+    range comes back non-finite, with no warning.
     """
-    norm, factor = alg.normalized()
+    norm, e = alg.normalized()
     if is_solvable(norm):
         return []
     x, t = _projective_roots(norm)
@@ -671,7 +680,8 @@ def idempotents(alg: Algebra) -> list[np.ndarray]:
     res = np.abs(f).max(axis=1) / np.maximum(1.0, size) ** 2
     order = np.argsort(res)  # of two copies of one root, the more accurate is kept
     ok = order[(res[order] <= TAU_RES) & (size[order] > TAU_DEDUP)]
-    found = [w / factor for w in _first_come_distinct(v[ok])]
+    with np.errstate(over="ignore"):
+        found = [np.ldexp(w, -e) for w in _first_come_distinct(v[ok])]
     # rounded to 9 decimals in Python, which cannot overflow as w * 1e9 can
     return sorted(found, key=lambda w: tuple(round(x, 9) for x in w.tolist()))
 
@@ -719,9 +729,10 @@ def _first_come_distinct(points: np.ndarray) -> list[np.ndarray]:
 
 
 def automorphism_residual(alg: Algebra, m: np.ndarray) -> float:
-    """max over basis pairs of |phi(u*v) - phi(u)*phi(v)|, relative."""
+    """max over basis pairs of |phi(u*v) - phi(u)*phi(v)| on the normalized
+    table, over max(1, max |m_ij|)^2."""
+    norm, _ = alg.normalized()
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max())) ** 2 * max(1.0, alg.scale)
-    lhs = np.einsum("ak,ijk->ija", m, alg.c)
-    rhs = np.einsum("ai,bj,abk->ijk", m, m, alg.c)
-    return float(np.abs(lhs - rhs).max()) / scale
+    lhs = np.einsum("ak,ijk->ija", m, norm.c)
+    rhs = np.einsum("ai,bj,abk->ijk", m, m, norm.c)
+    return float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(m).max())) ** 2

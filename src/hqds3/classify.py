@@ -19,8 +19,14 @@ line w that spans every product and annihilates the algebra.
 
 Every positive answer carries a certificate matrix m whose columns express
 the canonical basis in the input coordinates: change_of_basis(alg, m)
-reproduces the canonical table entrywise within TAU_CERT.  Both routes check
-each candidate as built and polish it only when it misses that bound.
+reproduces the canonical table entrywise within TAU_CERT.  Both routes
+build, polish and judge the certificate on the normalized table
+(``Algebra.normalized``), polishing a candidate only when it misses that
+bound as built, and the certificate leaves that frame in one exact step,
+np.ldexp(m, -e).  So the reported residual is the input-frame one bit for
+bit wherever that can be computed, every decade of scale from 1e-300 to
+1e300 gets its tag, and a certificate beyond the float range makes the
+answer NotInFamily.
 """
 from __future__ import annotations
 
@@ -225,7 +231,7 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
     for _ in range(8):
         # rows in PAIRS order, the row order of the Jacobian
         g = (t[i, j] @ m.T - product(alg, m[:, i].T, m[:, j].T)).ravel()
-        if float(np.abs(g).max()) <= 1e-15 * max(1.0, alg.scale):
+        if float(np.abs(g).max()) <= 1e-15:
             break
         step, *_ = np.linalg.lstsq(_certificate_jacobian(alg, t, m), g, rcond=1e-12)
         if not np.isfinite(step).all():
@@ -234,17 +240,26 @@ def polish_certificate(alg: Algebra, tag: str, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _certify(alg: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
-    """A candidate certificate and its residual, polished only on a miss.
+def _certify(norm: Algebra, tag: str, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """A candidate certificate of the normalized table and its residual,
+    polished only on a miss.
 
     A raw candidate within TAU_CERT is returned as it is; otherwise the
     polished one is returned, with its residual, whether or not it passes.
     """
-    res = certificate_residual(alg, tag, m)
+    res = certificate_residual(norm, tag, m)
     if res <= TAU_CERT:
         return m, res
-    m = polish_certificate(alg, tag, m)
-    return m, certificate_residual(alg, tag, m)
+    m = polish_certificate(norm, tag, m)
+    return m, certificate_residual(norm, tag, m)
+
+
+def _leave_frame(m: np.ndarray, e: int) -> np.ndarray | None:
+    """The certificate m of the normalized table as one of the input table,
+    np.ldexp(m, -e), which is exact; None where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        m = np.ldexp(m, -e)
+    return m if np.isfinite(m).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +316,11 @@ def classify(alg: Algebra) -> ClassificationResult:
 
     Exact canonical tables short-circuit to an identity certificate; the
     zero tensor, and only it, reports NullAlgebra, since any other tensor
-    is its normalized table in the basis (1/scale) * Id; anything the
-    recipes cannot certify within TAU_CERT reports NotInFamily together
-    with its full fingerprint (positive answers carry the certificate
-    instead, which is stronger).
+    is its normalized table in the basis 2^-e * Id; anything the recipes
+    cannot certify within TAU_CERT on the normalized table, or whose
+    certificate leaves the float range, reports NotInFamily together with
+    its full fingerprint (positive answers carry the certificate instead,
+    which is stronger).
     A recipe's candidate is polished only when it misses TAU_CERT as built.
     """
     if alg.scale == 0.0:
@@ -314,7 +330,7 @@ def classify(alg: Algebra) -> ClassificationResult:
             if np.array_equal(alg.c, canonical_algebra(tag).c):
                 return ClassificationResult(tag, np.eye(3), 0.0, "exact-table")
 
-    norm, factor = alg.normalized()
+    norm, e = alg.normalized()
     ann, sq, sq_in_ann = ideal_structure(norm)
 
     # dispatch on the cheap invariants; the nilpotent cone is only computed
@@ -326,8 +342,9 @@ def classify(alg: Algebra) -> ClassificationResult:
         candidates = (("A1", m) for m in _recipe_a1(norm, sq, nilpotent_cone(norm)))
 
     for tag, m_norm in candidates:
-        m, res = _certify(alg, tag, m_norm / factor)
-        if res <= TAU_CERT:
+        m, res = _certify(norm, tag, m_norm)
+        m = _leave_frame(m, e) if res <= TAU_CERT else None
+        if m is not None:
             return ClassificationResult(tag, m, res, "invariant-recipe")
 
     return ClassificationResult(
@@ -370,6 +387,8 @@ def _snapped_spectrum(w: np.ndarray, eig: Algebra) -> np.ndarray:
     every such constant meets its relation to roundoff, so the constants the
     spectrum forbids are at most 1e-7 max(1, scale).
     """
+    # eig is the normalized table rewritten in the eigenbasis, which is not
+    # normalized, so this cut keeps its scale guard
     a = RELATIONS[np.abs(eig.c[_SLOTS]) > 1e-7 * max(1.0, eig.scale)]
     snapped = project_onto(nullspace(a), w)  # no rows: the identity's, w itself
     if float(np.abs(snapped - w).max()) > 1e-6 * float(np.abs(w).max()):
@@ -394,10 +413,11 @@ def reduce_with_derivation(alg: Algebra, ssnd: SpectralReport) -> Classification
     exact zero tensor, read off the algebra itself, never off the eigenbasis
     rewrite, whose scale an ill-conditioned eigenbasis can shrink.  The
     certificate is polished only when it misses TAU_CERT as built; one that
-    misses after the polish too raises IllConditioned.  Never returns None.
+    misses after the polish too raises IllConditioned, and one beyond the
+    float range gives NotInFamily.  Never returns None.
     """
     d = ssnd.matrix
-    norm, factor = alg.normalized()
+    norm, e = alg.normalized()
     if not (ssnd.all_real and ssnd.semisimple and ssnd.nonsingular):
         raise ValueError("derivation must have a real nonzero semisimple spectrum")
     if derivation_residual(norm, d) > 1e-7:
@@ -419,18 +439,18 @@ def reduce_with_derivation(alg: Algebra, ssnd: SpectralReport) -> Classification
     cut = TAU_RANK * eig.scale
     cols = _a1_columns(c, cut)
     if cols is not None:
-        tag, m = "A1", _balance_a1((v @ cols) / factor)
+        tag, m = "A1", _balance_a1(v @ cols)
     else:
         rank, rows = rank_and_rowspace(c.reshape(9, 3) / eig.scale)
         if rank != 1 or np.abs(np.einsum("i,ijk->jk", rows[0], c)).max() > cut:
             return result("NotInFamily")
         tag, m = _square_line_normal_form(norm, unit(v @ rows[0]))
-        m = m / factor
 
-    m, res = _certify(alg, tag, m)
+    m, res = _certify(norm, tag, m)
     if res > TAU_CERT:
         raise IllConditioned(f"reduction certificate residual {res:.2e}")
-    return result(tag, m, res)
+    m = _leave_frame(m, e)
+    return result("NotInFamily") if m is None else result(tag, m, res)
 
 
 def classify_via_derivation(alg: Algebra) -> ClassificationResult:

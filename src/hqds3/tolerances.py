@@ -1,8 +1,12 @@
 """Shared numerical tolerances.
 
-All residual thresholds are relative to the magnitude of the inputs unless a
-function documents otherwise.  They are deliberately centralized so that the
-tests and the library agree on one set of constants.
+Every residual of the classification (certificates, Leibniz and
+automorphism residuals, structural identities, idempotents) is judged on the
+normalized table, whose largest constant lies in (1/2, 1]
+(``Algebra.normalized``), so these thresholds need no scale guard there; a
+check in another frame, such as the integrator's or verify's, documents its
+own.  They are deliberately centralized so that the tests and the library
+agree on one set of constants.
 """
 
 # residual threshold for algebraic identities (Leibniz, homomorphism, ...)

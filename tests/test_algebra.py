@@ -34,6 +34,7 @@ from hqds3.algebra import (
     subspace_check,
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
+from hqds3.classify import classify, classify_via_derivation
 from hqds3.derivations import derivation_space
 from hqds3.dynamics import linear_first_integrals
 from hqds3.linalg import contains_vector, rank_and_rowspace, random_well_conditioned, sign_canonical, unit
@@ -96,12 +97,34 @@ def test_algebra_owns_a_read_only_copy():
         alg.c = c
 
 
+# constants, the exponent of their normalization, and the tag of both routes
+NORMALIZATION_CASES = [
+    ({"a": 4.0, "n": 2.0}, 2, None),
+    ({"c": 1.5e308, "s": 1.5e308}, 1024, "A1"),
+    ({"c": 1e-320, "s": 1e-320}, -1063, "NotInFamily"),
+]
+
+
 def test_normalized_is_one_object_per_algebra():
+    # the power of two 2^e puts the max magnitude in (1/2, 1] exactly: an
+    # exact power of two divides to 1, and neither 2^1024, which is no
+    # float, nor a subnormal table overflows.  The A1 shape e1 e1 = s e3,
+    # e2 e3 = s e1 keeps its tag with a finite certificate at 1.5e308; at
+    # 1e-320 its certificate is beyond the float range, so it is NotInFamily
+    for constants, e, tag in NORMALIZATION_CASES:
+        alg = from_named(**constants)
+        norm, got = alg.normalized()
+        assert got == e
+        assert np.array_equal(norm.c, np.ldexp(alg.c, -e))
+        assert 0.5 < norm.scale <= 1.0
+        assert alg.normalized()[0] is norm
+        assert norm.normalized()[0] is norm
+        assert norm.normalized()[1] == 0
+        for res in (classify(alg), classify_via_derivation(alg)) if tag else ():
+            assert res.tag == tag
+            assert tag == "NotInFamily" or np.isfinite(res.certificate).all()
     alg = from_named(a=4.0, n=2.0)
-    norm, factor = alg.normalized()
-    assert factor == 4.0
-    assert alg.normalized()[0] is norm
-    assert norm.normalized()[0] is norm
+    assert np.array_equal(alg.normalized()[0].c, alg.c / 4.0)
 
 
 def test_asymmetric_tensor_message_is_one_based():
@@ -607,10 +630,13 @@ def test_idempotents_scale_inversely():
 def test_idempotents_of_a_tiny_table_sort_without_overflow(a):
     # e1 e1 = a e1 has the one idempotent e1 / a, near the top of the float
     # range; the sort key once rounded by multiplying it by 1e9, which
-    # overflowed (RuntimeWarning, an error under this suite's settings)
-    found = idempotents(from_named(a=a))
+    # overflowed (RuntimeWarning, an error under this suite's settings).  It
+    # is the normalized table's idempotent, leaving that frame exactly
+    alg = from_named(a=a)
+    norm, e = alg.normalized()
+    found = idempotents(alg)
     assert len(found) == 1
-    assert np.array_equal(found[0], np.array([1.0, 0.0, 0.0]) / a)
+    assert np.array_equal(found[0], np.ldexp(idempotents(norm)[0], -e))
 
 
 def test_idempotents_survive_large_jacobians():
@@ -624,7 +650,7 @@ def _full_batch_idempotents(alg):
     # the lattice search that came before the exact solve: damped Newton
     # from 1331 lattice points, each stepping until all residuals are below
     # 1e-14 at once
-    norm, factor = alg.normalized()
+    norm, e = alg.normalized()
     if norm.scale == 0.0:
         return []
     axis = np.linspace(-2.0, 2.0, 11)
@@ -647,7 +673,7 @@ def _full_batch_idempotents(alg):
     for cand in v[ok]:
         if all(np.linalg.norm(cand - w) > TAU_DEDUP for w in found):
             found.append(cand)
-    return [w / factor for w in found]
+    return [np.ldexp(w, -e) for w in found]
 
 
 def test_idempotents_match_the_full_batch_search():

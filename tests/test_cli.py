@@ -711,6 +711,38 @@ def test_verify_ray_check_passes_on_far_idempotents(tmp_path, capsys, kind):
     assert line.startswith("PASS ray-solutions: 1 idempotent rays matched")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, passes", [(5e-309, False), (1e-320, False), (6e-309, True)])
+def test_verify_ray_check_at_the_edge_of_the_float_range(tmp_path, capsys, s, passes):
+    # e1 e1 = s e1 has the one idempotent e1 / s, which is beyond the float
+    # range below s = 1 / DBL_MAX, about 5.6e-309: the check skips it by
+    # name, where it once took the eigenvalues of inf and crashed
+    code, out, err = run(capsys, ["verify", write_algebra(tmp_path, from_named(a=s))])
+    line = next(ln for ln in out.splitlines() if "ray-solutions" in ln)
+    assert (code, err) == (0, "")
+    if passes:
+        assert line.startswith("PASS ray-solutions: 1 idempotent rays matched")
+    else:
+        assert line == "SKIP ray-solutions: idempotent (inf, 0.0, 0.0) lies beyond the float range"
+
+
+def test_verify_skips_the_ray_check_without_a_real_idempotent(tmp_path, capsys):
+    # e1 e1 = -e3, e1 e3 = 2 e1 is not solvable, has no real idempotent, and
+    # its cone is the plane x1 = 0
+    code, out, _ = run(capsys, ["verify", write_algebra(tmp_path, from_named(c=-1.0, p=2.0))])
+    assert code == 0
+    assert out.splitlines() == [
+        "class: NotInFamily",
+        "SKIP affine-form: A*A not inside the annihilator; solutions are not affine",
+        "SKIP cell-invariance: no cell partition without a canonical class",
+        "SKIP curvature: straight-line claim applies to classes A2-A4",
+        "PASS first-integral-drift: 1 integrals, max relative drift 0.00e+00",
+        "SKIP ray-solutions: no real idempotent; the cone is plane",
+        "PASS steady-states: cone residual 0.00e+00; off-cone points clearly non-steady",
+        "SKIP torsion: torsion-free claim needs a classified algebra",
+    ]
+
+
 def test_verify_fails_an_origin_only_cone_without_idempotents(tmp_path, capsys, monkeypatch):
     # by Kaplan-Yorke a real commutative algebra has a nonzero idempotent or
     # a nonzero square-zero vector, so a solver that found neither is wrong
