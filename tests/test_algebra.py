@@ -35,7 +35,7 @@ from hqds3.algebra import (
 )
 from hqds3.catalog import canonical_algebra, conjugated_canonical, random_symmetric_algebra
 from hqds3.classify import classify, classify_via_derivation
-from hqds3.derivations import derivation_space
+from hqds3.derivations import derivation_space, leibniz_matrix
 from hqds3.dynamics import linear_first_integrals
 from hqds3.linalg import contains_vector, rank_and_rowspace, random_well_conditioned, sign_canonical, unit
 from hqds3.tolerances import TAU_DEDUP, TAU_RANK, TAU_RES
@@ -999,6 +999,8 @@ def test_memoized_invariants_are_read_only():
     space = derivation_space(alg)
     with pytest.raises(ValueError):
         space[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        leibniz_matrix(alg)[0, 0] = 1.0
     with pytest.raises(ValueError):
         linear_first_integrals(alg)[0, 0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):

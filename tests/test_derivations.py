@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqds3 import derivations
-from hqds3.algebra import NAMED_SLOTS, Algebra, from_named, product
+from hqds3.algebra import NAMED_SLOTS, from_named, product
 from hqds3.catalog import (
     canonical_algebra,
     conjugated_canonical,
@@ -101,20 +101,6 @@ def test_derivation_residual_matches_the_loop_build():
             n_small += loop < LEIBNIZ_TOL
             assert abs(derivation_residual(alg, m) - loop) <= 1e-15 * max(1.0, loop)
     assert n_small >= n_basis > 0  # true derivations were among the cases
-
-
-def test_leibniz_matrix_is_built_once_per_algebra():
-    # the derivation space, the residual and the SSND search all read the
-    # one read-only matrix of the normalized table
-    alg = Algebra(3.0 * conjugated_canonical("A2", np.random.default_rng(9))[0].c)
-    lm = leibniz_matrix(alg)
-    assert not lm.flags.writeable
-    _, misses = leibniz_matrix.cache_info()
-    derivation_space(alg)
-    derivation_residual(alg, np.eye(3))
-    assert find_real_ssnd(alg) is not None
-    assert leibniz_matrix.cache_info().misses == misses
-    assert leibniz_matrix(alg.normalized()[0]) is lm
 
 
 def test_derivation_dims_canonical():
